@@ -49,51 +49,55 @@ class Record:
             raise ValueError("record user id must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """Chronologically ordered records of a single user."""
+    """Chronologically ordered positions of a single user, stored as columns.
+
+    ``lat`` and ``lon`` are float64 degrees and ``time_ms`` int64 epoch
+    milliseconds (UTC); all three are read-only numpy arrays of one length.
+    """
 
     user: str
-    records: tuple = ()
+    lat: np.ndarray = ()
+    lon: np.ndarray = ()
+    time_ms: np.ndarray = ()
 
     def __post_init__(self):
         if not self.user:
             raise ValueError("trace user id must be non-empty")
-        object.__setattr__(self, "records", tuple(self.records))
-        prev = None
-        for r in self.records:
-            if r.user != self.user:
-                raise ValueError(f"record user {r.user!r} differs from trace user {self.user!r}")
-            if prev is not None and r.time_ms < prev:
-                raise ValueError("record timestamps must be non-decreasing")
-            prev = r.time_ms
+        for name, dtype in (("lat", np.float64), ("lon", np.float64), ("time_ms", np.int64)):
+            column = np.array(getattr(self, name), dtype=dtype)  # a private copy
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        lat, lon, time_ms = self.lat, self.lon, self.time_ms
+        if not (lat.ndim == lon.ndim == time_ms.ndim == 1
+                and len(lat) == len(lon) == len(time_ms)):
+            raise ValueError("trace columns must be 1-D arrays of equal lengths")
+        if np.any(time_ms[1:] < time_ms[:-1]):
+            raise ValueError("record timestamps must be non-decreasing")
 
     @classmethod
     def from_records(cls, records: Iterable[Record]) -> "Trace":
+        """Columns from per-point records of one user, sorted by time (stable)."""
         records = sorted(records, key=lambda r: r.time_ms)
         if not records:
             raise ValueError("cannot infer user id from an empty record list")
-        return cls(records[0].user, tuple(records))
+        user = records[0].user
+        for r in records:
+            if r.user != user:
+                raise ValueError(f"record user {r.user!r} differs from trace user {user!r}")
+        return cls(user, [r.point.lat for r in records], [r.point.lon for r in records],
+                   [r.time_ms for r in records])
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.time_ms)
 
-    def __iter__(self) -> Iterator[Record]:
-        return iter(self.records)
-
-    @property
-    def points(self) -> list:
-        return [r.point for r in self.records]
-
-    @property
-    def times_ms(self) -> np.ndarray:
-        return np.array([r.time_ms for r in self.records], dtype=np.int64)
-
-    def latlon_arrays(self):
-        """(lat, lon) degree arrays, the bulk representation used by the math."""
-        lat = np.array([r.point.lat for r in self.records], dtype=float)
-        lon = np.array([r.point.lon for r in self.records], dtype=float)
-        return lat, lon
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.user == other.user and np.array_equal(self.lat, other.lat)
+                and np.array_equal(self.lon, other.lon)
+                and np.array_equal(self.time_ms, other.time_ms))
 
 
 @dataclass(frozen=True)
@@ -118,11 +122,14 @@ class Dataset:
         """One chronologically sorted trace per user, concatenating duplicates."""
         grouped: dict = {}
         for trace in self.traces:
-            grouped.setdefault(trace.user, []).extend(trace.records)
-        return {
-            user: Trace.from_records(records)
-            for user, records in sorted(grouped.items())
-        }
+            grouped.setdefault(trace.user, []).append(trace)
+        merged = {}
+        for user, traces in sorted(grouped.items()):
+            time_ms = np.concatenate([t.time_ms for t in traces])
+            order = np.argsort(time_ms, kind="stable")
+            merged[user] = Trace(user, np.concatenate([t.lat for t in traces])[order],
+                                 np.concatenate([t.lon for t in traces])[order], time_ms[order])
+        return merged
 
     def total_records(self) -> int:
         return sum(len(t) for t in self.traces)
@@ -132,7 +139,9 @@ class Dataset:
         n = self.total_records()
         if n == 0:
             return 0.0
-        return sum(r.point.lat for t in self.traces for r in t) / n
+        # cumsum adds strictly left to right, like a plain float sum; the
+        # pairwise order of np.sum could move the grid reference by an ulp.
+        return float(np.cumsum(np.concatenate([t.lat for t in self.traces]))[-1]) / n
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +268,3 @@ def utc_day(time_ms: int) -> date:
     """UTC calendar date containing the instant; midnight belongs to the new day."""
     return _EPOCH_DATE + timedelta(days=int(time_ms) // MS_PER_DAY)
 
-
-def day_start_ms(day: date) -> int:
-    return (day - _EPOCH_DATE).days * MS_PER_DAY

@@ -10,14 +10,18 @@ leave partial output behind.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import tempfile
+from collections import defaultdict
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DatasetLoadError
-from .geo import Dataset, GeoPoint, Record, Trace
+from .geo import Dataset, GeoPoint, Trace
 
 CSV_HEADER = ["user", "timestamp", "lat", "lon"]
 
@@ -30,6 +34,8 @@ def parse_timestamp_ms(text: str) -> int:
     except ValueError:
         pass
     else:
+        if abs(value) >= 2**63:
+            raise ValueError(f"timestamp {text!r} out of range")
         return value * 1000 if abs(value) < 10**11 else value
     iso = text.replace("Z", "+00:00") if text.endswith("Z") else text
     dt = datetime.fromisoformat(iso)
@@ -42,7 +48,7 @@ def load_dataset(path) -> Dataset:
     """Read a trace CSV into one chronologically sorted trace per user."""
     path = Path(path)
     problems = []
-    grouped: dict = {}
+    columns: dict = defaultdict(lambda: ([], [], [], []))
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -61,17 +67,31 @@ def load_dataset(path) -> Dataset:
                 if not user:
                     raise ValueError("empty user id")
                 time_ms = parse_timestamp_ms(row[1])
-                point = GeoPoint(float(row[2]), float(row[3]))
+                lat, lon = float(row[2]), float(row[3])
             except ValueError as exc:
                 problems.append((line_no, str(exc)))
                 continue
-            grouped.setdefault(user, []).append(Record(user, point, time_ms))
+            line_nos, times, lats, lons = columns[user]
+            line_nos.append(line_no)
+            times.append(time_ms)
+            lats.append(lat)
+            lons.append(lon)
+    traces = []
+    for user, (line_nos, times, lats, lons) in sorted(columns.items()):
+        lat, lon = np.array(lats), np.array(lons)
+        # One vectorized range test (NaN fails it); GeoPoint words the problem.
+        in_range = (lat >= -90.0) & (lat <= 90.0) & (lon > -180.0) & (lon <= 180.0)
+        for i in np.flatnonzero(~in_range).tolist():
+            try:
+                GeoPoint(lats[i], lons[i])
+            except ValueError as exc:
+                problems.append((line_nos[i], str(exc)))
+        time_ms = np.array(times, dtype=np.int64)
+        order = np.argsort(time_ms, kind="stable")  # equal times keep file order
+        traces.append(Trace(user, lat[order], lon[order], time_ms[order]))
     if problems:
+        problems.sort()
         raise DatasetLoadError(f"{path}: {len(problems)} malformed row(s)", problems)
-    traces = tuple(
-        Trace(user, tuple(sorted(records, key=lambda r: r.time_ms)))
-        for user, records in sorted(grouped.items())
-    )
     return Dataset(traces)
 
 
@@ -98,8 +118,10 @@ def write_dataset_csv(dataset: Dataset, path) -> Path:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for trace in dataset:
-            for r in trace:
-                writer.writerow([r.user, r.time_ms, repr(r.point.lat), repr(r.point.lon)])
+            writer.writerows(zip(
+                itertools.repeat(trace.user), trace.time_ms.tolist(),
+                map(repr, trace.lat.tolist()), map(repr, trace.lon.tolist()),
+            ))
 
     _atomic_write(path, write)
     return path

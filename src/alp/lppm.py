@@ -15,7 +15,7 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from .errors import ConfigurationError
-from .geo import EARTH_RADIUS_M, GeoPoint, Record, Trace, _wrap_degrees, latlon_from_local, local_xy
+from .geo import EARTH_RADIUS_M, GeoPoint, Trace, _wrap_degrees, latlon_from_local, local_xy
 from .rng import RandomStream, RngLike, as_generator
 
 _TWO_PI = 2.0 * math.pi
@@ -145,16 +145,10 @@ def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RngLike) -> Trace:
     dx = r * np.cos(theta)
     dy = r * np.sin(theta)
 
-    lat, lon = trace.latlon_arrays()
-    phi = np.radians(lat)
+    lat, lon = trace.lat, trace.lon
     new_lat = np.clip(lat + np.degrees(dy / EARTH_RADIUS_M), -90.0, 90.0)
-    new_lon = _wrap_degrees(lon + np.degrees(dx / (EARTH_RADIUS_M * np.cos(phi))))
-
-    records = tuple(
-        Record(trace.user, GeoPoint(float(la), float(lo)), rec.time_ms)
-        for la, lo, rec in zip(new_lat, new_lon, trace.records)
-    )
-    return Trace(trace.user, records)
+    new_lon = _wrap_degrees(lon + np.degrees(dx / (EARTH_RADIUS_M * np.cos(np.radians(lat)))))
+    return Trace(trace.user, new_lat, new_lon, trace.time_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +169,15 @@ def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
     if n == 0:
         return trace
 
-    origin = trace.records[0].point
-    lat, lon = trace.latlon_arrays()
-    xs, ys = local_xy(origin, lat, lon)
+    origin = GeoPoint(float(trace.lat[0]), float(trace.lon[0]))
+    xs, ys = local_xy(origin, trace.lat, trace.lon)
     seg = np.hypot(np.diff(xs), np.diff(ys))
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = float(cum[-1])
 
     count = int(math.floor(total / alpha + 1e-9)) + 1
     if count < 2:
-        return Trace(trace.user, ())
+        return Trace(trace.user)
 
     offsets = alpha * np.arange(count, dtype=float)
     j = np.clip(np.searchsorted(cum, offsets, side="right") - 1, 0, n - 2)
@@ -194,16 +187,10 @@ def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
     py = ys[j] + frac * (ys[j + 1] - ys[j])
     out_lat, out_lon = latlon_from_local(origin, px, py)
 
-    t0 = trace.records[0].time_ms
-    t1 = trace.records[-1].time_ms
+    t0, t1 = int(trace.time_ms[0]), int(trace.time_ms[-1])
     steps = np.arange(count, dtype=float)
     times = t0 + np.rint(steps * (t1 - t0) / (count - 1)).astype(np.int64)
-
-    records = tuple(
-        Record(trace.user, GeoPoint(float(la), float(lo)), int(t))
-        for la, lo, t in zip(out_lat, out_lon, times)
-    )
-    return Trace(trace.user, records)
+    return Trace(trace.user, out_lat, out_lon, times)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError
 from .geo import (
@@ -73,11 +72,10 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     if n == 0:
         return []
 
-    lat, lon = trace.latlon_arrays()
+    lat, lon, times = trace.lat, trace.lon, trace.time_ms
     phi = np.radians(lat)
     lam = np.radians(lon)
     cos_phi = np.cos(phi)
-    times = trace.times_ms
     radius2 = 2.0 * EARTH_RADIUS_M
     max_d = params.max_diameter_m
 
@@ -86,7 +84,7 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     def close_cluster(start: int, end: int):
         if times[end] - times[start] < params.min_stay_ms:
             return
-        origin = trace.records[start].point
+        origin = GeoPoint(float(lat[start]), float(lon[start]))
         xs, ys = local_xy(origin, lat[start:end + 1], lon[start:end + 1])
         centroid = from_local_plane(origin, (float(np.mean(xs)), float(np.mean(ys))))
         pois.append(Poi(trace.user, centroid, int(times[start]), int(times[end]), end - start + 1))
@@ -145,33 +143,44 @@ def spatial_distortion(raw_points: Sequence[GeoPoint], protected_points: Sequenc
     An empty protected set distorts nothing and scores 0; an empty raw set
     is a caller error.
     """
-    if len(raw_points) == 0:
+    distortion = _distortion_to([p.lat for p in raw_points], [p.lon for p in raw_points])
+    return distortion([p.lat for p in protected_points], [p.lon for p in protected_points])
+
+
+def _distortion_to(raw_lat, raw_lon) -> Callable[[np.ndarray, np.ndarray], float]:
+    """Mean distance from protected coordinates to the nearest raw location.
+
+    The kd-tree holds each distinct raw location once: dwell-heavy traces
+    repeat a few points many times, and duplicates only slow the query.
+    """
+    # Imported here: scipy.spatial takes longer to import than the rest of
+    # the package, and protect and synth never measure distortion.
+    from scipy.spatial import cKDTree
+
+    if len(raw_lat) == 0:
         raise ValueError("raw location set must be non-empty")
-    if len(protected_points) == 0:
-        return 0.0
-    raw_lat = np.array([p.lat for p in raw_points])
-    raw_lon = np.array([p.lon for p in raw_points])
+    raw = np.unique(np.column_stack((raw_lat, raw_lon)), axis=0)
+    raw_lat, raw_lon = raw[:, 0], raw[:, 1]
     tree = cKDTree(sphere_xyz(raw_lat, raw_lon))
-    return _distortion_against(tree, raw_lat, raw_lon,
-                               np.array([p.lat for p in protected_points]),
-                               np.array([p.lon for p in protected_points]))
 
+    def distortion(prot_lat, prot_lon) -> float:
+        if len(prot_lat) == 0:
+            return 0.0
+        # Chord length is monotone in arc length, so the chord nearest
+        # neighbour is also the great-circle nearest neighbour; report the
+        # haversine value.
+        _, idx = tree.query(sphere_xyz(prot_lat, prot_lon))
+        d = haversine_m(prot_lat, prot_lon, raw_lat[idx], raw_lon[idx])
+        return float(np.mean(d))
 
-def _distortion_against(tree, raw_lat, raw_lon, prot_lat, prot_lon) -> float:
-    # Chord length is monotone in arc length, so the chord nearest neighbour
-    # is also the great-circle nearest neighbour; report the haversine value.
-    _, idx = tree.query(sphere_xyz(prot_lat, prot_lon))
-    d = haversine_m(prot_lat, prot_lon, raw_lat[idx], raw_lon[idx])
-    return float(np.mean(d))
+    return distortion
 
 
 def area_coverage(raw_points: Sequence[GeoPoint], protected_points: Sequence[GeoPoint],
                   grid: CellGrid) -> float:
     """F-score over grid cells touched by raw vs protected locations, in [0, 1]."""
-    cells_raw = grid.cells_of(np.array([p.lat for p in raw_points]),
-                              np.array([p.lon for p in raw_points])) if raw_points else set()
-    cells_obf = grid.cells_of(np.array([p.lat for p in protected_points]),
-                              np.array([p.lon for p in protected_points])) if protected_points else set()
+    cells_raw = grid.cells_of([p.lat for p in raw_points], [p.lon for p in raw_points])
+    cells_obf = grid.cells_of([p.lat for p in protected_points], [p.lon for p in protected_points])
     return _cell_f_score(cells_raw, cells_obf)
 
 
@@ -225,16 +234,10 @@ class SpatialDistortionEvaluator(Evaluator):
     name = "distortion"
 
     def bind(self, raw: Trace) -> Callable[[Trace], float]:
-        if len(raw) == 0:
-            raise ValueError("raw trace must be non-empty")
-        raw_lat, raw_lon = raw.latlon_arrays()
-        tree = cKDTree(sphere_xyz(raw_lat, raw_lon))
+        distortion = _distortion_to(raw.lat, raw.lon)
 
         def evaluate(protected: Trace) -> float:
-            if len(protected) == 0:
-                return 0.0
-            prot_lat, prot_lon = protected.latlon_arrays()
-            return _distortion_against(tree, raw_lat, raw_lon, prot_lat, prot_lon)
+            return distortion(protected.lat, protected.lon)
 
         return evaluate
 
@@ -246,14 +249,12 @@ class AreaCoverageEvaluator(Evaluator):
         self.grid = grid
 
     def bind(self, raw: Trace) -> Callable[[Trace], float]:
-        raw_lat, raw_lon = raw.latlon_arrays()
-        cells_raw = self.grid.cells_of(raw_lat, raw_lon) if len(raw) else set()
+        cells_raw = self.grid.cells_of(raw.lat, raw.lon)
 
         def evaluate(protected: Trace) -> float:
             if len(protected) == 0:
                 return 0.0
-            prot_lat, prot_lon = protected.latlon_arrays()
-            return _cell_f_score(cells_raw, self.grid.cells_of(prot_lat, prot_lon))
+            return _cell_f_score(cells_raw, self.grid.cells_of(protected.lat, protected.lon))
 
         return evaluate
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError
-from .geo import CellGrid, Dataset, Trace, utc_day
+from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
 from .lppm import LppmConfig, apply_lppm, default_domains, get_mechanism_class, make_mechanism
 from .metrics import EVALUATOR_NAMES, PoiClusteringParams, default_robust_k, make_evaluator
 from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, default_objectives
@@ -36,20 +38,13 @@ class Batch:
 
 def split_daily_batches(trace: Trace) -> list:
     """Partition a trace by UTC day (half-open: midnight starts the new day)."""
-    batches = []
-    current_day = None
-    bucket: list = []
-    for record in trace:
-        day = utc_day(record.time_ms)
-        if day != current_day:
-            if bucket:
-                batches.append(Batch(trace.user, current_day, Trace(trace.user, tuple(bucket))))
-            current_day = day
-            bucket = []
-        bucket.append(record)
-    if bucket:
-        batches.append(Batch(trace.user, current_day, Trace(trace.user, tuple(bucket))))
-    return batches
+    days = np.unique(trace.time_ms // MS_PER_DAY)
+    bounds = np.append(np.searchsorted(trace.time_ms, days * MS_PER_DAY), len(trace))
+    return [
+        Batch(trace.user, utc_day(day * MS_PER_DAY),
+              Trace(trace.user, trace.lat[a:b], trace.lon[a:b], trace.time_ms[a:b]))
+        for day, a, b in zip(days.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
 
 
 def cdf_points(values) -> list:
@@ -198,14 +193,12 @@ def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
     root = RandomStream(config.seed).child(user, day_label)
 
     objectives = config.resolved_objectives()
+    cost_fn = ObjectiveCost(objectives, raw, poi_params=config.poi_params,
+                            cell_grid=grid, robust_k=config.resolved_robust_k())
     if config.mode == "static-baseline":
         chosen = LppmConfig(config.lppm_name, config.static_assignment)
-        cost_fn = ObjectiveCost(objectives, raw, poi_params=config.poi_params,
-                                cell_grid=grid, robust_k=config.resolved_robust_k())
         cost = cost_fn(chosen, root.child("cost"))
     else:
-        cost_fn = ObjectiveCost(objectives, raw, poi_params=config.poi_params,
-                                cell_grid=grid, robust_k=config.resolved_robust_k())
         result = anneal(config.lppm_name, config.resolved_domains(), cost_fn,
                         config.schedule, root.child("anneal"), n_objectives=len(objectives))
         chosen = result.chosen(config.use_best)
@@ -256,9 +249,3 @@ def run_online(dataset: Dataset, config: RunConfig) -> Report:
         for batch in split_daily_batches(trace):
             units.append(((batch.user, batch.day), batch.trace))
     return _run_units(units, config, grid)
-
-
-def run(dataset: Dataset, config: RunConfig) -> Report:
-    if config.mode == "offline":
-        return run_offline(dataset, config)
-    return run_online(dataset, config)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .geo import Dataset, GeoPoint, Record, Trace, latlon_from_local
+from .geo import Dataset, GeoPoint, Trace, latlon_from_local
 from .rng import RandomStream
 
 # 2024-01-01T00:00:00Z; all synthetic activity starts here
@@ -138,12 +138,8 @@ def generate_synthetic_dataset(spec: SynthSpec) -> SyntheticDataset:
         segments = _user_segments(spec, pois_xy, gen)
         times_s, xy = _sample_segments(segments, spec.sample_period_s)
         lat, lon = latlon_from_local(spec.center, xy[:, 0], xy[:, 1])
-        records = tuple(
-            Record(user, GeoPoint(float(la), float(lo)),
-                   SYNTH_EPOCH_MS + int(round(t * 1000.0)))
-            for la, lo, t in zip(lat, lon, times_s)
-        )
-        traces.append(Trace(user, records))
+        time_ms = SYNTH_EPOCH_MS + np.rint(times_s * 1000.0).astype(np.int64)
+        traces.append(Trace(user, lat, lon, time_ms))
         poi_lat, poi_lon = latlon_from_local(spec.center, pois_xy[:, 0], pois_xy[:, 1])
         true_pois[user] = [GeoPoint(float(la), float(lo)) for la, lo in zip(poi_lat, poi_lon)]
     return SyntheticDataset(Dataset(tuple(traces)), true_pois)

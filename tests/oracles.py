@@ -7,7 +7,7 @@ library itself uses.
 
 import math
 
-from alp.geo import EARTH_RADIUS_M, distance_meters
+from alp.geo import EARTH_RADIUS_M, GeoPoint, Record, distance_meters
 from alp.metrics import Poi
 
 
@@ -68,7 +68,8 @@ def window_extract_pois(trace, params):
     within the limit is found from a full pairwise distance table; windows
     meeting the minimum stay become POIs and the walk restarts after them.
     """
-    records = list(trace)
+    records = [Record(trace.user, GeoPoint(la, lo), t) for la, lo, t in
+               zip(trace.lat.tolist(), trace.lon.tolist(), trace.time_ms.tolist())]
     n = len(records)
     if n == 0:
         return []
@@ -92,8 +93,6 @@ def window_extract_pois(trace, params):
             lam0 = math.radians(window[0].point.lon)
             xs = [EARTH_RADIUS_M * (math.radians(r.point.lon) - lam0) * math.cos(phi0) for r in window]
             ys = [EARTH_RADIUS_M * (math.radians(r.point.lat) - phi0) for r in window]
-            from alp.geo import GeoPoint
-
             centroid = GeoPoint(
                 math.degrees(phi0 + (sum(ys) / len(ys)) / EARTH_RADIUS_M),
                 math.degrees(lam0 + (sum(xs) / len(xs)) / (EARTH_RADIUS_M * math.cos(phi0))),

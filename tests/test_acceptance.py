@@ -81,20 +81,18 @@ def test_criterion_2_promesse_geometry():
             if len(out) < 2:
                 continue
             resampled += 1
-            anchor = trace.records[0].point
-            lat, lon = trace.latlon_arrays()
-            path = list(zip(*local_xy(anchor, lat, lon)))
-            out_lat, out_lon = out.latlon_arrays()
-            pts = list(zip(*local_xy(anchor, out_lat, out_lon)))
+            anchor = GeoPoint(float(trace.lat[0]), float(trace.lon[0]))
+            path = list(zip(*local_xy(anchor, trace.lat, trace.lon)))
+            pts = list(zip(*local_xy(anchor, out.lat, out.lon)))
             positions = monotone_arc_positions(path, pts)
             spacings = np.diff(positions)
             check(np.allclose(spacings, alpha, rtol=1e-6),
                   f"seed={seed}: spacing off by {np.abs(spacings - alpha).max():.2e} m")
-            gaps = np.diff([r.time_ms for r in out])
+            gaps = np.diff(out.time_ms)
             check(gaps.max() - gaps.min() <= 1,
                   f"seed={seed}: timestamp gaps vary by {gaps.max() - gaps.min()} ms")
-            check(out.records[0].time_ms == trace.records[0].time_ms
-                  and out.records[-1].time_ms == trace.records[-1].time_ms,
+            check(out.time_ms[0] == trace.time_ms[0]
+                  and out.time_ms[-1] == trace.time_ms[-1],
                   f"seed={seed}: endpoint timestamps changed")
         check(resampled >= 45, f"only {resampled}/50 walks produced output")
 
@@ -150,8 +148,8 @@ def test_criterion_3_metric_oracles():
                     x += float(gen.normal(0, 40))
                 coords.append((x, y))
             times = np.cumsum(gen.integers(60_000, 600_000, size=n))
-            trace = Trace("u", tuple(Record("u", from_local_plane(BASE, xy), int(t))
-                                     for xy, t in zip(coords, times)))
+            trace = Trace.from_records(Record("u", from_local_plane(BASE, xy), int(t))
+                                       for xy, t in zip(coords, times))
             got = extract_pois(trace, params)
             want = window_extract_pois(trace, params)
             same = len(got) == len(want) and all(

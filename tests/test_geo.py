@@ -84,21 +84,50 @@ class TestTraceInvariants:
     def test_rejects_mixed_users(self):
         records = (Record("a", GeoPoint(0, 0), 0), Record("b", GeoPoint(0, 0), 1))
         with pytest.raises(ValueError, match="user"):
-            Trace("a", records)
+            Trace.from_records(records)
 
     def test_rejects_out_of_order_timestamps(self):
-        records = (Record("a", GeoPoint(0, 0), 10), Record("a", GeoPoint(0, 0), 5))
         with pytest.raises(ValueError, match="non-decreasing"):
-            Trace("a", records)
+            Trace("a", [0, 0], [0, 0], [10, 5])
+
+    def test_rejects_unequal_column_lengths(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            Trace("a", [0.0, 1.0], [0.0], [0, 1])
+        with pytest.raises(ValueError, match="equal lengths"):
+            Trace("a", [0.0], [0.0], [0, 1])
+
+    def test_rejects_empty_user(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            Trace("", [0.0], [0.0], [0])
+
+    def test_columns_are_read_only_copies(self):
+        lat = np.array([1.0, 2.0])
+        trace = Trace("a", lat, [3.0, 4.0], [0, 1])
+        assert (trace.lat.dtype, trace.lon.dtype, trace.time_ms.dtype) == (
+            np.float64, np.float64, np.int64)
+        for column in (trace.lat, trace.lon, trace.time_ms):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        lat[0] = 9.0
+        assert trace.lat.tolist() == [1.0, 2.0]
+
+    def test_equality_compares_columns(self):
+        t = Trace("a", [1.0, 2.0], [3.0, 4.0], [0, 1])
+        assert t == Trace("a", np.array([1.0, 2.0]), (3.0, 4.0), np.array([0, 1]))
+        assert t != Trace("b", [1.0, 2.0], [3.0, 4.0], [0, 1])
+        assert t != Trace("a", [1.0, 2.5], [3.0, 4.0], [0, 1])
+        assert t != Trace("a", [1.0, 2.0], [3.0, 4.0], [0, 2])
+        assert t != Trace("a", [1.0], [3.0], [0])
 
     def test_from_records_sorts(self):
         records = [Record("a", GeoPoint(0, 0), 10), Record("a", GeoPoint(0, 1), 5)]
         trace = Trace.from_records(records)
-        assert [r.time_ms for r in trace] == [5, 10]
+        assert trace.time_ms.tolist() == [5, 10]
 
     def test_dataset_merges_per_user(self):
-        t1 = Trace("a", (Record("a", GeoPoint(0, 0), 10),))
-        t2 = Trace("a", (Record("a", GeoPoint(0, 1), 5),))
+        t1 = Trace.from_records([Record("a", GeoPoint(0, 0), 10)])
+        t2 = Trace.from_records([Record("a", GeoPoint(0, 1), 5)])
         merged = Dataset((t1, t2)).merged_by_user()
         assert list(merged) == ["a"]
         assert len(merged["a"]) == 2

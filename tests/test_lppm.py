@@ -17,7 +17,7 @@ from alp.lppm import (
 )
 from alp.rng import RandomStream
 
-from conftest import make_trace, random_walk_trace
+from conftest import make_trace, points_of, random_walk_trace
 from oracles import monotone_arc_positions
 
 ORIGIN = GeoPoint(45.0, 5.0)
@@ -29,11 +29,10 @@ def straight_line_trace(offsets_m, t0=0, t1=None, user="u"):
     if t1 is None:
         t1 = (n - 1) * 100_000
     times = np.linspace(t0, t1, n).astype(int)
-    records = tuple(
+    return Trace.from_records(
         Record(user, from_local_plane(ORIGIN, (float(x), 0.0)), int(t))
         for x, t in zip(offsets_m, times)
     )
-    return Trace(user, records)
 
 
 class TestRadialSampling:
@@ -64,7 +63,7 @@ class TestRadialSampling:
 
 class TestGeoIObfuscate:
     def test_empty_trace_passthrough(self):
-        empty = Trace("u", ())
+        empty = Trace("u")
         assert geo_i_obfuscate(empty, 0.01, RandomStream(0)) == empty
 
     def test_metadata_preserved(self, gen):
@@ -72,7 +71,7 @@ class TestGeoIObfuscate:
         out = geo_i_obfuscate(trace, 0.01, RandomStream(1))
         assert out.user == trace.user
         assert len(out) == len(trace)
-        assert list(out.times_ms) == list(trace.times_ms)
+        assert list(out.time_ms) == list(trace.time_ms)
 
     def test_deterministic_given_stream(self, gen):
         trace = random_walk_trace(gen, n=30)
@@ -83,16 +82,16 @@ class TestGeoIObfuscate:
     def test_mean_displacement_is_two_over_epsilon(self):
         epsilon = 0.01
         point = GeoPoint(45.0, 5.0)
-        trace = Trace("u", tuple(Record("u", point, i) for i in range(20_000)))
+        trace = Trace.from_records(Record("u", point, i) for i in range(20_000))
         out = geo_i_obfuscate(trace, epsilon, RandomStream(3, "disp"))
-        d = [distance_meters(point, r.point) for r in out]
+        d = [distance_meters(point, p) for p in points_of(out)]
         assert np.mean(d) == pytest.approx(2.0 / epsilon, rel=0.02)
 
     def test_angles_uniform(self):
         point = GeoPoint(0.0, 0.0)
-        trace = Trace("u", tuple(Record("u", point, i) for i in range(10_000)))
+        trace = Trace.from_records(Record("u", point, i) for i in range(10_000))
         out = geo_i_obfuscate(trace, 0.001, RandomStream(4, "ang"))
-        xy = np.array([to_local_plane(point, r.point) for r in out])
+        xy = np.array([to_local_plane(point, p) for p in points_of(out)])
         angles = np.arctan2(xy[:, 1], xy[:, 0]) % (2 * np.pi)
         counts, _ = np.histogram(angles, bins=36, range=(0, 2 * np.pi))
         assert stats.chisquare(counts).pvalue > 0.001
@@ -108,14 +107,14 @@ class TestPromesse:
         trace = straight_line_trace([0, 250, 500, 750, 1000], t0=0, t1=500_000)
         out = promesse_obfuscate(trace, 200.0)
         assert len(out) == 6
-        xs = [to_local_plane(ORIGIN, r.point)[0] for r in out]
+        xs = [to_local_plane(ORIGIN, p)[0] for p in points_of(out)]
         assert xs == pytest.approx([0, 200, 400, 600, 800, 1000], abs=1e-6)
-        times = [r.time_ms for r in out]
+        times = out.time_ms.tolist()
         assert times == [0, 100_000, 200_000, 300_000, 400_000, 500_000]
 
     def test_stationary_trace_suppressed(self):
         point = GeoPoint(45.0, 5.0)
-        trace = Trace("u", tuple(Record("u", point, i * 1000) for i in range(10)))
+        trace = Trace.from_records(Record("u", point, i * 1000) for i in range(10))
         assert len(promesse_obfuscate(trace, 200.0)) == 0
 
     def test_short_path_suppressed(self):
@@ -123,7 +122,7 @@ class TestPromesse:
         assert len(promesse_obfuscate(trace, 500.0)) == 0
 
     def test_empty_trace(self):
-        assert len(promesse_obfuscate(Trace("u", ()), 200.0)) == 0
+        assert len(promesse_obfuscate(Trace("u"), 200.0)) == 0
 
     def test_rejects_non_positive_alpha(self):
         trace = straight_line_trace([0, 100])
@@ -137,24 +136,22 @@ class TestPromesse:
             out = promesse_obfuscate(trace, alpha)
             if len(out) < 2:
                 continue
-            lat, lon = trace.latlon_arrays()
             from alp.geo import local_xy
 
             # Along-path distance is defined in the plane anchored at the
             # trace's first point; measure in that same frame.
-            anchor = trace.records[0].point
-            path = np.column_stack(local_xy(anchor, lat, lon))
-            out_lat, out_lon = out.latlon_arrays()
-            pts = np.column_stack(local_xy(anchor, out_lat, out_lon))
+            anchor = GeoPoint(float(trace.lat[0]), float(trace.lon[0]))
+            path = np.column_stack(local_xy(anchor, trace.lat, trace.lon))
+            pts = np.column_stack(local_xy(anchor, out.lat, out.lon))
             positions = monotone_arc_positions([tuple(p) for p in path], [tuple(p) for p in pts])
             spacings = np.diff(positions)
             assert np.allclose(spacings, alpha, rtol=1e-6)
             chords = np.hypot(*np.diff(pts, axis=0).T)
             assert chords.max() <= alpha + 1e-6
-            gaps = np.diff([r.time_ms for r in out])
+            gaps = np.diff(out.time_ms)
             assert gaps.max() - gaps.min() <= 1
-            assert out.records[0].time_ms == trace.records[0].time_ms
-            assert out.records[-1].time_ms == trace.records[-1].time_ms
+            assert out.time_ms[0] == trace.time_ms[0]
+            assert out.time_ms[-1] == trace.time_ms[-1]
 
 
 class TestApplyAndRegistry:
@@ -166,20 +163,20 @@ class TestApplyAndRegistry:
 
     def test_empty_trace_through_geo_i(self):
         config = LppmConfig("geo-i", {"epsilon": 0.01})
-        assert len(apply_lppm(config, Trace("u", ()), RandomStream(0))) == 0
+        assert len(apply_lppm(config, Trace("u"), RandomStream(0))) == 0
 
     def test_unknown_mechanism(self):
         with pytest.raises(ConfigurationError, match="foo"):
-            apply_lppm(LppmConfig("foo", {}), Trace("u", ()), RandomStream(0))
+            apply_lppm(LppmConfig("foo", {}), Trace("u"), RandomStream(0))
 
     def test_missing_parameter(self):
         with pytest.raises(ConfigurationError, match="missing"):
-            apply_lppm(LppmConfig("geo-i", {}), Trace("u", ()), RandomStream(0))
+            apply_lppm(LppmConfig("geo-i", {}), Trace("u"), RandomStream(0))
 
     def test_unknown_parameter(self):
         config = LppmConfig("promesse", {"alpha": 10.0, "beta": 1.0})
         with pytest.raises(ConfigurationError, match="unknown"):
-            apply_lppm(config, Trace("u", ()), RandomStream(0))
+            apply_lppm(config, Trace("u"), RandomStream(0))
 
     def test_user_never_changes(self, gen):
         trace = random_walk_trace(gen, n=40, user="alice")

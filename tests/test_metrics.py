@@ -5,7 +5,7 @@ import pytest
 
 from alp.errors import ConfigurationError
 from alp.geo import CellGrid, GeoPoint, Record, Trace, distance_meters, from_local_plane
-from alp.lppm import LppmConfig
+from alp.lppm import LppmConfig, apply_lppm
 from alp.metrics import (
     Evaluator,
     Poi,
@@ -20,7 +20,7 @@ from alp.metrics import (
 )
 from alp.rng import RandomStream
 
-from conftest import make_trace
+from conftest import make_trace, points_of
 from oracles import (
     brute_area_coverage,
     brute_poi_retrieval,
@@ -52,29 +52,30 @@ class TestExtractPois:
     def test_constant_motion_yields_no_poi(self):
         # 10 m/s sampled every 30 s for 20 min: 300 m steps break every cluster
         offsets = [(i * 300.0, 0.0) for i in range(41)]
-        records = tuple(
+        trace = Trace.from_records(
             Record("u", from_local_plane(BASE, xy), i * 30_000)
             for i, xy in enumerate(offsets)
         )
-        assert extract_pois(Trace("u", records), PARAMS) == []
+        assert extract_pois(trace, PARAMS) == []
 
     def test_empty_trace(self):
-        assert extract_pois(Trace("u", ()), PARAMS) == []
+        assert extract_pois(Trace("u"), PARAMS) == []
 
     def test_emitted_clusters_respect_diameter_and_span(self, gen):
         from conftest import random_walk_trace
 
         for _ in range(20):
             trace = random_walk_trace(gen, n=60, step_sd_m=40.0, step_ms=60_000)
-            times = list(trace.times_ms)
+            times = trace.time_ms.tolist()
+            points = points_of(trace)
             for poi in extract_pois(trace, PARAMS):
                 assert poi.end_ms - poi.start_ms >= PARAMS.min_stay_ms
                 assert poi.size >= 1
                 first = times.index(poi.start_ms)
-                members = trace.records[first:first + poi.size]
-                assert members[-1].time_ms == poi.end_ms
+                members = points[first:first + poi.size]
+                assert times[first + poi.size - 1] == poi.end_ms
                 diameter = max(
-                    (distance_meters(a.point, b.point)
+                    (distance_meters(a, b)
                      for i, a in enumerate(members) for b in members[i + 1:]),
                     default=0.0,
                 )
@@ -93,11 +94,10 @@ class TestExtractPois:
                     x += float(gen.normal(0, 40))
                 coords.append((x, y))
             times = np.cumsum(gen.integers(60_000, 600_000, size=n))
-            records = tuple(
+            trace = Trace.from_records(
                 Record("u", from_local_plane(BASE, xy), int(t))
                 for xy, t in zip(coords, times)
             )
-            trace = Trace("u", records)
             got = extract_pois(trace, PARAMS)
             expected = window_extract_pois(trace, PARAMS)
             assert len(got) == len(expected)
@@ -176,6 +176,23 @@ class TestSpatialDistortion:
                               for _ in range(int(gen.integers(0, 101)))])
             assert spatial_distortion(raw, prot) == pytest.approx(
                 brute_spatial_distortion(raw, prot), rel=1e-12, abs=0.0)
+
+
+    @pytest.mark.parametrize("shape", ["all-duplicate", "dwell-heavy"])
+    def test_bound_evaluator_matches_brute_force_on_repeated_points(self, shape):
+        # the evaluator's kd-tree holds each distinct raw point once
+        if shape == "all-duplicate":
+            offsets = [(120.0, -40.0)] * 150
+        else:
+            stops = [(0.0, 0.0), (900.0, 300.0), (-600.0, 800.0)]
+            walk = [(300.0 * k, 100.0 * k) for k in range(1, 4)]
+            offsets = [stops[0]] * 60 + walk + [stops[1]] * 50 + [stops[2]] * 40 + [stops[0]] * 20
+        raw = make_trace([(p.lat, p.lon) for p in points_at(offsets)])
+        protected = apply_lppm(LppmConfig("geo-i", {"epsilon": 0.01}), raw, RandomStream(5))
+        got = make_evaluator("distortion").bind(raw)(protected)
+        want = brute_spatial_distortion(points_of(raw), points_of(protected))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert make_evaluator("distortion").bind(raw)(raw) == 0.0
 
 
 class TestAreaCoverage:
@@ -275,7 +292,6 @@ class TestRegistry:
 
     def test_values_stay_in_range(self, gen):
         from conftest import random_walk_trace
-        from alp.lppm import apply_lppm
 
         grid = CellGrid(250, BASE.lat)
         for seed in range(5):

@@ -49,7 +49,7 @@ class TestLoadDataset:
     def test_rows_out_of_order_are_sorted(self, tmp_path):
         path = self.write(tmp_path, "user,timestamp,lat,lon\nu1,2000,45.1,5.1\nu1,1000,45.0,5.0\n")
         trace = load_dataset(path).traces[0]
-        assert [r.time_ms for r in trace] == [1_000_000, 2_000_000]
+        assert trace.time_ms.tolist() == [1_000_000, 2_000_000]
 
     def test_bad_latitude_names_line(self, tmp_path):
         path = self.write(tmp_path, "user,timestamp,lat,lon\nu1,1000,45.0,5.0\nu1,2000,95.0,5.0\n")
@@ -68,6 +68,69 @@ class TestLoadDataset:
             load_dataset(path)
         assert len(err.value.problems) == 3
 
+    @pytest.mark.parametrize("lat,lon,message", [
+        ("nan", "5.0", "coordinates must be finite"),
+        ("45.0", "inf", "coordinates must be finite"),
+        ("45.0", "-inf", "coordinates must be finite"),
+        ("90.0001", "5.0", "latitude 90.0001 outside [-90, 90]"),
+        ("45.0", "-180", "longitude -180.0 outside (-180, 180]"),
+    ])
+    def test_bad_coordinates_name_their_line(self, tmp_path, lat, lon, message):
+        path = self.write(tmp_path, f"user,timestamp,lat,lon\nu1,1000,45.0,5.0\nu1,2000,{lat},{lon}\n")
+        with pytest.raises(DatasetLoadError, match="line 3") as err:
+            load_dataset(path)
+        assert err.value.problems == [(3, message)]
+
+    def test_boundary_coordinates_accepted(self, tmp_path):
+        path = self.write(tmp_path, "user,timestamp,lat,lon\n"
+                                    "u1,1000,90,180\nu1,2000,-90,-179.999\nu1,3000,0,180.0\n")
+        trace = load_dataset(path).traces[0]
+        assert trace.lat.tolist() == [90.0, -90.0, 0.0]
+        assert trace.lon.tolist() == [180.0, -179.999, 180.0]
+
+    def test_mixed_problems_reported_in_line_order(self, tmp_path):
+        path = self.write(tmp_path, "user,timestamp,lat,lon\n"
+                                    "u1,1000,45,5\n"
+                                    "u1,2000,95,5\n"
+                                    ",1000,45,5\n"
+                                    "u1,3000,45,-180\n"
+                                    "u1,notatime,45,5\n"
+                                    "u1,4000,nan,5\n"
+                                    "u1,5000,abc,5\n"
+                                    "u1,6000,45\n"
+                                    "u1,99999999999999999999,45,5\n"
+                                    "u2,7000,-91,5\n")
+        with pytest.raises(DatasetLoadError) as err:
+            load_dataset(path)
+        assert err.value.problems == [
+            (3, "latitude 95.0 outside [-90, 90]"),
+            (4, "empty user id"),
+            (5, "longitude -180.0 outside (-180, 180]"),
+            (6, "Invalid isoformat string: 'notatime'"),
+            (7, "coordinates must be finite"),
+            (8, "could not convert string to float: 'abc'"),
+            (9, "expected 4 fields, got 3"),
+            (10, "timestamp '99999999999999999999' out of range"),
+            (11, "latitude -91.0 outside [-90, 90]"),
+        ]
+
+    def test_users_grouped_and_sorted_stably(self, tmp_path):
+        path = self.write(tmp_path, "user,timestamp,lat,lon\n"
+                                    "b,2000,1,1\na,3000,2,2\nb,1000,3,3\nb,2000,4,4\na,1000,5,5\n")
+        traces = load_dataset(path).traces
+        assert [t.user for t in traces] == ["a", "b"]
+        assert traces[0].time_ms.tolist() == [1_000_000, 3_000_000]
+        assert traces[0].lat.tolist() == [5.0, 2.0]
+        assert traces[1].time_ms.tolist() == [1_000_000, 2_000_000, 2_000_000]
+        assert traces[1].lat.tolist() == [3.0, 1.0, 4.0]
+
+    def test_synth_write_load_write_is_byte_identical(self, tmp_path):
+        syn = generate_synthetic_dataset(SynthSpec(users=3, days=2, seed=11,
+                                                   sample_period_s=300.0))
+        first = write_dataset_csv(syn.dataset, tmp_path / "first.csv")
+        second = write_dataset_csv(load_dataset(first), tmp_path / "second.csv")
+        assert first.read_bytes() == second.read_bytes()
+
     def test_round_trip_through_writer(self, tmp_path):
         syn = generate_synthetic_dataset(SynthSpec(users=2, days=1, seed=3,
                                                    sample_period_s=600.0))
@@ -78,7 +141,7 @@ class TestLoadDataset:
 
 class TestDailyBatches:
     def trace(self, times_ms, user="u"):
-        return Trace(user, tuple(Record(user, GeoPoint(45, 5), t) for t in times_ms))
+        return Trace.from_records(Record(user, GeoPoint(45, 5), t) for t in times_ms)
 
     def test_two_days(self):
         batches = split_daily_batches(self.trace([0, 1000, DAY_MS + 5]))
@@ -86,7 +149,7 @@ class TestDailyBatches:
         assert [len(b.trace) for b in batches] == [2, 1]
 
     def test_empty_trace(self):
-        assert split_daily_batches(Trace("u", ())) == []
+        assert split_daily_batches(Trace("u")) == []
 
     def test_midnight_starts_new_day(self):
         batches = split_daily_batches(self.trace([DAY_MS - 1, DAY_MS]))
