@@ -26,7 +26,7 @@ from .errors import AlpError
 from .geo import CellGrid, Dataset
 from .io import load_dataset, write_dataset_csv, write_json, write_rows_csv
 from .lppm import LppmConfig, apply_lppm, mechanism_names
-from .metrics import PoiClusteringParams, default_robust_k, evaluate_robust, make_evaluator
+from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, default_robust_k, median_of_k
 from .optimizer import AnnealingSchedule, parse_objectives
 from .pipeline import Report, RunConfig, run_offline, run_online
 from .rng import RandomStream
@@ -139,6 +139,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_INT_KEYS = ("seed", "users", "days", "pois", "robust_k", "workers")
+_FLOAT_KEYS = ("cell_size", "poi_diameter", "poi_stay_minutes", "match_threshold",
+               "dwell_minutes", "speed", "sample_period", "t0", "t_min", "cooling")
+
+
+def _config_value(key: str, raw: str):
+    if key == "param":
+        return [raw]
+    if key in _INT_KEYS:
+        return int(raw)
+    if key in _FLOAT_KEYS:
+        return float(raw)
+    if key in ("trip", "final_state"):
+        return raw.lower() in ("1", "true", "yes", "on")
+    return raw
+
+
 def _read_config_file(path: str) -> dict:
     values: dict = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -148,7 +165,11 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise AlpError(f"{path}:{line_no}: expected key = value")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key, value = key.strip().replace("-", "_"), value.strip()
+        try:
+            values[key] = _config_value(key, value)
+        except ValueError:
+            raise AlpError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     return values
 
 
@@ -163,20 +184,8 @@ def parse_args(argv) -> CliInvocation:
             file_values = _read_config_file(config_file)
         except (OSError, AlpError) as exc:
             parser.error(str(exc))
-        for key, raw in file_values.items():
-            if key in flags:
-                continue  # explicit flags win
-            if key == "param":
-                flags[key] = [raw]
-            elif key in ("seed", "users", "days", "pois", "robust_k", "workers"):
-                flags[key] = int(raw)
-            elif key in ("cell_size", "poi_diameter", "poi_stay_minutes", "match_threshold",
-                         "dwell_minutes", "speed", "sample_period", "t0", "t_min", "cooling"):
-                flags[key] = float(raw)
-            elif key in ("trip", "final_state"):
-                flags[key] = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                flags[key] = raw
+        for key, value in file_values.items():
+            flags.setdefault(key, value)  # explicit flags win
 
     if "seed" not in flags:
         env_seed = os.environ.get("ALP_SEED")
@@ -279,15 +288,13 @@ def _cmd_evaluate(inv: CliInvocation) -> int:
     k = inv.flags.get("robust_k", default_robust_k(config.lppm_name))
     root = RandomStream(inv.flags["seed"])
 
-    print(f"{'user':<12} {'pois':>8} {'distortion_m':>14} {'coverage':>10}")
+    lines = [f"{'user':<12} {'pois':>8} {'distortion_m':>14} {'coverage':>10}"]
     for user, trace in dataset.merged_by_user().items():
-        values = {}
-        for metric in ("pois", "distortion", "coverage"):
-            evaluator = make_evaluator(metric, poi_params=poi_params, cell_grid=grid)
-            values[metric] = evaluate_robust(evaluator, trace, config, k,
-                                             root.child(user, metric))
-        print(f"{user:<12} {values['pois']:>8.4f} {values['distortion']:>14.2f} "
-              f"{values['coverage']:>10.4f}")
+        bound = bind_evaluators(EVALUATOR_NAMES, trace, poi_params=poi_params, cell_grid=grid)
+        values = median_of_k(bound, config, trace, k, root.child(user))
+        lines.append(f"{user:<12} {values['pois']:>8.4f} {values['distortion']:>14.2f} "
+                     f"{values['coverage']:>10.4f}")
+    print("\n".join(lines))
     return 0
 
 

@@ -13,7 +13,6 @@ Three evaluators compare a raw trace against its protected counterpart:
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -201,17 +200,13 @@ class Evaluator:
     """Compares a protected trace against its raw counterpart.
 
     ``bind(raw)`` precomputes whatever depends only on the raw trace and
-    returns a fast ``protected -> value`` callable; ``__call__`` is the
-    one-shot convenience form.
+    returns a fast ``protected -> value`` callable.
     """
 
     name: str
 
     def bind(self, raw: Trace) -> Callable[[Trace], float]:
         raise NotImplementedError
-
-    def __call__(self, raw: Trace, protected: Trace) -> float:
-        return self.bind(raw)(protected)
 
 
 class PoiRetrievalEvaluator(Evaluator):
@@ -290,15 +285,28 @@ def default_robust_k(lppm_name: str) -> int:
     return 1 if get_mechanism_class(lppm_name).deterministic else 3
 
 
-def evaluate_robust(evaluator: Evaluator | Callable[[Trace, Trace], float], raw: Trace,
-                    config: LppmConfig, k: int, rng: RngLike) -> float:
-    """Obfuscate k times with independent sub-streams and return the median value."""
+def bind_evaluators(names: Sequence[str], raw: Trace, *,
+                    poi_params: PoiClusteringParams | None = None,
+                    cell_grid: CellGrid | None = None) -> dict:
+    """Bind each named evaluator to the raw trace once (repeated names bind once)."""
+    return {
+        name: make_evaluator(name, poi_params=poi_params, cell_grid=cell_grid).bind(raw)
+        for name in dict.fromkeys(names)
+    }
+
+
+def median_of_k(bound: dict, config: LppmConfig, raw: Trace, k: int, rng: RngLike) -> dict:
+    """Median value of every bound evaluator over k protected replicates.
+
+    Replicate i is obfuscated once, on the sub-stream ``rep/i``, and every
+    bound evaluator scores that same protected trace.
+    """
     if k < 1 or k % 2 == 0:
-        raise ValueError("k must be an odd integer >= 1")
+        raise ConfigurationError(f"robust_k must be an odd integer >= 1, got {k}")
     stream = as_stream(rng)
-    bound = evaluator.bind(raw) if isinstance(evaluator, Evaluator) else None
-    values = []
+    values = {name: [] for name in bound}
     for i in range(k):
         protected = apply_lppm(config, raw, stream.child("rep", i))
-        values.append(bound(protected) if bound is not None else evaluator(raw, protected))
-    return float(statistics.median(values))
+        for name, evaluate in bound.items():
+            values[name].append(evaluate(protected))
+    return {name: sorted(vs)[k // 2] for name, vs in values.items()}

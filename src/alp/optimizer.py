@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .errors import ConfigurationError
 from .geo import CellGrid, Trace
 from .lppm import LppmConfig, ParameterDomain, apply_lppm, default_domains, get_mechanism_class
-from .metrics import PoiClusteringParams, default_robust_k, make_evaluator
+from .metrics import PoiClusteringParams, bind_evaluators, default_robust_k, median_of_k
 from .rng import RandomStream, RngLike, as_generator, as_stream
 
 
@@ -187,52 +187,31 @@ def anneal(lppm_name: str, domains: Sequence[ParameterDomain], cost_fn: CostFn,
 class ObjectiveCost:
     """Cost of a mechanism configuration against one reference trace.
 
-    Binds each objective's evaluator to the raw trace once, then sums the
-    normalized contributions; every call re-obfuscates the reference, so
-    repeated states are re-evaluated rather than cached.
+    ``bound`` maps evaluator names to closures bound to the reference (see
+    :func:`~alp.metrics.bind_evaluators`); it must cover every objective and
+    may hold more. Each call takes the median-of-k value of every objective's
+    evaluator over the same k replicates and sums the normalized
+    contributions; repeated states are re-evaluated rather than cached.
     """
 
-    def __init__(self, objectives: Sequence[Objective], ref: Trace, *,
-                 poi_params: PoiClusteringParams | None = None,
-                 cell_grid: CellGrid | None = None, robust_k: int = 1):
+    def __init__(self, objectives: Sequence[Objective], ref: Trace, bound: dict, robust_k: int = 1):
         if not objectives:
             raise ConfigurationError("at least one objective is required")
-        if robust_k < 1 or robust_k % 2 == 0:
-            raise ConfigurationError("robust_k must be an odd integer >= 1")
         self.objectives = tuple(objectives)
         self.ref = ref
         self.robust_k = robust_k
-        self._bound = {}
-        for o in self.objectives:
-            if o.evaluator_name not in self._bound:
-                evaluator = make_evaluator(o.evaluator_name, poi_params=poi_params, cell_grid=cell_grid)
-                self._bound[o.evaluator_name] = evaluator.bind(ref)
+        self._bound = {o.evaluator_name: bound[o.evaluator_name] for o in self.objectives}
 
     def __len__(self) -> int:
         return len(self.objectives)
 
     def __call__(self, state: LppmConfig, rng: RngLike) -> float:
-        stream = as_stream(rng)
+        medians = median_of_k(self._bound, state, self.ref, self.robust_k, rng)
         total = 0.0
         for o in self.objectives:
-            bound = self._bound[o.evaluator_name]
-            values = []
-            for i in range(self.robust_k):
-                protected = apply_lppm(state, self.ref, stream.child(o.evaluator_name, "rep", i))
-                values.append(bound(protected))
-            values.sort()
-            v = values[len(values) // 2]
-            n = min(v, o.scale) / o.scale
+            n = min(medians[o.evaluator_name], o.scale) / o.scale
             total += n if o.minimise else (1.0 - n)
         return total
-
-
-def cost(state: LppmConfig, objectives: Sequence[Objective], ref: Trace, rng: RngLike, *,
-         poi_params: PoiClusteringParams | None = None, cell_grid: CellGrid | None = None,
-         robust_k: int | None = None) -> float:
-    """One-shot objective cost; see :class:`ObjectiveCost` for the hot path."""
-    k = robust_k if robust_k is not None else default_robust_k(state.lppm_name)
-    return ObjectiveCost(objectives, ref, poi_params=poi_params, cell_grid=cell_grid, robust_k=k)(state, rng)
 
 
 class AnnealingTuner:
@@ -273,8 +252,9 @@ class AnnealingTuner:
         if rng is None:
             rng = self.random_state if self.random_state is not None else RandomStream(0)
         stream = as_stream(rng)
-        cost_fn = ObjectiveCost(self.objectives, trace, poi_params=self.poi_params,
-                                cell_grid=self.cell_grid, robust_k=self.robust_k)
+        bound = bind_evaluators([o.evaluator_name for o in self.objectives], trace,
+                                poi_params=self.poi_params, cell_grid=self.cell_grid)
+        cost_fn = ObjectiveCost(self.objectives, trace, bound, self.robust_k)
         result = anneal(self.lppm_name, self.domains, cost_fn, self.schedule,
                         stream, n_objectives=len(self.objectives))
         self.result_ = result

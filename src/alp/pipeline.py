@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
 from .lppm import LppmConfig, apply_lppm, default_domains, get_mechanism_class, make_mechanism
-from .metrics import EVALUATOR_NAMES, PoiClusteringParams, default_robust_k, make_evaluator
+from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, default_robust_k
 from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, default_objectives
 from .rng import RandomStream
 
@@ -178,23 +178,20 @@ def _summaries(rows: Sequence[ReportRow]):
     return cdf, param_cdf, ranges
 
 
-def _evaluate_all(raw: Trace, protected: Trace, poi_params: PoiClusteringParams,
-                  grid: CellGrid) -> dict:
-    return {
-        name: make_evaluator(name, poi_params=poi_params, cell_grid=grid)(raw, protected)
-        for name in EVALUATOR_NAMES
-    }
-
-
 def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
-    """Tune (or fix) a configuration for one unit, protect it, measure it."""
+    """Tune (or fix) a configuration for one unit, protect it, measure it.
+
+    Each evaluator is bound to the raw trace once; the search and the row's
+    metrics share those bindings.
+    """
     user, day = unit_key
     day_label = day.isoformat() if day is not None else "offline"
     root = RandomStream(config.seed).child(user, day_label)
 
     objectives = config.resolved_objectives()
-    cost_fn = ObjectiveCost(objectives, raw, poi_params=config.poi_params,
-                            cell_grid=grid, robust_k=config.resolved_robust_k())
+    bound = bind_evaluators(EVALUATOR_NAMES + tuple(o.evaluator_name for o in objectives), raw,
+                            poi_params=config.poi_params, cell_grid=grid)
+    cost_fn = ObjectiveCost(objectives, raw, bound, config.resolved_robust_k())
     if config.mode == "static-baseline":
         chosen = LppmConfig(config.lppm_name, config.static_assignment)
         cost = cost_fn(chosen, root.child("cost"))
@@ -205,7 +202,7 @@ def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
         cost = result.best_cost if config.use_best else result.final_cost
 
     protected = apply_lppm(chosen, raw, root.child("protect"))
-    metrics = _evaluate_all(raw, protected, config.poi_params, grid)
+    metrics = {name: bound[name](protected) for name in EVALUATOR_NAMES}
     return ReportRow(user, day, chosen, metrics, cost), protected
 
 

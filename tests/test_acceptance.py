@@ -18,7 +18,7 @@ from alp.geo import GeoPoint, distance_meters, from_local_plane, local_xy
 from alp.lppm import ParameterDomain, default_domains, geo_i_sample_radius, promesse_obfuscate
 from alp.metrics import PoiClusteringParams, extract_pois, poi_retrieval, spatial_distortion
 from alp.geo import CellGrid
-from alp.metrics import area_coverage, evaluate_robust, make_evaluator
+from alp.metrics import area_coverage, bind_evaluators, median_of_k
 from alp.lppm import LppmConfig
 from alp.optimizer import AnnealingSchedule, acceptance_probability, anneal, restrict_by_half
 from alp.pipeline import RunConfig, run_online
@@ -210,17 +210,16 @@ def test_criterion_6_tradeoff_trend(trend_dataset):
         sweep = (0.001, 0.01, 0.1)
         poi_params = PoiClusteringParams()
         root = RandomStream(31)
+        bound = {user: bind_evaluators(["pois", "distortion"], trace, poi_params=poi_params)
+                 for user, trace in trend_dataset.merged_by_user().items()}
         median_pois, median_dist = [], []
         for eps in sweep:
             config = LppmConfig("geo-i", {"epsilon": eps})
             pois_vals, dist_vals = [], []
             for user, trace in trend_dataset.merged_by_user().items():
-                pois_vals.append(evaluate_robust(
-                    make_evaluator("pois", poi_params=poi_params), trace, config, 3,
-                    root.child(user, "pois", eps)))
-                dist_vals.append(evaluate_robust(
-                    make_evaluator("distortion"), trace, config, 3,
-                    root.child(user, "dist", eps)))
+                values = median_of_k(bound[user], config, trace, 3, root.child(user, eps))
+                pois_vals.append(values["pois"])
+                dist_vals.append(values["distortion"])
             median_pois.append(float(np.median(pois_vals)))
             median_dist.append(float(np.median(dist_vals)))
 

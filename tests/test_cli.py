@@ -74,12 +74,15 @@ class TestParsing:
         assert inv.flags["seed"] == 6          # explicit flag wins
         assert inv.flags["param"] == ["alpha=120"]
 
-    def test_bad_config_file_is_usage_error(self, tmp_path):
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
-        config.write_text("not a pair\n")
-        with pytest.raises(SystemExit) as exc:
-            parse_args(["online", "--config", str(config)])
-        assert exc.value.code == 2
+        for text in ("not a pair\n", "lppm = geo-i\nseed = abc\n", "# x\n\nt_min = x\n"):
+            config.write_text(text)
+            with pytest.raises(SystemExit) as exc:
+                parse_args(["online", "--config", str(config)])
+            assert exc.value.code == 2
+            line_no = len(text.splitlines())
+            assert f"{config}:{line_no}:" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -108,6 +111,19 @@ class TestStaticCommands:
         out = capsys.readouterr().out
         assert "pois" in out and "distortion_m" in out and "coverage" in out
         assert "u000" in out
+
+    def test_even_robust_k_fails_alike_without_partial_output(self, tiny_input, tmp_path, capsys):
+        args = ["--input", str(tiny_input), "--lppm", "geo-i", "--param", "epsilon=0.01",
+                "--robust-k", "2"]
+        out_dir = tmp_path / "rep"
+        errors = []
+        for argv in (["evaluate", *args], ["online", *args, "--out-dir", str(out_dir)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == "error: robust_k must be an odd integer >= 1, got 2\n"
+        assert not out_dir.exists()
 
     def test_protect_writes_default_path(self, tiny_input, capsys):
         assert main(["protect", "--input", str(tiny_input), "--lppm", "promesse",

@@ -11,9 +11,10 @@ from alp.metrics import (
     Poi,
     PoiClusteringParams,
     area_coverage,
-    evaluate_robust,
+    bind_evaluators,
     extract_pois,
     make_evaluator,
+    median_of_k,
     poi_retrieval,
     register_evaluator,
     spatial_distortion,
@@ -249,6 +250,8 @@ class _SequenceEvaluator(Evaluator):
 
 
 class TestEvaluateRobust:
+    """Median-of-k robust evaluation (`median_of_k`)."""
+
     CONFIG = LppmConfig("promesse", {"alpha": 100.0})
 
     def trace(self):
@@ -258,26 +261,30 @@ class TestEvaluateRobust:
 
     def test_single_evaluation_passthrough(self):
         stub = _SequenceEvaluator([0.7])
-        value = evaluate_robust(stub, self.trace(), self.CONFIG, 1, RandomStream(0))
-        assert value == 0.7
+        trace = self.trace()
+        value = median_of_k({"s": stub.bind(trace)}, self.CONFIG, trace, 1, RandomStream(0))
+        assert value == {"s": 0.7}
         assert stub.calls == 1
 
     def test_median_of_three(self):
         stub = _SequenceEvaluator([0.9, 0.2, 0.5])
-        assert evaluate_robust(stub, self.trace(), self.CONFIG, 3, RandomStream(0)) == 0.5
+        trace = self.trace()
+        bound = {"s": stub.bind(trace)}
+        assert median_of_k(bound, self.CONFIG, trace, 3, RandomStream(0)) == {"s": 0.5}
 
     def test_deterministic_mechanism_median_equals_single(self):
-        evaluator = make_evaluator("distortion")
         trace = self.trace()
-        v1 = evaluate_robust(evaluator, trace, self.CONFIG, 1, RandomStream(1))
-        v3 = evaluate_robust(evaluator, trace, self.CONFIG, 3, RandomStream(1))
+        bound = bind_evaluators(["distortion"], trace)
+        v1 = median_of_k(bound, self.CONFIG, trace, 1, RandomStream(1))
+        v3 = median_of_k(bound, self.CONFIG, trace, 3, RandomStream(1))
         assert v1 == v3
 
     def test_rejects_even_or_non_positive_k(self):
-        evaluator = make_evaluator("distortion")
+        trace = self.trace()
+        bound = bind_evaluators(["distortion"], trace)
         for k in (0, 2, -1):
-            with pytest.raises(ValueError):
-                evaluate_robust(evaluator, self.trace(), self.CONFIG, k, RandomStream(0))
+            with pytest.raises(ConfigurationError, match="robust_k must be an odd integer >= 1"):
+                median_of_k(bound, self.CONFIG, trace, k, RandomStream(0))
 
 
 class TestRegistry:
@@ -298,9 +305,9 @@ class TestRegistry:
             trace = random_walk_trace(gen, n=80, step_sd_m=30.0)
             protected = apply_lppm(LppmConfig("geo-i", {"epsilon": 0.01}),
                                    trace, RandomStream(seed))
-            pois = make_evaluator("pois")(trace, protected)
-            coverage = make_evaluator("coverage", cell_grid=grid)(trace, protected)
-            distortion = make_evaluator("distortion")(trace, protected)
+            pois = make_evaluator("pois").bind(trace)(protected)
+            coverage = make_evaluator("coverage", cell_grid=grid).bind(trace)(protected)
+            distortion = make_evaluator("distortion").bind(trace)(protected)
             assert 0.0 <= pois <= 1.0
             assert 0.0 <= coverage <= 1.0
             assert distortion >= 0.0

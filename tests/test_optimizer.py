@@ -6,7 +6,7 @@ import pytest
 from alp.errors import ConfigurationError
 from alp.geo import CellGrid, GeoPoint, from_local_plane
 from alp.lppm import LppmConfig, ParameterDomain, default_domains
-from alp.metrics import Evaluator, PoiClusteringParams, register_evaluator
+from alp.metrics import Evaluator, PoiClusteringParams, bind_evaluators, register_evaluator
 from alp.optimizer import (
     AnnealingSchedule,
     AnnealingTuner,
@@ -14,7 +14,6 @@ from alp.optimizer import (
     ObjectiveCost,
     acceptance_probability,
     anneal,
-    cost,
     default_objectives,
     initial_state,
     neighbour,
@@ -62,6 +61,12 @@ class TestObjectiveParsing:
         assert default_objectives("promesse") == parse_objectives("min:pois,max:coverage")
 
 
+def cost(state, objectives, ref, rng, robust_k):
+    """One ObjectiveCost call with the objectives' evaluators bound to ref."""
+    bound = bind_evaluators([o.evaluator_name for o in objectives], ref)
+    return ObjectiveCost(objectives, ref, bound, robust_k)(state, rng)
+
+
 class TestCost:
     TRACE = make_trace([(45.0, 5.0), (45.0, 5.01)])
     STATE = LppmConfig("promesse", {"alpha": 100.0})
@@ -97,7 +102,29 @@ class TestCost:
 
     def test_requires_objectives(self):
         with pytest.raises(ConfigurationError):
-            ObjectiveCost([], self.TRACE, robust_k=1)
+            ObjectiveCost([], self.TRACE, {}, robust_k=1)
+
+    def test_objectives_share_replicates(self, monkeypatch):
+        import alp.metrics
+
+        applied = []
+
+        def counting_apply(config, raw, rng):
+            applied.append(rng)
+            return real_apply(config, raw, rng)
+
+        real_apply = alp.metrics.apply_lppm
+        monkeypatch.setattr(alp.metrics, "apply_lppm", counting_apply)
+        seen = {"a": [], "b": []}
+        bound = {name: lambda protected, log=log: log.append(protected) or 0.5
+                 for name, log in seen.items()}
+        objectives = [Objective("a", True), Objective("b", False)]
+        state = LppmConfig("geo-i", {"epsilon": 0.01})
+        ObjectiveCost(objectives, self.TRACE, bound, robust_k=3)(state, RandomStream(0))
+        assert len(applied) == 3
+        assert len(seen["a"]) == len(seen["b"]) == 3
+        assert all(a is b for a, b in zip(seen["a"], seen["b"]))
+        assert len({id(t) for t in seen["a"]}) == 3
 
 
 class TestAcceptanceProbability:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -8,6 +9,7 @@ from alp.geo import GeoPoint, Record, Trace
 from alp.io import load_dataset, parse_timestamp_ms, write_dataset_csv, write_json, write_rows_csv
 from alp.lppm import LppmConfig, apply_lppm
 from alp.metrics import make_evaluator
+from alp.optimizer import AnnealingSchedule
 from alp.pipeline import (
     RunConfig,
     cdf_points,
@@ -274,7 +276,24 @@ class TestRunOnline:
             protected = apply_lppm(row.config, raw, rng)
             for name in ("pois", "distortion", "coverage"):
                 evaluator = make_evaluator(name, poi_params=config.poi_params, cell_grid=grid)
-                assert evaluator(raw, protected) == row.metrics[name]
+                assert evaluator.bind(raw)(protected) == row.metrics[name]
+
+    def test_each_unit_binds_each_evaluator_once(self, three_day_dataset, monkeypatch):
+        import alp.metrics
+
+        binds = Counter()
+        for cls in (alp.metrics.PoiRetrievalEvaluator, alp.metrics.SpatialDistortionEvaluator,
+                    alp.metrics.AreaCoverageEvaluator):
+            def counted_bind(self, raw, bind=cls.bind):
+                binds[self.name, int(raw.time_ms[0])] += 1
+                return bind(self, raw)
+
+            monkeypatch.setattr(cls, "bind", counted_bind)
+        config = RunConfig(lppm_name="geo-i", mode="online", seed=5, workers=1,
+                           schedule=AnnealingSchedule(t_min=0.5))
+        report = run_online(three_day_dataset, config)
+        assert len(binds) == 3 * len(report.rows) == 9
+        assert set(binds.values()) == {1}
 
     def test_worker_count_does_not_change_results(self, three_day_dataset):
         base = RunConfig(lppm_name="promesse", mode="online", seed=5, workers=1)
