@@ -83,7 +83,7 @@ def _add_optimizer_flags(p: argparse.ArgumentParser):
     # default=None so an unset flag can still be supplied by the config file
     p.add_argument("--final-state", action="store_true", default=None,
                    help="protect with the final annealing state instead of the best-seen one")
-    p.add_argument("--workers", type=int, help="max parallel workers (default: machine parallelism)")
+    p.add_argument("--workers", type=int, help="ignored: units run one at a time")
     p.add_argument("--out-dir", help="directory for report files (default .)")
     p.add_argument("--name", help="base name for report files (default <command>_<lppm>)")
 
@@ -139,24 +139,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INT_KEYS = ("seed", "users", "days", "pois", "robust_k", "workers")
-_FLOAT_KEYS = ("cell_size", "poi_diameter", "poi_stay_minutes", "match_threshold",
-               "dwell_minutes", "speed", "sample_period", "t0", "t_min", "cooling")
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
-def _config_value(key: str, raw: str):
-    if key == "param":
+def _config_actions(parser: argparse.ArgumentParser) -> dict:
+    """Config-file key -> the flag's action, over the flags of every command."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for command in sub.choices.values() for a in command._actions
+            if a.dest not in ("help", "config")}
+
+
+def _config_value(action: argparse.Action, raw: str):
+    if isinstance(action, argparse._AppendAction):
         return [raw]
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in ("trip", "final_state"):
-        return raw.lower() in ("1", "true", "yes", "on")
-    return raw
+    if action.nargs == 0:  # a switch such as --trip
+        if raw.lower() not in _TRUE + _FALSE:
+            raise ValueError(raw)
+        return raw.lower() in _TRUE
+    return action.type(raw) if action.type else raw
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, actions: dict) -> dict:
     values: dict = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -166,8 +170,10 @@ def _read_config_file(path: str) -> dict:
             raise AlpError(f"{path}:{line_no}: expected key = value")
         key, value = line.split("=", 1)
         key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in actions:
+            raise AlpError(f"{path}:{line_no}: unknown key {key!r}")
         try:
-            values[key] = _config_value(key, value)
+            values[key] = _config_value(actions[key], value)
         except ValueError:
             raise AlpError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     return values
@@ -181,7 +187,7 @@ def parse_args(argv) -> CliInvocation:
     config_file = flags.pop("config", None)
     if config_file:
         try:
-            file_values = _read_config_file(config_file)
+            file_values = _read_config_file(config_file, _config_actions(parser))
         except (OSError, AlpError) as exc:
             parser.error(str(exc))
         for key, value in file_values.items():
@@ -189,7 +195,10 @@ def parse_args(argv) -> CliInvocation:
 
     if "seed" not in flags:
         env_seed = os.environ.get("ALP_SEED")
-        flags["seed"] = int(env_seed) if env_seed else 42
+        try:
+            flags["seed"] = int(env_seed) if env_seed else 42
+        except ValueError:
+            parser.error(f"ALP_SEED: bad value {env_seed!r}")
 
     return CliInvocation(namespace.command, flags, config_file)
 
@@ -240,7 +249,6 @@ def _run_config(inv: CliInvocation, mode: str) -> RunConfig:
         seed=flags["seed"],
         robust_k=flags.get("robust_k"),
         use_best=not flags.get("final_state", False),
-        workers=flags.get("workers") or os.cpu_count(),
     )
 
 

@@ -4,13 +4,13 @@ The offline scenario tunes one configuration per user on their concatenated
 trace. The online scenario splits each user's records into UTC daily
 batches and tunes (or, for static baselines, fixes) a configuration per
 batch. Both produce a :class:`Report` of per-unit rows plus CDF summaries,
-and both are deterministic functions of (dataset, config) regardless of
-worker count: every work item derives its randomness from (seed, user, day).
+and both are deterministic functions of (dataset, config): units run one
+at a time, in (user, day) order, on the calling thread, and each derives its
+randomness from (seed, user, day).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Sequence
@@ -75,7 +75,6 @@ class RunConfig:
     seed: int = 42
     robust_k: int | None = None
     use_best: bool = True
-    workers: int | None = None
 
     def __post_init__(self):
         get_mechanism_class(self.lppm_name)
@@ -207,22 +206,10 @@ def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
 
 
 def _run_units(units, config: RunConfig, grid: CellGrid) -> Report:
-    """Fan work items out to threads and reassemble in deterministic order."""
-    workers = config.workers or 1
-
-    def work(item):
-        key, raw = item
-        return key, _process_unit(key, raw, config, grid)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(pool.map(work, units))
-    else:
-        outcomes = dict(work(item) for item in units)
-
-    keys = sorted(outcomes, key=lambda k: (k[0], k[1].isoformat() if k[1] else ""))
-    rows = tuple(outcomes[k][0] for k in keys)
-    protected = Dataset(tuple(outcomes[k][1] for k in keys))
+    """Process units in the given (user, day) order and summarise them."""
+    outcomes = [_process_unit(key, raw, config, grid) for key, raw in units]
+    rows = tuple(row for row, _ in outcomes)
+    protected = Dataset(tuple(trace for _, trace in outcomes))
     cdf, param_cdf, ranges = _summaries(rows)
     return Report(rows, config.describe(), cdf, param_cdf, ranges, protected)
 

@@ -26,17 +26,24 @@ def brute_poi_retrieval(pois_true, pois_obf, threshold_m):
     return 2.0 * precision * recall / (precision + recall)
 
 
+def brute_haversine_m(a, b):
+    """Great-circle distance in meters, textbook haversine on math scalars."""
+    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
+    dphi = phi2 - phi1
+    dlam = math.radians(b.lon - a.lon)
+    h = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
+    return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(min(1.0, h)))
+
+
 def brute_spatial_distortion(raw_points, protected_points):
     """Mean of per-point minima over the full distance table."""
-    import numpy as np
-
     if not protected_points:
         return 0.0
     mins = [
-        min(distance_meters(raw, prot) for raw in raw_points)
+        min(brute_haversine_m(raw, prot) for raw in raw_points)
         for prot in protected_points
     ]
-    return float(np.mean(mins))
+    return sum(mins) / len(mins)
 
 
 def brute_cell(point, cell_size_m, ref_lat_deg):

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,14 @@ class TestParsing:
         assert parse_args(["synth"]).flags["seed"] == 99
         assert parse_args(["synth", "--seed", "1"]).flags["seed"] == 1
 
+    def test_seed_env_bad_value_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("ALP_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["synth"])
+        assert exc.value.code == 2
+        assert "ALP_SEED: bad value 'abc'" in capsys.readouterr().err
+        assert parse_args(["synth", "--seed", "1"]).flags["seed"] == 1
+
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["frobnicate"])
@@ -76,13 +85,26 @@ class TestParsing:
 
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
-        for text in ("not a pair\n", "lppm = geo-i\nseed = abc\n", "# x\n\nt_min = x\n"):
+        for text, problem in (("not a pair\n", "expected key = value"),
+                              ("lppm = geo-i\nseed = abc\n", "bad value 'abc' for seed"),
+                              ("# x\n\nt_min = x\n", "bad value 'x' for t_min"),
+                              ("final_state = ture\n", "bad value 'ture' for final_state"),
+                              ("lppm = geo-i\nsede = 5\n", "unknown key 'sede'")):
             config.write_text(text)
             with pytest.raises(SystemExit) as exc:
                 parse_args(["online", "--config", str(config)])
             assert exc.value.code == 2
             line_no = len(text.splitlines())
-            assert f"{config}:{line_no}:" in capsys.readouterr().err
+            assert f"{config}:{line_no}: {problem}" in capsys.readouterr().err
+
+    def test_config_file_may_hold_other_commands_keys(self, tmp_path):
+        # one file can feed both synth and online
+        config = tmp_path / "run.conf"
+        config.write_text("users = 2\ntrip = yes\nlppm = promesse\nfinal_state = Off\n")
+        inv = parse_args(["online", "--config", str(config), "--input", "d.csv"])
+        assert inv.flags["users"] == 2 and inv.flags["trip"] is True
+        assert inv.flags["final_state"] is False
+        assert parse_args(["synth", "--config", str(config)]).flags["users"] == 2
 
 
 class TestSynthCommand:
@@ -189,3 +211,24 @@ class TestPipelineCommands:
             assert code == 0
             names.append((tmp_path / name / "run.csv").read_bytes())
         assert names[0] == names[1]
+
+    def test_units_run_on_the_calling_thread(self, tiny_input, tmp_path, monkeypatch):
+        import alp.pipeline
+
+        threads = []
+
+        def recorded(*args, process=alp.pipeline._process_unit):
+            threads.append(threading.get_ident())
+            return process(*args)
+
+        monkeypatch.setattr(alp.pipeline, "_process_unit", recorded)
+        outputs = []
+        for workers in ("1", "2", "4"):
+            out_dir = tmp_path / workers
+            assert main(["online", "--input", str(tiny_input), "--lppm", "promesse",
+                         "--seed", "8", "--workers", workers, "--out-dir", str(out_dir),
+                         "--name", "run"]) == 0
+            outputs.append([(out_dir / f).read_bytes()
+                            for f in ("run.csv", "run.json", "run_protected.csv")])
+        assert threads == [threading.get_ident()] * 6  # two daily units per run
+        assert outputs[0] == outputs[1] == outputs[2]

@@ -289,13 +289,8 @@ class TestRunOnline:
                 return bind(self, raw)
 
             monkeypatch.setattr(cls, "bind", counted_bind)
-        config = RunConfig(lppm_name="geo-i", mode="online", seed=5, workers=1,
+        config = RunConfig(lppm_name="geo-i", mode="online", seed=5,
                            schedule=AnnealingSchedule(t_min=0.5))
         report = run_online(three_day_dataset, config)
         assert len(binds) == 3 * len(report.rows) == 9
         assert set(binds.values()) == {1}
-
-    def test_worker_count_does_not_change_results(self, three_day_dataset):
-        base = RunConfig(lppm_name="promesse", mode="online", seed=5, workers=1)
-        parallel = RunConfig(lppm_name="promesse", mode="online", seed=5, workers=4)
-        assert run_online(three_day_dataset, base).rows == run_online(three_day_dataset, parallel).rows
