@@ -7,12 +7,10 @@ annealing, to satisfy declared privacy and utility objectives.
 
 from .geo import (
     CellGrid,
-    CellId,
     Dataset,
     GeoPoint,
     Record,
     Trace,
-    cell_of,
     distance_meters,
     from_local_plane,
     to_local_plane,
@@ -28,22 +26,18 @@ from .lppm import (
     geo_i_obfuscate,
     geo_i_sample_radius,
     promesse_obfuscate,
-    register_mechanism,
 )
 from .metrics import (
     Poi,
     PoiClusteringParams,
-    area_coverage,
     bind_evaluators,
     extract_pois,
     make_evaluator,
     median_of_k,
     poi_retrieval,
-    spatial_distortion,
 )
 from .optimizer import (
     AnnealingSchedule,
-    AnnealingTuner,
     AnnealResult,
     Objective,
     acceptance_probability,
@@ -72,10 +66,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealResult",
     "AnnealingSchedule",
-    "AnnealingTuner",
     "Batch",
     "CellGrid",
-    "CellId",
     "Dataset",
     "GeoIndistinguishability",
     "GeoPoint",
@@ -97,10 +89,8 @@ __all__ = [
     "acceptance_probability",
     "anneal",
     "apply_lppm",
-    "area_coverage",
     "bind_evaluators",
     "cdf_points",
-    "cell_of",
     "default_domains",
     "distance_meters",
     "extract_pois",
@@ -116,11 +106,9 @@ __all__ = [
     "parse_objectives",
     "poi_retrieval",
     "promesse_obfuscate",
-    "register_mechanism",
     "restrict_by_half",
     "run_offline",
     "run_online",
-    "spatial_distortion",
     "split_daily_batches",
     "to_local_plane",
 ]

@@ -17,6 +17,7 @@ variable, then to 42. Exit codes: 0 success, 1 runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -60,6 +61,17 @@ def _parse_param_items(items) -> dict:
     return assignment
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued flags: inf and nan are usage errors."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+
+
 def _add_common(p: argparse.ArgumentParser, *, needs_input: bool):
     p.add_argument("--config", metavar="FILE", help="flat key=value config file; flags win")
     p.add_argument("--seed", type=int, help="random seed (default: ALP_SEED or 42)")
@@ -68,18 +80,18 @@ def _add_common(p: argparse.ArgumentParser, *, needs_input: bool):
 
 
 def _add_metric_flags(p: argparse.ArgumentParser):
-    p.add_argument("--cell-size", type=float, help="area-coverage cell edge in meters (default 250)")
-    p.add_argument("--poi-diameter", type=float, help="max POI cluster diameter in meters (default 200)")
-    p.add_argument("--poi-stay-minutes", type=float, help="min POI stay time in minutes (default 15)")
-    p.add_argument("--match-threshold", type=float, help="POI match threshold in meters (default 100)")
+    p.add_argument("--cell-size", type=_finite_float, help="area-coverage cell edge in meters (default 250)")
+    p.add_argument("--poi-diameter", type=_finite_float, help="max POI cluster diameter in meters (default 200)")
+    p.add_argument("--poi-stay-minutes", type=_finite_float, help="min POI stay time in minutes (default 15)")
+    p.add_argument("--match-threshold", type=_finite_float, help="POI match threshold in meters (default 100)")
     p.add_argument("--robust-k", type=int, help="median-of-k evaluations (default 3, 1 if deterministic)")
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser):
     p.add_argument("--objectives", help="comma list of min|max:<evaluator>[:scale=<v>]")
-    p.add_argument("--t0", type=float, help="initial temperature (default 1)")
-    p.add_argument("--t-min", type=float, help="final temperature (default 1e-5)")
-    p.add_argument("--cooling", type=float, help="cooling rate in (0,1) (default 0.9)")
+    p.add_argument("--t0", type=_finite_float, help="initial temperature (default 1)")
+    p.add_argument("--t-min", type=_finite_float, help="final temperature (default 1e-5)")
+    p.add_argument("--cooling", type=_finite_float, help="cooling rate in (0,1) (default 0.9)")
     # default=None so an unset flag can still be supplied by the config file
     p.add_argument("--final-state", action="store_true", default=None,
                    help="protect with the final annealing state instead of the best-seen one")
@@ -101,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, help="number of users (default 1)")
     p.add_argument("--days", type=int, help="number of days (default 1)")
     p.add_argument("--pois", type=int, help="POIs per user (default 2)")
-    p.add_argument("--dwell-minutes", type=float, help="minimum dwell duration (default 30)")
-    p.add_argument("--speed", type=float, help="transit speed in m/s (default 10)")
-    p.add_argument("--sample-period", type=float, help="sampling period in seconds (default 30)")
+    p.add_argument("--dwell-minutes", type=_finite_float, help="minimum dwell duration (default 30)")
+    p.add_argument("--speed", type=_finite_float, help="transit speed in m/s (default 10)")
+    p.add_argument("--sample-period", type=_finite_float, help="sampling period in seconds (default 30)")
     p.add_argument("--trip", action="store_true", default=None,
                    help="end each day after the itinerary instead of dwelling until midnight")
     p.add_argument("--out", help="output CSV path (default synthetic.csv)")
@@ -151,8 +163,6 @@ def _config_actions(parser: argparse.ArgumentParser) -> dict:
 
 
 def _config_value(action: argparse.Action, raw: str):
-    if isinstance(action, argparse._AppendAction):
-        return [raw]
     if action.nargs == 0:  # a switch such as --trip
         if raw.lower() not in _TRUE + _FALSE:
             raise ValueError(raw)
@@ -172,10 +182,17 @@ def _read_config_file(path: str, actions: dict) -> dict:
         key, value = key.strip().replace("-", "_"), value.strip()
         if key not in actions:
             raise AlpError(f"{path}:{line_no}: unknown key {key!r}")
+        append = isinstance(actions[key], argparse._AppendAction)
+        if key in values and not append:
+            raise AlpError(f"{path}:{line_no}: duplicate key {key!r}")
         try:
-            values[key] = _config_value(actions[key], value)
-        except ValueError:
+            parsed = _config_value(actions[key], value)
+        except (ValueError, argparse.ArgumentTypeError):
             raise AlpError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
+        if append:  # repeated lines accumulate, like repeated flags
+            values.setdefault(key, []).append(parsed)
+        else:
+            values[key] = parsed
     return values
 
 

@@ -216,15 +216,6 @@ def sphere_xyz(lat, lon):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CellId:
-    """Identifier of one square grid cell; equality over all three fields."""
-
-    ix: int
-    iy: int
-    size_m: float
-
-
-@dataclass(frozen=True)
 class CellGrid:
     """Square grid in locally projected meters.
 
@@ -246,18 +237,10 @@ class CellGrid:
         iy = np.floor(np.radians(np.asarray(lat, dtype=float)) * EARTH_RADIUS_M / self.cell_size_m)
         return ix.astype(np.int64), iy.astype(np.int64)
 
-    def cell_of(self, p: GeoPoint) -> CellId:
-        ix, iy = self.indices_of(p.lat, p.lon)
-        return CellId(int(ix), int(iy), self.cell_size_m)
-
     def cells_of(self, lat, lon) -> set:
+        """The set of (ix, iy) cells touched by degree coordinate arrays."""
         ix, iy = self.indices_of(lat, lon)
         return set(zip(ix.tolist(), iy.tolist()))
-
-
-def cell_of(p: GeoPoint, cell_size_m: float, ref_lat_deg: float = 0.0) -> CellId:
-    """Cell assignment for one point; convenience over :class:`CellGrid`."""
-    return CellGrid(cell_size_m, ref_lat_deg).cell_of(p)
 
 
 # ---------------------------------------------------------------------------

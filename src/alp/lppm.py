@@ -1,9 +1,9 @@
 """Location privacy protection mechanisms (LPPMs).
 
 A mechanism turns one trace into one protected trace under a parameter
-assignment. Mechanisms follow a transformer-style API (``get_params`` /
-``set_params`` / ``transform``) and are registered by name so evaluators
-and the tuner stay mechanism-agnostic.
+assignment. An :class:`LppmConfig` names the mechanism (``geo-i`` or
+``promesse``) and its values, so evaluators and the tuner stay
+mechanism-agnostic.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# Mechanism classes and the registry
+# Mechanism classes, looked up by name
 # ---------------------------------------------------------------------------
 
 class Mechanism:
@@ -208,30 +208,12 @@ class Mechanism:
     deterministic: ClassVar[bool]
     _param_names: ClassVar[tuple] = ()
 
-    def get_params(self) -> dict:
-        return {p: getattr(self, p) for p in self._param_names}
-
-    def set_params(self, **params) -> "Mechanism":
-        for key, value in params.items():
-            if key not in self._param_names:
-                raise ConfigurationError(f"{self.name!r} has no parameter {key!r}")
-            setattr(self, key, value)
-        self._validate()
-        return self
-
-    def _validate(self):
-        pass
-
     def transform(self, trace: Trace, rng: RngLike | None = None) -> Trace:
         raise NotImplementedError
 
     @classmethod
     def default_domains(cls) -> list:
         raise NotImplementedError
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 class GeoIndistinguishability(Mechanism):
@@ -246,11 +228,8 @@ class GeoIndistinguishability(Mechanism):
 
     def __init__(self, epsilon: float = 0.01):
         self.epsilon = float(epsilon)
-        self._validate()
-
-    def _validate(self):
-        if not self.epsilon > 0:
-            raise ConfigurationError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigurationError("epsilon must be positive and finite")
 
     def transform(self, trace: Trace, rng: RngLike | None = None) -> Trace:
         if rng is None:
@@ -274,11 +253,8 @@ class Promesse(Mechanism):
 
     def __init__(self, alpha: float = 100.0):
         self.alpha = float(alpha)
-        self._validate()
-
-    def _validate(self):
-        if not self.alpha > 0:
-            raise ConfigurationError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigurationError("alpha must be positive and finite")
 
     def transform(self, trace: Trace, rng: RngLike | None = None) -> Trace:
         return promesse_obfuscate(trace, self.alpha)
@@ -290,17 +266,7 @@ class Promesse(Mechanism):
         return [ParameterDomain.linear("alpha", 5.0, 500.0, 101)]
 
 
-_REGISTRY: dict = {}
-
-
-def register_mechanism(cls):
-    """Register a Mechanism subclass under its ``name``; usable as a decorator."""
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-register_mechanism(GeoIndistinguishability)
-register_mechanism(Promesse)
+_REGISTRY = {cls.name: cls for cls in (GeoIndistinguishability, Promesse)}
 
 
 def mechanism_names() -> list:

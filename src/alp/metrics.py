@@ -136,53 +136,6 @@ def poi_retrieval(pois_true: Sequence[Poi], pois_obf: Sequence[Poi], threshold_m
     return _f_score(precision, recall)
 
 
-def spatial_distortion(raw_points: Sequence[GeoPoint], protected_points: Sequence[GeoPoint]) -> float:
-    """Mean distance from each protected location to the closest raw location.
-
-    An empty protected set distorts nothing and scores 0; an empty raw set
-    is a caller error.
-    """
-    distortion = _distortion_to([p.lat for p in raw_points], [p.lon for p in raw_points])
-    return distortion([p.lat for p in protected_points], [p.lon for p in protected_points])
-
-
-def _distortion_to(raw_lat, raw_lon) -> Callable[[np.ndarray, np.ndarray], float]:
-    """Mean distance from protected coordinates to the nearest raw location.
-
-    The kd-tree holds each distinct raw location once: dwell-heavy traces
-    repeat a few points many times, and duplicates only slow the query.
-    """
-    # Imported here: scipy.spatial takes longer to import than the rest of
-    # the package, and protect and synth never measure distortion.
-    from scipy.spatial import cKDTree
-
-    if len(raw_lat) == 0:
-        raise ValueError("raw location set must be non-empty")
-    raw = np.unique(np.column_stack((raw_lat, raw_lon)), axis=0)
-    raw_lat, raw_lon = raw[:, 0], raw[:, 1]
-    tree = cKDTree(sphere_xyz(raw_lat, raw_lon))
-
-    def distortion(prot_lat, prot_lon) -> float:
-        if len(prot_lat) == 0:
-            return 0.0
-        # Chord length is monotone in arc length, so the chord nearest
-        # neighbour is also the great-circle nearest neighbour; report the
-        # haversine value.
-        _, idx = tree.query(sphere_xyz(prot_lat, prot_lon))
-        d = haversine_m(prot_lat, prot_lon, raw_lat[idx], raw_lon[idx])
-        return float(np.mean(d))
-
-    return distortion
-
-
-def area_coverage(raw_points: Sequence[GeoPoint], protected_points: Sequence[GeoPoint],
-                  grid: CellGrid) -> float:
-    """F-score over grid cells touched by raw vs protected locations, in [0, 1]."""
-    cells_raw = grid.cells_of([p.lat for p in raw_points], [p.lon for p in raw_points])
-    cells_obf = grid.cells_of([p.lat for p in protected_points], [p.lon for p in protected_points])
-    return _cell_f_score(cells_raw, cells_obf)
-
-
 def _cell_f_score(cells_raw: set, cells_obf: set) -> float:
     if not cells_raw or not cells_obf:
         return 0.0
@@ -193,7 +146,7 @@ def _cell_f_score(cells_raw: set, cells_obf: set) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Trace-level evaluators (registry + raw-side caching)
+# Trace-level evaluators, looked up by name, bound to the raw trace once
 # ---------------------------------------------------------------------------
 
 class Evaluator:
@@ -226,13 +179,36 @@ class PoiRetrievalEvaluator(Evaluator):
 
 
 class SpatialDistortionEvaluator(Evaluator):
+    """Mean distance from protected locations to the nearest raw location.
+
+    The kd-tree holds each distinct raw location once: dwell-heavy traces
+    repeat a few points many times, and duplicates only slow the query. An
+    empty protected trace distorts nothing and scores 0; an empty raw trace
+    is a caller error.
+    """
+
     name = "distortion"
 
     def bind(self, raw: Trace) -> Callable[[Trace], float]:
-        distortion = _distortion_to(raw.lat, raw.lon)
+        # Imported here: scipy.spatial takes longer to import than the rest
+        # of the package, and protect and synth never measure distortion.
+        from scipy.spatial import cKDTree
+
+        if len(raw) == 0:
+            raise ValueError("raw location set must be non-empty")
+        points = np.unique(np.column_stack((raw.lat, raw.lon)), axis=0)
+        raw_lat, raw_lon = points[:, 0], points[:, 1]
+        tree = cKDTree(sphere_xyz(raw_lat, raw_lon))
 
         def evaluate(protected: Trace) -> float:
-            return distortion(protected.lat, protected.lon)
+            if len(protected) == 0:
+                return 0.0
+            # Chord length is monotone in arc length, so the chord nearest
+            # neighbour is also the great-circle nearest neighbour; report
+            # the haversine value.
+            _, idx = tree.query(sphere_xyz(protected.lat, protected.lon))
+            d = haversine_m(protected.lat, protected.lon, raw_lat[idx], raw_lon[idx])
+            return float(np.mean(d))
 
         return evaluate
 
@@ -263,14 +239,9 @@ _EVALUATOR_FACTORIES = {
 }
 
 
-def register_evaluator(name: str, factory) -> None:
-    """Add an evaluator factory (poi_params, cell_grid) -> Evaluator to the registry."""
-    _EVALUATOR_FACTORIES[name] = factory
-
-
 def make_evaluator(name: str, *, poi_params: PoiClusteringParams | None = None,
                    cell_grid: CellGrid | None = None) -> Evaluator:
-    """Look up an evaluator by registry name."""
+    """Look up an evaluator by name (one of ``EVALUATOR_NAMES``)."""
     try:
         factory = _EVALUATOR_FACTORIES[name]
     except KeyError:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ConfigurationError
-from .geo import CellGrid, Trace
-from .lppm import LppmConfig, ParameterDomain, apply_lppm, default_domains, get_mechanism_class
-from .metrics import PoiClusteringParams, bind_evaluators, default_robust_k, median_of_k
+from .geo import Trace
+from .lppm import LppmConfig, ParameterDomain, get_mechanism_class
+from .metrics import median_of_k
 from .rng import RandomStream, RngLike, as_generator, as_stream
 
 
@@ -67,8 +67,8 @@ class AnnealingSchedule:
     delta_t: float = 0.9
 
     def __post_init__(self):
-        if not (self.t0 > 0 and self.t_min > 0 and self.t_min < self.t0):
-            raise ConfigurationError("need 0 < t_min < t0")
+        if not 0 < self.t_min < self.t0 < math.inf:
+            raise ConfigurationError("need 0 < t_min < t0, both finite")
         if not 0.0 < self.delta_t < 1.0:
             raise ConfigurationError("cooling rate must lie in (0, 1)")
 
@@ -202,9 +202,6 @@ class ObjectiveCost:
         self.robust_k = robust_k
         self._bound = {o.evaluator_name: bound[o.evaluator_name] for o in self.objectives}
 
-    def __len__(self) -> int:
-        return len(self.objectives)
-
     def __call__(self, state: LppmConfig, rng: RngLike) -> float:
         medians = median_of_k(self._bound, state, self.ref, self.robust_k, rng)
         total = 0.0
@@ -212,68 +209,3 @@ class ObjectiveCost:
             n = min(medians[o.evaluator_name], o.scale) / o.scale
             total += n if o.minimise else (1.0 - n)
         return total
-
-
-class AnnealingTuner:
-    """Searches a mechanism's parameter domains to fit declared objectives.
-
-    Estimator-style: construct with the search setup, ``fit`` on a reference
-    trace, then read ``best_params_`` / ``best_cost_`` or call ``transform``
-    to protect traces with the tuned configuration.
-    """
-
-    def __init__(self, lppm_name: str = "geo-i", domains: Sequence[ParameterDomain] | None = None,
-                 objectives: Sequence[Objective] | None = None,
-                 schedule: AnnealingSchedule | None = None,
-                 poi_params: PoiClusteringParams | None = None,
-                 cell_grid: CellGrid | None = None,
-                 robust_k: int | None = None, use_best: bool = True,
-                 random_state: RngLike | None = None):
-        self.lppm_name = lppm_name
-        self.domains = list(domains) if domains is not None else default_domains(lppm_name)
-        self.objectives = list(objectives) if objectives is not None else default_objectives(lppm_name)
-        self.schedule = schedule or AnnealingSchedule()
-        self.poi_params = poi_params or PoiClusteringParams()
-        self.cell_grid = cell_grid or CellGrid()
-        self.robust_k = robust_k if robust_k is not None else default_robust_k(lppm_name)
-        self.use_best = use_best
-        self.random_state = random_state
-
-    def get_params(self) -> dict:
-        return {
-            "lppm_name": self.lppm_name, "domains": self.domains,
-            "objectives": self.objectives, "schedule": self.schedule,
-            "poi_params": self.poi_params, "cell_grid": self.cell_grid,
-            "robust_k": self.robust_k, "use_best": self.use_best,
-            "random_state": self.random_state,
-        }
-
-    def fit(self, trace: Trace, rng: RngLike | None = None) -> "AnnealingTuner":
-        if rng is None:
-            rng = self.random_state if self.random_state is not None else RandomStream(0)
-        stream = as_stream(rng)
-        bound = bind_evaluators([o.evaluator_name for o in self.objectives], trace,
-                                poi_params=self.poi_params, cell_grid=self.cell_grid)
-        cost_fn = ObjectiveCost(self.objectives, trace, bound, self.robust_k)
-        result = anneal(self.lppm_name, self.domains, cost_fn, self.schedule,
-                        stream, n_objectives=len(self.objectives))
-        self.result_ = result
-        self.best_config_ = result.chosen(self.use_best)
-        self.best_params_ = dict(self.best_config_.assignment)
-        self.best_cost_ = result.best_cost if self.use_best else result.final_cost
-        self.n_iter_ = result.iterations
-        self.cost_trace_ = result.cost_trace
-        return self
-
-    def transform(self, trace: Trace, rng: RngLike | None = None) -> Trace:
-        if not hasattr(self, "best_config_"):
-            raise RuntimeError("tuner is not fitted; call fit() first")
-        if rng is None:
-            rng = self.random_state if self.random_state is not None else RandomStream(0)
-        return apply_lppm(self.best_config_, trace, as_stream(rng).child("transform"))
-
-    def fit_transform(self, trace: Trace, rng: RngLike | None = None) -> Trace:
-        if rng is None:
-            rng = self.random_state if self.random_state is not None else RandomStream(0)
-        stream = as_stream(rng)
-        return self.fit(trace, stream.child("fit")).transform(trace, stream.child("protect"))

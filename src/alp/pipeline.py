@@ -66,7 +66,6 @@ class RunConfig:
 
     lppm_name: str
     mode: str = "offline"
-    domains: tuple | None = None
     static_assignment: dict | None = None
     objectives: tuple | None = None
     schedule: AnnealingSchedule = field(default_factory=AnnealingSchedule)
@@ -88,7 +87,7 @@ class RunConfig:
             raise ConfigurationError(f"{self.mode} mode searches domains; drop the static assignment")
 
     def resolved_domains(self) -> list:
-        return list(self.domains) if self.domains is not None else default_domains(self.lppm_name)
+        return default_domains(self.lppm_name)
 
     def resolved_objectives(self) -> list:
         return list(self.objectives) if self.objectives is not None else default_objectives(self.lppm_name)

@@ -15,6 +15,12 @@ def make_trace(coords, user="u", t0_ms=0, step_ms=30_000):
     return Trace(user, lat, lon, t0_ms + step_ms * np.arange(len(coords)))
 
 
+def trace_of(points, user="u", step_ms=30_000):
+    """Trace through GeoPoints at a fixed sampling period (may be empty)."""
+    return Trace(user, [p.lat for p in points], [p.lon for p in points],
+                 step_ms * np.arange(len(points)))
+
+
 def points_of(trace):
     """The trace's positions as GeoPoints, for per-point assertions."""
     return [GeoPoint(la, lo) for la, lo in zip(trace.lat.tolist(), trace.lon.tolist())]

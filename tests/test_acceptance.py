@@ -16,16 +16,16 @@ from scipy import stats
 from alp.cli import main
 from alp.geo import GeoPoint, distance_meters, from_local_plane, local_xy
 from alp.lppm import ParameterDomain, default_domains, geo_i_sample_radius, promesse_obfuscate
-from alp.metrics import PoiClusteringParams, extract_pois, poi_retrieval, spatial_distortion
+from alp.metrics import PoiClusteringParams, extract_pois, poi_retrieval
 from alp.geo import CellGrid
-from alp.metrics import area_coverage, bind_evaluators, median_of_k
+from alp.metrics import bind_evaluators, make_evaluator, median_of_k
 from alp.lppm import LppmConfig
 from alp.optimizer import AnnealingSchedule, acceptance_probability, anneal, restrict_by_half
 from alp.pipeline import RunConfig, run_online
 from alp.rng import RandomStream
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
-from conftest import random_walk_trace
+from conftest import random_walk_trace, trace_of
 from oracles import (
     brute_area_coverage,
     brute_poi_retrieval,
@@ -122,14 +122,15 @@ def test_criterion_3_metric_oracles():
             check(got == want, f"pois instance {i}: {got} != {want}")
 
             raw, prot = points(int(gen.integers(1, 101))), points(int(gen.integers(0, 101)))
-            got = spatial_distortion(raw, prot)
+            got = make_evaluator("distortion").bind(trace_of(raw))(trace_of(prot))
             want = brute_spatial_distortion(raw, prot)
             check(math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12),
                   f"distortion instance {i}: {got} != {want}")
 
             cell_size = float(gen.uniform(100, 500))
             raw, prot = points(int(gen.integers(1, 101))), points(int(gen.integers(1, 101)))
-            got = area_coverage(raw, prot, CellGrid(cell_size, BASE.lat))
+            grid = CellGrid(cell_size, BASE.lat)
+            got = make_evaluator("coverage", cell_grid=grid).bind(trace_of(raw))(trace_of(prot))
             want = brute_area_coverage(raw, prot, cell_size, BASE.lat)
             check(got == want, f"coverage instance {i}: {got} != {want}")
 

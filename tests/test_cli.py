@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -89,13 +91,24 @@ class TestParsing:
                               ("lppm = geo-i\nseed = abc\n", "bad value 'abc' for seed"),
                               ("# x\n\nt_min = x\n", "bad value 'x' for t_min"),
                               ("final_state = ture\n", "bad value 'ture' for final_state"),
-                              ("lppm = geo-i\nsede = 5\n", "unknown key 'sede'")):
+                              ("lppm = geo-i\nsede = 5\n", "unknown key 'sede'"),
+                              ("t0 = 0.5\nt-min = 0.1\nt0 = inf\n", "duplicate key 't0'"),
+                              ("t0 = inf\n", "bad value 'inf' for t0")):
             config.write_text(text)
             with pytest.raises(SystemExit) as exc:
                 parse_args(["online", "--config", str(config)])
             assert exc.value.code == 2
             line_no = len(text.splitlines())
             assert f"{config}:{line_no}: {problem}" in capsys.readouterr().err
+
+    def test_config_file_param_lines_accumulate(self, tmp_path):
+        # like repeated --param flags; an explicit --param still wins
+        config = tmp_path / "run.conf"
+        config.write_text("param = epsilon=0.01\nlppm = geo-i\nparam = epsilon=0.02\n")
+        inv = parse_args(["online", "--config", str(config), "--input", "d.csv"])
+        assert inv.flags["param"] == ["epsilon=0.01", "epsilon=0.02"]
+        inv = parse_args(["online", "--config", str(config), "--param", "epsilon=0.05"])
+        assert inv.flags["param"] == ["epsilon=0.05"]
 
     def test_config_file_may_hold_other_commands_keys(self, tmp_path):
         # one file can feed both synth and online
@@ -168,6 +181,28 @@ class TestStaticCommands:
                      "--param", "alpha=200"])
         assert code == 1
         assert "absent.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra, code, message", [
+        ("protect", ["--lppm", "geo-i", "--param", "epsilon=inf"], 1,
+         "error: epsilon must be positive and finite"),
+        ("online", ["--lppm", "promesse", "--poi-stay-minutes", "inf"], 2,
+         "argument --poi-stay-minutes: not a finite number: 'inf'"),
+        ("online", ["--lppm", "promesse", "--t0", "inf"], 2,
+         "argument --t0: not a finite number: 'inf'"),
+    ], ids=["epsilon", "poi-stay-minutes", "t0"])
+    def test_non_finite_values_fail_promptly(self, tiny_input, tmp_path, command, extra, code,
+                                             message):
+        # run as a child: at --t0 inf the cooling loop would never end
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = [sys.executable, "-m", "alp.cli", command, "--input", str(tiny_input), *extra,
+                "--out" if command == "protect" else "--out-dir",
+                str(out_dir / "p.csv") if command == "protect" else str(out_dir)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds this alp
+        result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == code
+        assert message in result.stderr and "Traceback" not in result.stderr
+        assert list(out_dir.iterdir()) == []
 
     def test_no_partial_output_on_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

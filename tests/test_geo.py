@@ -5,12 +5,10 @@ import pytest
 
 from alp.geo import (
     CellGrid,
-    CellId,
     Dataset,
     GeoPoint,
     Record,
     Trace,
-    cell_of,
     distance_meters,
     from_local_plane,
     to_local_plane,
@@ -133,19 +131,25 @@ class TestTraceInvariants:
         assert len(merged["a"]) == 2
 
 
+def cell_at(grid, p):
+    """The one (ix, iy) cell of a point, through the grid's vectorized path."""
+    (cell,) = grid.cells_of([p.lat], [p.lon])
+    return cell
+
+
 class TestCells:
     def test_origin_cell(self):
-        assert cell_of(GeoPoint(0, 0), 250) == CellId(0, 0, 250)
+        assert cell_at(CellGrid(250), GeoPoint(0, 0)) == (0, 0)
 
     def test_floor_arithmetic(self):
-        assert cell_of(GeoPoint(0, 0.001), 250) == CellId(0, 0, 250)   # 111.19 < 250
-        assert cell_of(GeoPoint(0, 0.003), 250) == CellId(1, 0, 250)   # 333.58 >= 250
+        assert cell_at(CellGrid(250), GeoPoint(0, 0.001)) == (0, 0)   # 111.19 < 250
+        assert cell_at(CellGrid(250), GeoPoint(0, 0.003)) == (1, 0)   # 333.58 >= 250
 
     def test_rejects_non_positive_size(self):
         with pytest.raises(ValueError):
             CellGrid(0)
         with pytest.raises(ValueError):
-            cell_of(GeoPoint(0, 0), -5)
+            CellGrid(-5)
 
     def test_partition_every_point_in_exactly_one_cell(self, gen):
         # deterministic assignment, and the cell's nominal bounds contain the
@@ -158,18 +162,18 @@ class TestCells:
         scale = EARTH_RADIUS_M * math.cos(math.radians(45.0))
         for _ in range(500):
             p = GeoPoint(45 + float(gen.uniform(-0.1, 0.1)), 5 + float(gen.uniform(-0.1, 0.1)))
-            cell = grid.cell_of(p)
-            assert grid.cell_of(p) == cell
+            ix, iy = cell_at(grid, p)
+            assert cell_at(grid, p) == (ix, iy)
             x = math.radians(p.lon) * scale
             y = math.radians(p.lat) * EARTH_RADIUS_M
-            assert cell.ix * 250 <= x < (cell.ix + 1) * 250
-            assert cell.iy * 250 <= y < (cell.iy + 1) * 250
+            assert ix * 250 <= x < (ix + 1) * 250
+            assert iy * 250 <= y < (iy + 1) * 250
 
     def test_nearby_points_share_cell_away_from_boundaries(self):
         grid = CellGrid(250, ref_lat_deg=0.0)
         center = GeoPoint(0.0005618, 0.0005618)  # mid-cell at this size
         near = GeoPoint(center.lat, center.lon + 0.0001)  # ~11 m east
-        assert grid.cell_of(center) == grid.cell_of(near)
+        assert cell_at(grid, center) == cell_at(grid, near)
 
 
 class TestCalendar:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -186,14 +188,12 @@ class TestApplyAndRegistry:
             assert out.user == "alice"
 
     def test_get_set_params(self):
-        mech = GeoIndistinguishability(epsilon=0.02)
-        assert mech.get_params() == {"epsilon": 0.02}
-        mech.set_params(epsilon=0.05)
-        assert mech.epsilon == 0.05
-        with pytest.raises(ConfigurationError):
-            mech.set_params(alpha=1.0)
-        with pytest.raises(ConfigurationError):
-            Promesse(alpha=-1.0)
+        # epsilon = inf would draw zero noise and publish the raw trace
+        for value in (-1.0, 0.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                GeoIndistinguishability(epsilon=value)
+            with pytest.raises(ConfigurationError):
+                Promesse(alpha=value)
 
 
 class TestDomains:

@@ -10,18 +10,15 @@ from alp.metrics import (
     Evaluator,
     Poi,
     PoiClusteringParams,
-    area_coverage,
     bind_evaluators,
     extract_pois,
     make_evaluator,
     median_of_k,
     poi_retrieval,
-    register_evaluator,
-    spatial_distortion,
 )
 from alp.rng import RandomStream
 
-from conftest import make_trace, points_of
+from conftest import make_trace, points_of, trace_of
 from oracles import (
     brute_area_coverage,
     brute_poi_retrieval,
@@ -39,6 +36,17 @@ def poi_at(x_m, y_m, user="u"):
 
 def points_at(offsets_m):
     return [from_local_plane(BASE, xy) for xy in offsets_m]
+
+
+def bound_distortion(raw_points, protected_points):
+    """The bound ``distortion`` evaluator on traces through the points."""
+    return make_evaluator("distortion").bind(trace_of(raw_points))(trace_of(protected_points))
+
+
+def bound_coverage(raw_points, protected_points, grid):
+    """The bound ``coverage`` evaluator on traces through the points."""
+    evaluator = make_evaluator("coverage", cell_grid=grid)
+    return evaluator.bind(trace_of(raw_points))(trace_of(protected_points))
 
 
 class TestExtractPois:
@@ -141,33 +149,33 @@ class TestPoiRetrieval:
 class TestSpatialDistortion:
     def test_identical_sets(self):
         pts = points_at([(0, 0), (100, 50)])
-        assert spatial_distortion(pts, pts) == 0.0
+        assert bound_distortion(pts, pts) == 0.0
 
     def test_known_shift(self):
         raw = points_at([(0, 0)])
         prot = points_at([(100, 0)])
-        assert spatial_distortion(raw, prot) == pytest.approx(100.0, abs=0.1)
+        assert bound_distortion(raw, prot) == pytest.approx(100.0, abs=0.1)
 
     def test_midpoint(self):
         raw = points_at([(0, 0), (1000, 0)])
         prot = points_at([(500, 0)])
-        assert spatial_distortion(raw, prot) == pytest.approx(500.0, abs=0.5)
+        assert bound_distortion(raw, prot) == pytest.approx(500.0, abs=0.5)
 
     def test_empty_protected_scores_zero(self):
-        assert spatial_distortion(points_at([(0, 0)]), []) == 0.0
+        assert bound_distortion(points_at([(0, 0)]), []) == 0.0
 
     def test_empty_raw_is_an_error(self):
         with pytest.raises(ValueError):
-            spatial_distortion([], points_at([(0, 0)]))
+            bound_distortion([], points_at([(0, 0)]))
 
     def test_permutation_and_duplication_invariance(self, gen):
         raw = points_at([(float(gen.uniform(-500, 500)), float(gen.uniform(-500, 500)))
                          for _ in range(10)])
         prot = points_at([(float(gen.uniform(-500, 500)), float(gen.uniform(-500, 500)))
                           for _ in range(7)])
-        base = spatial_distortion(raw, prot)
-        assert spatial_distortion(raw, prot[::-1]) == pytest.approx(base, rel=1e-12)
-        assert spatial_distortion(raw + raw, prot) == pytest.approx(base, rel=1e-12)
+        base = bound_distortion(raw, prot)
+        assert bound_distortion(raw, prot[::-1]) == pytest.approx(base, rel=1e-12)
+        assert bound_distortion(raw + raw, prot) == pytest.approx(base, rel=1e-12)
 
     def test_matches_brute_force(self, gen):
         for _ in range(200):
@@ -175,7 +183,7 @@ class TestSpatialDistortion:
                              for _ in range(int(gen.integers(1, 101)))])
             prot = points_at([(float(gen.uniform(-2000, 2000)), float(gen.uniform(-2000, 2000)))
                               for _ in range(int(gen.integers(0, 101)))])
-            assert spatial_distortion(raw, prot) == pytest.approx(
+            assert bound_distortion(raw, prot) == pytest.approx(
                 brute_spatial_distortion(raw, prot), rel=1e-12, abs=0.0)
 
 
@@ -200,24 +208,24 @@ class TestAreaCoverage:
     def test_identical_sets(self):
         grid = CellGrid(250, BASE.lat)
         pts = points_at([(0, 0), (600, 600), (-400, 100)])
-        assert area_coverage(pts, pts, grid) == 1.0
+        assert bound_coverage(pts, pts, grid) == 1.0
 
     def test_disjoint_sets(self):
         grid = CellGrid(250, BASE.lat)
         raw = points_at([(0, 0)])
         prot = points_at([(50_000, 50_000)])
-        assert area_coverage(raw, prot, grid) == 0.0
+        assert bound_coverage(raw, prot, grid) == 0.0
 
     def test_half_overlap(self):
         grid = CellGrid(250, BASE.lat)
         raw = points_at([(0, 0), (1000, 1000)])       # cells A, B
         prot = points_at([(0, 0), (-1000, -1000)])    # cells A, C
-        assert area_coverage(raw, prot, grid) == 0.5
+        assert bound_coverage(raw, prot, grid) == 0.5
 
     def test_empty_sets_score_zero(self):
         grid = CellGrid(250, BASE.lat)
-        assert area_coverage(points_at([(0, 0)]), [], grid) == 0.0
-        assert area_coverage([], points_at([(0, 0)]), grid) == 0.0
+        assert bound_coverage(points_at([(0, 0)]), [], grid) == 0.0
+        assert bound_coverage([], points_at([(0, 0)]), grid) == 0.0
 
     def test_matches_brute_force(self, gen):
         for _ in range(200):
@@ -227,7 +235,7 @@ class TestAreaCoverage:
                              for _ in range(int(gen.integers(1, 101)))])
             prot = points_at([(float(gen.uniform(-2000, 2000)), float(gen.uniform(-2000, 2000)))
                               for _ in range(int(gen.integers(1, 101)))])
-            assert area_coverage(raw, prot, grid) == \
+            assert bound_coverage(raw, prot, grid) == \
                 brute_area_coverage(raw, prot, cell_size, BASE.lat)
 
 
@@ -291,11 +299,6 @@ class TestRegistry:
     def test_unknown_evaluator(self):
         with pytest.raises(ConfigurationError, match="unknown evaluator"):
             make_evaluator("nope")
-
-    def test_register_custom(self):
-        register_evaluator("const-half", lambda poi_params, cell_grid: _SequenceEvaluator([0.5]))
-        evaluator = make_evaluator("const-half")
-        assert evaluator.bind(None)(None) == 0.5
 
     def test_values_stay_in_range(self, gen):
         from conftest import random_walk_trace

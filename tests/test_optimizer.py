@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from alp.errors import ConfigurationError
-from alp.geo import CellGrid, GeoPoint, from_local_plane
 from alp.lppm import LppmConfig, ParameterDomain, default_domains
-from alp.metrics import Evaluator, PoiClusteringParams, bind_evaluators, register_evaluator
+from alp.metrics import bind_evaluators
 from alp.optimizer import (
     AnnealingSchedule,
-    AnnealingTuner,
     Objective,
     ObjectiveCost,
     acceptance_probability,
@@ -23,24 +21,10 @@ from alp.optimizer import (
 )
 from alp.rng import RandomStream
 
-from conftest import make_trace, random_walk_trace
+from conftest import make_trace
 
 DOMAIN_1_5 = ParameterDomain("a", (1.0, 2.0, 3.0, 4.0, 5.0))
 DOMAIN_101 = ParameterDomain("x", tuple(float(v) for v in range(101)))
-
-
-class _ConstantEvaluator(Evaluator):
-    name = "constant"
-
-    def __init__(self, value):
-        self.value = value
-
-    def bind(self, raw):
-        return lambda protected: self.value
-
-
-def register_constant(name, value):
-    register_evaluator(name, lambda poi_params, cell_grid: _ConstantEvaluator(value))
 
 
 class TestObjectiveParsing:
@@ -61,44 +45,36 @@ class TestObjectiveParsing:
         assert default_objectives("promesse") == parse_objectives("min:pois,max:coverage")
 
 
-def cost(state, objectives, ref, rng, robust_k):
-    """One ObjectiveCost call with the objectives' evaluators bound to ref."""
-    bound = bind_evaluators([o.evaluator_name for o in objectives], ref)
-    return ObjectiveCost(objectives, ref, bound, robust_k)(state, rng)
-
-
 class TestCost:
     TRACE = make_trace([(45.0, 5.0), (45.0, 5.01)])
     STATE = LppmConfig("promesse", {"alpha": 100.0})
 
+    def cost(self, objectives, values):
+        """One ObjectiveCost call over fake bound evaluators with fixed values."""
+        bound = {name: lambda protected, value=value: value for name, value in values.items()}
+        return ObjectiveCost(objectives, self.TRACE, bound, robust_k=1)(self.STATE, RandomStream(0))
+
     def test_minimise_branch(self):
-        register_constant("const02", 0.2)
-        value = cost(self.STATE, [Objective("const02", True, 1.0)], self.TRACE,
-                     RandomStream(0), robust_k=1)
+        value = self.cost([Objective("a", True, 1.0)], {"a": 0.2})
         assert value == pytest.approx(0.2)
 
     def test_maximise_branch(self):
-        register_constant("const075", 0.75)
-        value = cost(self.STATE, [Objective("const075", False, 1.0)], self.TRACE,
-                     RandomStream(0), robust_k=1)
+        value = self.cost([Objective("a", False, 1.0)], {"a": 0.75})
         assert value == pytest.approx(0.25)
 
     def test_scale_clamps(self):
-        register_constant("const700", 700.0)
-        value = cost(self.STATE, [Objective("const700", True, 500.0)], self.TRACE,
-                     RandomStream(0), robust_k=1)
+        value = self.cost([Objective("a", True, 500.0)], {"a": 700.0})
         assert value == 1.0
 
     def test_bounded_by_objective_count(self):
-        register_constant("huge", 1e9)
-        objectives = [Objective("huge", True, 1.0), Objective("huge", False, 1.0)]
-        value = cost(self.STATE, objectives, self.TRACE, RandomStream(0), robust_k=1)
+        objectives = [Objective("a", True, 1.0), Objective("a", False, 1.0)]
+        value = self.cost(objectives, {"a": 1e9})
         assert 0.0 <= value <= len(objectives)
 
     def test_unregistered_evaluator(self):
-        with pytest.raises(ConfigurationError):
-            cost(self.STATE, [Objective("missing-evaluator", True)], self.TRACE,
-                 RandomStream(0), robust_k=1)
+        # the pipeline binds every objective's evaluator before building the cost
+        with pytest.raises(ConfigurationError, match="unknown evaluator"):
+            bind_evaluators(["missing-evaluator"], self.TRACE)
 
     def test_requires_objectives(self):
         with pytest.raises(ConfigurationError):
@@ -273,26 +249,6 @@ class TestAnneal:
             AnnealingSchedule(t0=1.0, t_min=2.0)
         with pytest.raises(ConfigurationError):
             AnnealingSchedule(delta_t=1.0)
-
-
-class TestAnnealingTuner:
-    def test_fit_exposes_search_outcome(self, gen):
-        trace = random_walk_trace(gen, n=60, step_sd_m=80.0)
-        tuner = AnnealingTuner("promesse", cell_grid=CellGrid(250, 45.0), random_state=3)
-        tuner.fit(trace)
-        assert set(tuner.best_params_) == {"alpha"}
-        assert tuner.n_iter_ == 110
-        assert tuner.best_cost_ <= 2.0
-        protected = tuner.transform(trace)
-        assert protected.user == trace.user
-
-    def test_transform_requires_fit(self, gen):
-        tuner = AnnealingTuner("promesse")
-        with pytest.raises(RuntimeError):
-            tuner.transform(random_walk_trace(gen, n=10))
-
-    def test_get_params_round_trip(self):
-        tuner = AnnealingTuner("geo-i", robust_k=1)
-        params = tuner.get_params()
-        assert params["lppm_name"] == "geo-i"
-        assert params["robust_k"] == 1
+        for t0 in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="finite"):
+                AnnealingSchedule(t0=t0)

@@ -1,0 +1,65 @@
+"""Property tests: the bound evaluators against the brute-force oracles.
+
+Hypothesis draws degenerate traces (all-duplicate points, single records,
+equal timestamps, empty protected traces) in four regions: a city-sized box,
+both sides of the antimeridian, and within 0.01 degrees of either pole.
+Tolerances are those of acceptance criterion 3.
+"""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alp.geo import CellGrid, GeoPoint
+from alp.metrics import make_evaluator
+
+from conftest import trace_of
+from oracles import brute_area_coverage, brute_spatial_distortion
+
+REGIONS = {
+    "city": (st.floats(44.99, 45.01), st.floats(4.99, 5.01)),
+    "antimeridian": (st.floats(-60.0, 60.0),
+                     st.one_of(st.floats(179.99, 180.0),
+                               st.floats(-180.0, -179.99, exclude_min=True))),
+    "north-pole": (st.floats(89.99, 90.0), st.floats(-180.0, 180.0, exclude_min=True)),
+    "south-pole": (st.floats(-90.0, -89.99), st.floats(-180.0, 180.0, exclude_min=True)),
+}
+SHAPES = ("all-duplicate", "single", "equal-times", "empty-protected")
+
+
+@st.composite
+def instances(draw):
+    """(raw points, protected points, sampling step, cell size, grid latitude)."""
+    lat, lon = REGIONS[draw(st.sampled_from(sorted(REGIONS)))]
+    point = st.builds(GeoPoint, lat, lon)
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "all-duplicate":
+        raw = [draw(point)] * draw(st.integers(1, 30))
+        prot = draw(st.lists(st.sampled_from(raw[:1]) | point, max_size=20))
+    elif shape == "single":
+        raw, prot = [draw(point)], [draw(point)]
+    else:
+        raw = draw(st.lists(point, min_size=1, max_size=20))
+        prot = [] if shape == "empty-protected" else draw(st.lists(point, max_size=20))
+    step_ms = 0 if shape == "equal-times" else 30_000
+    return raw, prot, step_ms, draw(st.floats(50.0, 500.0)), raw[0].lat
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(instances())
+def test_bound_evaluators_match_oracles(case):
+    raw, prot, step_ms, cell_size, ref_lat = case
+    raw_trace, prot_trace = trace_of(raw, step_ms=step_ms), trace_of(prot, step_ms=step_ms)
+
+    got = make_evaluator("distortion").bind(raw_trace)(prot_trace)
+    want = brute_spatial_distortion(raw, prot)
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (got, want)
+
+    grid = CellGrid(cell_size, ref_lat)
+    got = make_evaluator("coverage", cell_grid=grid).bind(raw_trace)(prot_trace)
+    assert got == brute_area_coverage(raw, prot, cell_size, ref_lat)
