@@ -117,8 +117,8 @@ def geo_i_sample_radius(epsilon: float, p):
 
     Accepts a scalar or an array of probabilities; returns matching shape.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     arr = np.asarray(p, dtype=float)
     if arr.size and not ((arr > 0.0) & (arr < 1.0)).all():
         raise ValueError("probabilities must lie strictly inside (0, 1)")
@@ -133,8 +133,8 @@ def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RngLike) -> Trace:
     uniform on [0, 2*pi) and r drawn through the inverse radial CDF. User id,
     record count, timestamps, and ordering are preserved.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     n = len(trace)
     if n == 0:
         return trace
@@ -163,8 +163,8 @@ def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
     uniformly between the original first and last instants. Traces whose
     path supports fewer than two output points are fully suppressed.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     n = len(trace)
     if n == 0:
         return trace

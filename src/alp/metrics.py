@@ -13,6 +13,7 @@ Three evaluators compare a raw trace against its protected counterpart:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,6 +34,8 @@ from .lppm import LppmConfig, apply_lppm, get_mechanism_class
 from .rng import RngLike, as_stream
 
 MIN_STAY_MS_DEFAULT = 15 * 60 * 1000
+# Slack of the distance bounds in extract_pois, far above their rounding.
+_MARGIN_M = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,36 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     """Greedy forward-scan spatio-temporal clustering.
 
     A candidate cluster grows with consecutive records while its diameter
-    (max pairwise great-circle distance) stays within the limit. When a
-    record breaks the diameter, the cluster becomes a POI if its time span
-    reaches the minimum stay, and the scan restarts at the breaking record.
+    (max pairwise great-circle distance) stays within the limit: record j
+    joins the open cluster [start, j) unless its reach, the largest distance
+    from j to a cluster member, exceeds ``max_diameter_m``. When a record
+    breaks the diameter, the cluster becomes a POI if its time span reaches
+    the minimum stay, and the scan restarts at the breaking record.
+
+    The reach is an O(cluster) numpy scan, so cheap bounds decide most
+    records without it. They use the step d(j-1, j), computed for every j in
+    one vectorized call, and the anchor distance d(start, j) and the
+    cluster's bounding box, both taken from the points' 3-D coordinates on
+    the sphere. R is the largest anchor distance in the open cluster.
+
+    * Break: j-1 and start are members, so the reach is at least the step
+      and at least d(start, j). Either one above ``max_d + _MARGIN_M``
+      breaks the cluster.
+    * Join: by the triangle inequality, every member m has
+      d(m, j) <= d(m, start) + d(start, j) <= R + d(start, j). Every member
+      also lies in the bounding box, so d(m, j) is at most the arc to the
+      box corner farthest from j. If either bound is at most
+      ``max_d - _MARGIN_M``, j joins.
+
+    Only records that no bound decides get the exact scan, with the same
+    arithmetic and the same ``reach > max_d`` test. The margin covers the
+    rounding of the bounds, which add and compare distances computed in
+    other ways than the scan. For coordinates in degree range that rounding
+    is about 1e-9 m, far below the 1e-6 m margin (it grows only near
+    antipodal distances). So the POIs are exactly those of the plain scan.
+    A cluster that holds a non-finite coordinate has a NaN reach to every
+    later record, and NaN never exceeds the limit, so that cluster runs to
+    the end of the trace, as in the plain scan.
     """
     n = len(trace)
     if n == 0:
@@ -77,6 +107,16 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     cos_phi = np.cos(phi)
     radius2 = 2.0 * EARTH_RADIUS_M
     max_d = params.max_diameter_m
+    join_below, break_above = max_d - _MARGIN_M, max_d + _MARGIN_M
+
+    def reach(start: int, j: int) -> float:
+        sl = slice(start, j)
+        a = np.sin((phi[j] - phi[sl]) / 2.0) ** 2 + cos_phi[sl] * cos_phi[j] * np.sin((lam[j] - lam[sl]) / 2.0) ** 2
+        return radius2 * float(np.arcsin(np.sqrt(np.max(np.clip(a, 0.0, 1.0)))))
+
+    def arc(chord2: float) -> float:
+        """Great-circle distance of a squared chord; a NaN chord stays NaN."""
+        return radius2 * math.asin(min(math.sqrt(chord2) / radius2, 1.0))
 
     pois = []
 
@@ -88,14 +128,32 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
         centroid = from_local_plane(origin, (float(np.mean(xs)), float(np.mean(ys))))
         pois.append(Poi(trace.user, centroid, int(times[start]), int(times[end]), end - start + 1))
 
+    steps = haversine_m(lat[:-1], lon[:-1], lat[1:], lon[1:]).tolist()  # steps[j - 1] = d(j-1, j)
+    xyz = sphere_xyz(lat, lon).tolist()
     start = 0
+    anchor_max = 0.0  # R
+    # The start's 3-D point and the low and high corners of the bounding box.
+    (sx, sy, sz) = (x0, y0, z0) = (x1, y1, z1) = xyz[0]
+    # The comparisons are written so that a NaN distance settles no bound.
     for j in range(1, n):
-        sl = slice(start, j)
-        a = np.sin((phi[j] - phi[sl]) / 2.0) ** 2 + cos_phi[sl] * cos_phi[j] * np.sin((lam[j] - lam[sl]) / 2.0) ** 2
-        reach = radius2 * float(np.arcsin(np.sqrt(np.max(np.clip(a, 0.0, 1.0)))))
-        if reach > max_d:
+        x, y, z = xyz[j]
+        breaks = steps[j - 1] > break_above
+        if not breaks:
+            anchor = arc((x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2)
+            if not anchor + anchor_max <= join_below:
+                corner = arc(max(x - x0, x1 - x) ** 2 + max(y - y0, y1 - y) ** 2 + max(z - z0, z1 - z) ** 2)
+                breaks = anchor > break_above or (not corner <= join_below and reach(start, j) > max_d)
+        if breaks:
             close_cluster(start, j - 1)
-            start = j
+            start, anchor_max = j, 0.0
+            sx, sy, sz = x0, y0, z0 = x1, y1, z1 = x, y, z
+            continue
+        if not anchor <= anchor_max:
+            anchor_max = anchor
+            if anchor != anchor:  # a non-finite coordinate joined: no later record breaks
+                break
+        x0, y0, z0 = min(x0, x), min(y0, y), min(z0, z)
+        x1, y1, z1 = max(x1, x), max(y1, y), max(z1, z)
     close_cluster(start, n - 1)
     return pois
 

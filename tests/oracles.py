@@ -2,12 +2,15 @@
 
 Everything here is deliberately simple and slow: plain loops, full pairwise
 tables, and textbook arithmetic, kept free of the vectorized shortcuts the
-library itself uses.
+library itself uses. The exception is ``scan_extract_pois``, which keeps the
+library's arithmetic so that the two can be compared exactly.
 """
 
 import math
 
-from alp.geo import EARTH_RADIUS_M, GeoPoint, Record, distance_meters
+import numpy as np
+
+from alp.geo import EARTH_RADIUS_M, GeoPoint, Record, distance_meters, from_local_plane, local_xy
 from alp.metrics import Poi
 
 
@@ -107,6 +110,46 @@ def window_extract_pois(trace, params):
             pois.append(Poi(trace.user, centroid, records[i].time_ms,
                             records[j].time_ms, j - i + 1))
         i = j + 1
+    return pois
+
+
+def scan_extract_pois(trace, params):
+    """Stay extraction that scores every record against the whole open cluster.
+
+    The plain form of ``alp.metrics.extract_pois``: one O(cluster) reach
+    scan per record, with the library's arithmetic, so the two must agree
+    exactly, centroid floats included.
+    """
+    n = len(trace)
+    if n == 0:
+        return []
+
+    lat, lon, times = trace.lat, trace.lon, trace.time_ms
+    phi = np.radians(lat)
+    lam = np.radians(lon)
+    cos_phi = np.cos(phi)
+    radius2 = 2.0 * EARTH_RADIUS_M
+    max_d = params.max_diameter_m
+
+    pois = []
+
+    def close_cluster(start, end):
+        if times[end] - times[start] < params.min_stay_ms:
+            return
+        origin = GeoPoint(float(lat[start]), float(lon[start]))
+        xs, ys = local_xy(origin, lat[start:end + 1], lon[start:end + 1])
+        centroid = from_local_plane(origin, (float(np.mean(xs)), float(np.mean(ys))))
+        pois.append(Poi(trace.user, centroid, int(times[start]), int(times[end]), end - start + 1))
+
+    start = 0
+    for j in range(1, n):
+        sl = slice(start, j)
+        a = np.sin((phi[j] - phi[sl]) / 2.0) ** 2 + cos_phi[sl] * cos_phi[j] * np.sin((lam[j] - lam[sl]) / 2.0) ** 2
+        reach = radius2 * float(np.arcsin(np.sqrt(np.max(np.clip(a, 0.0, 1.0)))))
+        if reach > max_d:
+            close_cluster(start, j - 1)
+            start = j
+    close_cluster(start, n - 1)
     return pois
 
 

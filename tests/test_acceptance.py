@@ -15,7 +15,7 @@ from scipy import stats
 
 from alp.cli import main
 from alp.geo import GeoPoint, distance_meters, from_local_plane, local_xy
-from alp.lppm import ParameterDomain, default_domains, geo_i_sample_radius, promesse_obfuscate
+from alp.lppm import ParameterDomain, geo_i_sample_radius, promesse_obfuscate
 from alp.metrics import PoiClusteringParams, extract_pois, poi_retrieval
 from alp.geo import CellGrid
 from alp.metrics import bind_evaluators, make_evaluator, median_of_k

@@ -3,11 +3,10 @@ import os
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
-from alp.cli import build_parser, main, parse_args
+from alp.cli import main, parse_args
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 

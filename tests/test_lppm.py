@@ -19,7 +19,7 @@ from alp.lppm import (
 )
 from alp.rng import RandomStream
 
-from conftest import make_trace, points_of, random_walk_trace
+from conftest import points_of, random_walk_trace
 from oracles import monotone_arc_positions
 
 ORIGIN = GeoPoint(45.0, 5.0)
@@ -154,6 +154,19 @@ class TestPromesse:
             assert gaps.max() - gaps.min() <= 1
             assert out.time_ms[0] == trace.time_ms[0]
             assert out.time_ms[-1] == trace.time_ms[-1]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_free_functions_reject_non_finite_parameters(value, gen):
+    # at epsilon = inf geo-i would publish the raw trace, and at alpha = inf
+    # promesse would suppress every trace
+    trace = random_walk_trace(gen, n=5)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        geo_i_sample_radius(value, 0.5)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        geo_i_obfuscate(trace, value, RandomStream(0))
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        promesse_obfuscate(trace, value)
 
 
 class TestApplyAndRegistry:

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from alp.errors import ConfigurationError
-from alp.geo import CellGrid, GeoPoint, Record, Trace, distance_meters, from_local_plane
-from alp.lppm import LppmConfig, apply_lppm
+from alp.geo import EARTH_RADIUS_M, CellGrid, GeoPoint, Record, Trace, distance_meters, from_local_plane
+from alp.lppm import LppmConfig, apply_lppm, geo_i_obfuscate
 from alp.metrics import (
     Evaluator,
     Poi,
@@ -17,12 +15,14 @@ from alp.metrics import (
     poi_retrieval,
 )
 from alp.rng import RandomStream
+from alp.synth import SynthSpec, generate_synthetic_dataset
 
 from conftest import make_trace, points_of, trace_of
 from oracles import (
     brute_area_coverage,
     brute_poi_retrieval,
     brute_spatial_distortion,
+    scan_extract_pois,
     window_extract_pois,
 )
 
@@ -113,6 +113,58 @@ class TestExtractPois:
             for g, e in zip(got, expected):
                 assert (g.start_ms, g.end_ms, g.size) == (e.start_ms, e.end_ms, e.size)
                 assert distance_meters(g.centroid, e.centroid) < 1e-6
+
+    @pytest.mark.parametrize("sample_period_s", [240, 30])
+    def test_matches_scan_oracle_on_synth_days(self, sample_period_s):
+        # Full days, raw and geo-i protected from 2 km to 20 m of mean noise:
+        # long dwell clusters, short noisy ones and travel, at up to 2,880
+        # records a trace.
+        spec = SynthSpec(users=2, pois_per_user=3, sample_period_s=sample_period_s, seed=3)
+        for raw in generate_synthetic_dataset(spec).dataset:
+            traces = [raw] + [geo_i_obfuscate(raw, epsilon, RandomStream(5).child(raw.user, i))
+                              for i, epsilon in enumerate(np.logspace(-3, -1, 13))]
+            for trace in traces:
+                assert extract_pois(trace, PARAMS) == scan_extract_pois(trace, PARAMS)
+
+    @pytest.mark.parametrize("lat0, along_meridian", [(45.0, True), (0.0, False)])
+    def test_matches_scan_oracle_at_the_diameter(self, lat0, along_meridian):
+        # Steps of max_d +- 1e-7 m back and forth along a meridian or the
+        # equator, where the haversine distance is exactly R * angle: every
+        # step, and every anchor distance that is not about 0, lies inside
+        # the bounds' margin, so only the exact scan can decide.
+        gen = np.random.default_rng(7)
+        n = 400
+        steps = (-1.0) ** np.arange(n - 1) * (PARAMS.max_diameter_m + gen.choice([-1e-7, 1e-7], n - 1))
+        offsets = np.degrees(np.concatenate(([0.0], np.cumsum(steps))) / EARTH_RADIUS_M)
+        lat = lat0 + offsets if along_meridian else np.full(n, lat0)
+        lon = np.full(n, 5.0) if along_meridian else 5.0 + offsets
+        trace = Trace("u", lat, lon, 300_000 * np.arange(n))
+        pois = extract_pois(trace, PARAMS)
+        assert pois == scan_extract_pois(trace, PARAMS)
+        assert len(pois) > 10 and max(p.size for p in pois) > 4
+
+    # numpy warns on the sine and cosine of +-inf, in both extractors
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["lat", "lon"])
+    @pytest.mark.parametrize("index", [0, 1, 25])
+    def test_non_finite_coordinates_match_scan_oracle(self, value, column, index):
+        # Short stay, 1.1 km jump, 20 min dwell, jump back, short stay. A
+        # non-finite coordinate makes every later reach NaN, so its cluster
+        # runs to the end of the trace, jumps included.
+        coords = [(45.0, 5.0)] * 3 + [(45.01, 5.0)] * 20 + [(45.0, 5.0)] * 9
+        trace = make_trace(coords, step_ms=60_000)
+        columns = {"lat": trace.lat.copy(), "lon": trace.lon.copy()}
+        columns[column][index] = value
+        trace = Trace("u", columns["lat"], columns["lon"], trace.time_ms)
+
+        def outcome(extract):
+            try:
+                return extract(trace, PARAMS)
+            except ValueError as err:  # a POI centroid at a non-finite point
+                return str(err)
+
+        assert outcome(extract_pois) == outcome(scan_extract_pois)
 
 
 class TestPoiRetrieval:

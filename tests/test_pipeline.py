@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 from datetime import date
 
@@ -7,7 +6,7 @@ import pytest
 from alp.errors import ConfigurationError, DatasetLoadError
 from alp.geo import GeoPoint, Record, Trace
 from alp.io import load_dataset, parse_timestamp_ms, write_dataset_csv, write_json, write_rows_csv
-from alp.lppm import LppmConfig, apply_lppm
+from alp.lppm import apply_lppm
 from alp.metrics import make_evaluator
 from alp.optimizer import AnnealingSchedule
 from alp.pipeline import (
