@@ -16,13 +16,9 @@ from .geo import (
     to_local_plane,
 )
 from .lppm import (
-    GeoIndistinguishability,
     LppmConfig,
-    Mechanism,
     ParameterDomain,
-    Promesse,
     apply_lppm,
-    default_domains,
     geo_i_obfuscate,
     geo_i_sample_radius,
     promesse_obfuscate,
@@ -69,15 +65,12 @@ __all__ = [
     "Batch",
     "CellGrid",
     "Dataset",
-    "GeoIndistinguishability",
     "GeoPoint",
     "LppmConfig",
-    "Mechanism",
     "Objective",
     "ParameterDomain",
     "Poi",
     "PoiClusteringParams",
-    "Promesse",
     "RandomStream",
     "Record",
     "Report",
@@ -91,7 +84,6 @@ __all__ = [
     "apply_lppm",
     "bind_evaluators",
     "cdf_points",
-    "default_domains",
     "distance_meters",
     "extract_pois",
     "from_local_plane",

@@ -26,7 +26,7 @@ from pathlib import Path
 from .errors import AlpError
 from .geo import CellGrid, Dataset
 from .io import load_dataset, write_dataset_csv, write_json, write_rows_csv
-from .lppm import LppmConfig, apply_lppm, mechanism_names
+from .lppm import MECHANISMS, LppmConfig, apply_lppm
 from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, default_robust_k, median_of_k
 from .optimizer import AnnealingSchedule, parse_objectives
 from .pipeline import Report, RunConfig, run_offline, run_online
@@ -123,26 +123,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="print metrics for a static configuration")
     _add_common(p, needs_input=True)
-    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(mechanism_names())})")
+    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(sorted(MECHANISMS))})")
     p.add_argument("--param", action="append", default=None, metavar="NAME=VALUE",
                    help="parameter assignment; repeatable")
     _add_metric_flags(p)
 
     p = sub.add_parser("protect", help="write protected traces for a static configuration")
     _add_common(p, needs_input=True)
-    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(mechanism_names())})")
+    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(sorted(MECHANISMS))})")
     p.add_argument("--param", action="append", default=None, metavar="NAME=VALUE")
     p.add_argument("--out", help="output CSV path (default <input-stem>_protected.csv)")
 
     p = sub.add_parser("optimize", help="offline scenario: tune one configuration per user")
     _add_common(p, needs_input=True)
-    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(mechanism_names())})")
+    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(sorted(MECHANISMS))})")
     _add_metric_flags(p)
     _add_optimizer_flags(p)
 
     p = sub.add_parser("online", help="online scenario: tune per daily batch")
     _add_common(p, needs_input=True)
-    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(mechanism_names())})")
+    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(sorted(MECHANISMS))})")
     p.add_argument("--param", action="append", default=None, metavar="NAME=VALUE",
                    help="fix the assignment instead of tuning (static baseline)")
     _add_metric_flags(p)

@@ -53,7 +53,7 @@ class Record:
 class Trace:
     """Chronologically ordered positions of a single user, stored as columns.
 
-    ``lat`` and ``lon`` are float64 degrees and ``time_ms`` int64 epoch
+    ``lat`` and ``lon`` are finite float64 degrees and ``time_ms`` int64 epoch
     milliseconds (UTC); all three are read-only numpy arrays of one length.
     """
 
@@ -73,6 +73,8 @@ class Trace:
         if not (lat.ndim == lon.ndim == time_ms.ndim == 1
                 and len(lat) == len(lon) == len(time_ms)):
             raise ValueError("trace columns must be 1-D arrays of equal lengths")
+        if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
+            raise ValueError("coordinates must be finite")
         if np.any(time_ms[1:] < time_ms[:-1]):
             raise ValueError("record timestamps must be non-decreasing")
 

@@ -86,6 +86,8 @@ def load_dataset(path) -> Dataset:
                 GeoPoint(lats[i], lons[i])
             except ValueError as exc:
                 problems.append((line_nos[i], str(exc)))
+        if problems:  # the error below lists them; a Trace would reject them unnumbered
+            continue
         time_ms = np.array(times, dtype=np.int64)
         order = np.argsort(time_ms, kind="stable")  # equal times keep file order
         traces.append(Trace(user, lat[order], lon[order], time_ms[order]))

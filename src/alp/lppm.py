@@ -1,22 +1,24 @@
 """Location privacy protection mechanisms (LPPMs).
 
 A mechanism turns one trace into one protected trace under a parameter
-assignment. An :class:`LppmConfig` names the mechanism (``geo-i`` or
-``promesse``) and its values, so evaluators and the tuner stay
-mechanism-agnostic.
+assignment. ``MECHANISMS`` holds one entry per mechanism (``geo-i`` and
+``promesse``): its transform, its parameter domains, whether it is
+deterministic and its default objectives. An :class:`LppmConfig` names the
+mechanism and its values, so evaluators and the tuner stay
+mechanism-agnostic; :func:`checked` is the one place that validates it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .geo import EARTH_RADIUS_M, GeoPoint, Trace, _wrap_degrees, latlon_from_local, local_xy
-from .rng import RandomStream, RngLike, as_generator
+from .rng import RngLike, as_generator
 
 _TWO_PI = 2.0 * math.pi
 
@@ -194,111 +196,71 @@ def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# Mechanism classes, looked up by name
+# The mechanism table
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Mechanism:
-    """Base class for trace-to-trace protection mechanisms.
+    """One mechanism: how to apply it and how to tune it.
 
-    Subclasses declare ``name``, ``deterministic``, and their parameters as
-    keyword constructor arguments listed in ``_param_names``.
+    ``transform(trace, assignment, rng)`` protects a trace. The parameter
+    names are the names of ``domains``, the grids the tuner searches.
+    ``objectives`` is the default objective spec.
     """
 
-    name: ClassVar[str]
-    deterministic: ClassVar[bool]
-    _param_names: ClassVar[tuple] = ()
-
-    def transform(self, trace: Trace, rng: RngLike | None = None) -> Trace:
-        raise NotImplementedError
-
-    @classmethod
-    def default_domains(cls) -> list:
-        raise NotImplementedError
+    transform: Callable
+    domains: tuple
+    deterministic: bool
+    objectives: str
 
 
-class GeoIndistinguishability(Mechanism):
-    """Planar-Laplace noise with privacy parameter epsilon (1/meters).
-
-    Smaller epsilon adds more noise: the mean displacement is 2/epsilon.
-    """
-
-    name = "geo-i"
-    deterministic = False
-    _param_names = ("epsilon",)
-
-    def __init__(self, epsilon: float = 0.01):
-        self.epsilon = float(epsilon)
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigurationError("epsilon must be positive and finite")
-
-    def transform(self, trace: Trace, rng: RngLike | None = None) -> Trace:
-        if rng is None:
-            rng = RandomStream(0)
-        return geo_i_obfuscate(trace, self.epsilon, rng)
-
-    @classmethod
-    def default_domains(cls) -> list:
-        return [ParameterDomain.log_spaced("epsilon", 0.001, 0.1, 101)]
+MECHANISMS = {
+    # Planar-Laplace noise; epsilon is in 1/meters and the mean displacement
+    # is 2/epsilon, so smaller epsilon adds more noise.
+    "geo-i": Mechanism(
+        transform=lambda trace, a, rng: geo_i_obfuscate(trace, a["epsilon"], rng),
+        domains=(ParameterDomain.log_spaced("epsilon", 0.001, 0.1, 101),),
+        deterministic=False,
+        objectives="min:pois,min:distortion:scale=500",
+    ),
+    # Speed smoothing at spacing alpha (meters); it obfuscates time rather
+    # than places. The grid starts at 5 m: a zero spacing would never end.
+    "promesse": Mechanism(
+        transform=lambda trace, a, rng: promesse_obfuscate(trace, a["alpha"]),
+        domains=(ParameterDomain.linear("alpha", 5.0, 500.0, 101),),
+        deterministic=True,
+        objectives="min:pois,max:coverage",
+    ),
+}
 
 
-class Promesse(Mechanism):
-    """Speed smoothing: spatial resampling at spacing alpha (meters).
-
-    Deterministic; obfuscates the temporal dimension rather than locations.
-    """
-
-    name = "promesse"
-    deterministic = True
-    _param_names = ("alpha",)
-
-    def __init__(self, alpha: float = 100.0):
-        self.alpha = float(alpha)
-        if not 0 < self.alpha < math.inf:
-            raise ConfigurationError("alpha must be positive and finite")
-
-    def transform(self, trace: Trace, rng: RngLike | None = None) -> Trace:
-        return promesse_obfuscate(trace, self.alpha)
-
-    @classmethod
-    def default_domains(cls) -> list:
-        # The grid starts at 5 m: a zero spacing would degenerate into
-        # infinite resampling, so the mechanism requires alpha > 0.
-        return [ParameterDomain.linear("alpha", 5.0, 500.0, 101)]
-
-
-_REGISTRY = {cls.name: cls for cls in (GeoIndistinguishability, Promesse)}
-
-
-def mechanism_names() -> list:
-    return sorted(_REGISTRY)
-
-
-def get_mechanism_class(name: str):
+def mechanism(name: str) -> Mechanism:
+    """The table entry of a mechanism name."""
     try:
-        return _REGISTRY[name]
+        return MECHANISMS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown mechanism {name!r}; registered: {', '.join(mechanism_names())}"
+            f"unknown mechanism {name!r}; registered: {', '.join(sorted(MECHANISMS))}"
         ) from None
 
 
-def default_domains(lppm_name: str) -> list:
-    """The per-parameter value grids searched by the tuner."""
-    return get_mechanism_class(lppm_name).default_domains()
-
-
-def make_mechanism(config: LppmConfig) -> Mechanism:
-    """Instantiate the mechanism named by a config with its assigned values."""
-    cls = get_mechanism_class(config.lppm_name)
-    missing = [p for p in cls._param_names if p not in config.assignment]
+def checked(config: LppmConfig) -> Mechanism:
+    """A config's table entry, once its name is known and its parameters are
+    exactly the entry's domain names, each in (0, inf)."""
+    entry = mechanism(config.lppm_name)
+    names = [d.name for d in entry.domains]
+    missing = [p for p in names if p not in config.assignment]
     if missing:
         raise ConfigurationError(f"{config.lppm_name!r} config missing parameters: {missing}")
-    extra = [p for p in config.assignment if p not in cls._param_names]
+    extra = [p for p in config.assignment if p not in names]
     if extra:
         raise ConfigurationError(f"{config.lppm_name!r} config has unknown parameters: {extra}")
-    return cls(**config.assignment)
+    for name, value in config.assignment.items():
+        if not 0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be positive and finite")
+    return entry
 
 
 def apply_lppm(config: LppmConfig, trace: Trace, rng: RngLike) -> Trace:
     """Obfuscate a trace under a named mechanism and parameter assignment."""
-    return make_mechanism(config).transform(trace, rng)
+    return checked(config).transform(trace, config.assignment, rng)

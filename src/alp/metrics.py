@@ -30,7 +30,7 @@ from .geo import (
     local_xy,
     sphere_xyz,
 )
-from .lppm import LppmConfig, apply_lppm, get_mechanism_class
+from .lppm import LppmConfig, apply_lppm, mechanism
 from .rng import RngLike, as_stream
 
 MIN_STAY_MS_DEFAULT = 15 * 60 * 1000
@@ -93,9 +93,6 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     other ways than the scan. For coordinates in degree range that rounding
     is about 1e-9 m, far below the 1e-6 m margin (it grows only near
     antipodal distances). So the POIs are exactly those of the plain scan.
-    A cluster that holds a non-finite coordinate has a NaN reach to every
-    later record, and NaN never exceeds the limit, so that cluster runs to
-    the end of the trace, as in the plain scan.
     """
     n = len(trace)
     if n == 0:
@@ -115,7 +112,7 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
         return radius2 * float(np.arcsin(np.sqrt(np.max(np.clip(a, 0.0, 1.0)))))
 
     def arc(chord2: float) -> float:
-        """Great-circle distance of a squared chord; a NaN chord stays NaN."""
+        """Great-circle distance of a squared chord."""
         return radius2 * math.asin(min(math.sqrt(chord2) / radius2, 1.0))
 
     pois = []
@@ -134,24 +131,21 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     anchor_max = 0.0  # R
     # The start's 3-D point and the low and high corners of the bounding box.
     (sx, sy, sz) = (x0, y0, z0) = (x1, y1, z1) = xyz[0]
-    # The comparisons are written so that a NaN distance settles no bound.
     for j in range(1, n):
         x, y, z = xyz[j]
         breaks = steps[j - 1] > break_above
         if not breaks:
             anchor = arc((x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2)
-            if not anchor + anchor_max <= join_below:
+            if anchor + anchor_max > join_below:
                 corner = arc(max(x - x0, x1 - x) ** 2 + max(y - y0, y1 - y) ** 2 + max(z - z0, z1 - z) ** 2)
-                breaks = anchor > break_above or (not corner <= join_below and reach(start, j) > max_d)
+                breaks = anchor > break_above or (corner > join_below and reach(start, j) > max_d)
         if breaks:
             close_cluster(start, j - 1)
             start, anchor_max = j, 0.0
             sx, sy, sz = x0, y0, z0 = x1, y1, z1 = x, y, z
             continue
-        if not anchor <= anchor_max:
+        if anchor > anchor_max:
             anchor_max = anchor
-            if anchor != anchor:  # a non-finite coordinate joined: no later record breaks
-                break
         x0, y0, z0 = min(x0, x), min(y0, y), min(z0, z)
         x1, y1, z1 = max(x1, x), max(y1, y), max(z1, z)
     close_cluster(start, n - 1)
@@ -311,7 +305,7 @@ def make_evaluator(name: str, *, poi_params: PoiClusteringParams | None = None,
 
 def default_robust_k(lppm_name: str) -> int:
     """Median-of-3 for stochastic mechanisms, single run for deterministic ones."""
-    return 1 if get_mechanism_class(lppm_name).deterministic else 3
+    return 1 if mechanism(lppm_name).deterministic else 3
 
 
 def bind_evaluators(names: Sequence[str], raw: Trace, *,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .errors import ConfigurationError
 from .geo import Trace
-from .lppm import LppmConfig, ParameterDomain, get_mechanism_class
+from .lppm import LppmConfig, ParameterDomain, mechanism
 from .metrics import median_of_k
 from .rng import RandomStream, RngLike, as_generator, as_stream
 
@@ -52,10 +52,7 @@ def parse_objectives(text: str) -> list:
 
 def default_objectives(lppm_name: str) -> list:
     """Per-mechanism defaults: hide POIs, then preserve the relevant utility."""
-    get_mechanism_class(lppm_name)
-    if lppm_name == "promesse":
-        return parse_objectives("min:pois,max:coverage")
-    return parse_objectives("min:pois,min:distortion:scale=500")
+    return parse_objectives(mechanism(lppm_name).objectives)
 
 
 @dataclass(frozen=True)

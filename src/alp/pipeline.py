@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
-from .lppm import LppmConfig, apply_lppm, default_domains, get_mechanism_class, make_mechanism
+from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism
 from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, default_robust_k
 from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, default_objectives
 from .rng import RandomStream
@@ -76,18 +76,15 @@ class RunConfig:
     use_best: bool = True
 
     def __post_init__(self):
-        get_mechanism_class(self.lppm_name)
+        mechanism(self.lppm_name)
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.mode == "static-baseline":
             if self.static_assignment is None:
                 raise ConfigurationError("static-baseline mode requires a full parameter assignment")
-            make_mechanism(LppmConfig(self.lppm_name, self.static_assignment))
+            checked(LppmConfig(self.lppm_name, self.static_assignment))
         elif self.static_assignment is not None:
             raise ConfigurationError(f"{self.mode} mode searches domains; drop the static assignment")
-
-    def resolved_domains(self) -> list:
-        return default_domains(self.lppm_name)
 
     def resolved_objectives(self) -> list:
         return list(self.objectives) if self.objectives is not None else default_objectives(self.lppm_name)
@@ -103,7 +100,7 @@ class RunConfig:
             "domains": [
                 {"name": d.name, "spacing": d.spacing,
                  "min": d.values[0], "max": d.values[-1], "count": len(d)}
-                for d in (self.resolved_domains() if self.mode != "static-baseline" else [])
+                for d in (MECHANISMS[self.lppm_name].domains if self.mode != "static-baseline" else [])
             ],
             "static_assignment": self.static_assignment,
             "objectives": [
@@ -194,7 +191,7 @@ def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
         chosen = LppmConfig(config.lppm_name, config.static_assignment)
         cost = cost_fn(chosen, root.child("cost"))
     else:
-        result = anneal(config.lppm_name, config.resolved_domains(), cost_fn,
+        result = anneal(config.lppm_name, MECHANISMS[config.lppm_name].domains, cost_fn,
                         config.schedule, root.child("anneal"), n_objectives=len(objectives))
         chosen = result.chosen(config.use_best)
         cost = result.best_cost if config.use_best else result.final_cost

@@ -7,16 +7,17 @@ from scipy import stats
 from alp.errors import ConfigurationError
 from alp.geo import GeoPoint, Record, Trace, distance_meters, from_local_plane, to_local_plane
 from alp.lppm import (
-    GeoIndistinguishability,
+    MECHANISMS,
     LppmConfig,
     ParameterDomain,
-    Promesse,
     apply_lppm,
-    default_domains,
+    checked,
     geo_i_obfuscate,
     geo_i_sample_radius,
     promesse_obfuscate,
 )
+from alp.metrics import EVALUATOR_NAMES, default_robust_k
+from alp.optimizer import default_objectives, parse_objectives
 from alp.rng import RandomStream
 
 from conftest import points_of, random_walk_trace
@@ -200,18 +201,30 @@ class TestApplyAndRegistry:
             out = apply_lppm(config, trace, RandomStream(2))
             assert out.user == "alice"
 
-    def test_get_set_params(self):
+    def test_get_set_params(self, gen):
         # epsilon = inf would draw zero noise and publish the raw trace
-        for value in (-1.0, 0.0, math.inf, -math.inf, math.nan):
-            with pytest.raises(ConfigurationError):
-                GeoIndistinguishability(epsilon=value)
-            with pytest.raises(ConfigurationError):
-                Promesse(alpha=value)
+        trace = random_walk_trace(gen, n=5)
+        for name, param in (("geo-i", "epsilon"), ("promesse", "alpha")):
+            for value in (-1.0, 0.0, math.inf, -math.inf, math.nan):
+                with pytest.raises(ConfigurationError, match=f"{param} must be positive and finite"):
+                    apply_lppm(LppmConfig(name, {param: value}), trace, RandomStream(0))
+
+
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
+def test_mechanism_table_is_consistent(name, gen):
+    entry = MECHANISMS[name]
+    objectives = parse_objectives(entry.objectives)
+    assert objectives and {o.evaluator_name for o in objectives} <= set(EVALUATOR_NAMES)
+    assert default_objectives(name) == objectives
+    assert (default_robust_k(name) == 1) == entry.deterministic
+    trace = random_walk_trace(gen, n=40, user="carol")
+    assignment = {d.name: d.values[0] for d in entry.domains}
+    assert apply_lppm(LppmConfig(name, assignment), trace, RandomStream(3)).user == "carol"
 
 
 class TestDomains:
     def test_geo_i_grid(self):
-        (domain,) = default_domains("geo-i")
+        (domain,) = MECHANISMS["geo-i"].domains
         assert domain.spacing == "log10"
         assert len(domain) == 101
         assert domain.values[0] == pytest.approx(0.001, rel=1e-12)
@@ -219,7 +232,7 @@ class TestDomains:
         assert domain.values[-1] == pytest.approx(0.1, rel=1e-12)
 
     def test_promesse_grid(self):
-        (domain,) = default_domains("promesse")
+        (domain,) = MECHANISMS["promesse"].domains
         assert domain.spacing == "linear"
         assert len(domain) == 101
         assert domain.values[0] == 5.0
@@ -227,8 +240,8 @@ class TestDomains:
         assert domain.values[1] - domain.values[0] == pytest.approx(4.95)
 
     def test_unknown_name(self):
-        with pytest.raises(ConfigurationError):
-            default_domains("nope")
+        with pytest.raises(ConfigurationError, match="^unknown mechanism 'nope'; registered: geo-i, promesse$"):
+            checked(LppmConfig("nope", {"epsilon": 0.01}))
 
     def test_domain_validation(self):
         with pytest.raises(ConfigurationError):

@@ -143,28 +143,19 @@ class TestExtractPois:
         assert pois == scan_extract_pois(trace, PARAMS)
         assert len(pois) > 10 and max(p.size for p in pois) > 4
 
-    # numpy warns on the sine and cosine of +-inf, in both extractors
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["lat", "lon"])
     @pytest.mark.parametrize("index", [0, 1, 25])
     def test_non_finite_coordinates_match_scan_oracle(self, value, column, index):
-        # Short stay, 1.1 km jump, 20 min dwell, jump back, short stay. A
-        # non-finite coordinate makes every later reach NaN, so its cluster
-        # runs to the end of the trace, jumps included.
+        # Neither extractor sees a non-finite coordinate: a NaN reach never
+        # exceeds the limit, so one such record would merge the rest of the
+        # trace into one cluster. The trace refuses it instead.
         coords = [(45.0, 5.0)] * 3 + [(45.01, 5.0)] * 20 + [(45.0, 5.0)] * 9
         trace = make_trace(coords, step_ms=60_000)
         columns = {"lat": trace.lat.copy(), "lon": trace.lon.copy()}
         columns[column][index] = value
-        trace = Trace("u", columns["lat"], columns["lon"], trace.time_ms)
-
-        def outcome(extract):
-            try:
-                return extract(trace, PARAMS)
-            except ValueError as err:  # a POI centroid at a non-finite point
-                return str(err)
-
-        assert outcome(extract_pois) == outcome(scan_extract_pois)
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            Trace("u", columns["lat"], columns["lon"], trace.time_ms)
 
 
 class TestPoiRetrieval:

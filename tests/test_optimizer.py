@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from alp.errors import ConfigurationError
-from alp.lppm import LppmConfig, ParameterDomain, default_domains
+from alp.lppm import MECHANISMS, LppmConfig, ParameterDomain
 from alp.metrics import bind_evaluators
 from alp.optimizer import (
     AnnealingSchedule,
@@ -139,7 +139,7 @@ class TestInitialState:
         assert state.assignment == {"a": 3.0, "b": 7.0}
 
     def test_seeded_regression(self):
-        state = initial_state("geo-i", default_domains("geo-i"), RandomStream(123, "init"))
+        state = initial_state("geo-i", MECHANISMS["geo-i"].domains, RandomStream(123, "init"))
         assert state.assignment["epsilon"] == pytest.approx(0.0022908676527677724, rel=1e-15)
 
     def test_draws_stay_in_domains(self):
