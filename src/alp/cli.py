@@ -26,8 +26,8 @@ from pathlib import Path
 from .errors import AlpError
 from .geo import CellGrid, Dataset
 from .io import load_dataset, write_dataset_csv, write_json, write_rows_csv
-from .lppm import MECHANISMS, LppmConfig, apply_lppm
-from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, default_robust_k, median_of_k
+from .lppm import MECHANISMS, LppmConfig, apply_lppm, mechanism
+from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, median_of_k
 from .optimizer import AnnealingSchedule, parse_objectives
 from .pipeline import Report, RunConfig, run_offline, run_online
 from .rng import RandomStream
@@ -44,7 +44,6 @@ class UsageError(Exception):
 class CliInvocation:
     command: str
     flags: dict
-    config_file: str | None = None
 
 
 def _parse_param_items(items) -> dict:
@@ -217,7 +216,7 @@ def parse_args(argv) -> CliInvocation:
         except ValueError:
             parser.error(f"ALP_SEED: bad value {env_seed!r}")
 
-    return CliInvocation(namespace.command, flags, config_file)
+    return CliInvocation(namespace.command, flags)
 
 
 def _require(inv: CliInvocation, *keys):
@@ -227,20 +226,17 @@ def _require(inv: CliInvocation, *keys):
                          ", ".join("--" + k.replace("_", "-") for k in missing))
 
 
-def _schedule_from(flags: dict) -> AnnealingSchedule:
-    return AnnealingSchedule(
-        t0=flags.get("t0", 1.0),
-        t_min=flags.get("t_min", 1e-5),
-        delta_t=flags.get("cooling", 0.9),
-    )
+def _given(flags: dict, **fields) -> dict:
+    """Keyword arguments ``field=flags[flag]`` for the flags the user set, so
+    every unset field keeps its dataclass default."""
+    return {field: flags[flag] for field, flag in fields.items() if flag in flags}
 
 
 def _poi_params_from(flags: dict) -> PoiClusteringParams:
-    return PoiClusteringParams(
-        max_diameter_m=flags.get("poi_diameter", 200.0),
-        min_stay_ms=int(flags.get("poi_stay_minutes", 15.0) * 60_000),
-        match_threshold_m=flags.get("match_threshold", 100.0),
-    )
+    given = _given(flags, max_diameter_m="poi_diameter", match_threshold_m="match_threshold")
+    if "poi_stay_minutes" in flags:
+        given["min_stay_ms"] = int(flags["poi_stay_minutes"] * 60_000)
+    return PoiClusteringParams(**given)
 
 
 def _static_config(inv: CliInvocation) -> LppmConfig:
@@ -248,24 +244,22 @@ def _static_config(inv: CliInvocation) -> LppmConfig:
     return LppmConfig(inv.flags["lppm"], _parse_param_items(inv.flags["param"]))
 
 
-def _run_config(inv: CliInvocation, mode: str) -> RunConfig:
+def _run_config(inv: CliInvocation) -> RunConfig:
+    """The run an ``optimize`` or ``online`` invocation asks for; ``--param``
+    makes ``online`` the static baseline."""
     flags = inv.flags
-    objectives = tuple(parse_objectives(flags["objectives"])) if "objectives" in flags else None
-    static = None
-    if mode != "offline" and flags.get("param"):
-        static = _parse_param_items(flags["param"])
-        mode = "static-baseline"
+    given = _given(flags, cell_size_m="cell_size", robust_k="robust_k")
+    if "objectives" in flags:
+        given["objectives"] = parse_objectives(flags["objectives"])
+    if inv.command == "online" and flags.get("param"):
+        given["static_assignment"] = _parse_param_items(flags["param"])
     return RunConfig(
-        lppm_name=flags["lppm"],
-        mode=mode,
-        static_assignment=static,
-        objectives=objectives,
-        schedule=_schedule_from(flags),
+        flags["lppm"],
+        schedule=AnnealingSchedule(**_given(flags, t0="t0", t_min="t_min", delta_t="cooling")),
         poi_params=_poi_params_from(flags),
-        cell_size_m=flags.get("cell_size", 250.0),
         seed=flags["seed"],
-        robust_k=flags.get("robust_k"),
         use_best=not flags.get("final_state", False),
+        **given,
     )
 
 
@@ -281,12 +275,9 @@ def _write_report(report: Report, inv: CliInvocation, default_name: str):
 def _cmd_synth(inv: CliInvocation) -> int:
     flags = inv.flags
     spec = SynthSpec(
-        users=flags.get("users", 1),
-        days=flags.get("days", 1),
-        pois_per_user=flags.get("pois", 2),
-        dwell_minutes=flags.get("dwell_minutes", 30.0),
-        speed_mps=flags.get("speed", 10.0),
-        sample_period_s=flags.get("sample_period", 30.0),
+        **_given(flags, users="users", days="days", pois_per_user="pois",
+                 dwell_minutes="dwell_minutes", speed_mps="speed",
+                 sample_period_s="sample_period"),
         seed=flags["seed"],
         pad_to_day_end=not flags.get("trip", False),
     )
@@ -309,8 +300,8 @@ def _cmd_evaluate(inv: CliInvocation) -> int:
     config = _static_config(inv)
     dataset = load_dataset(inv.flags["input"])
     poi_params = _poi_params_from(inv.flags)
-    grid = CellGrid(inv.flags.get("cell_size", 250.0), dataset.mean_latitude())
-    k = inv.flags.get("robust_k", default_robust_k(config.lppm_name))
+    grid = CellGrid(**_given(inv.flags, cell_size_m="cell_size"), ref_lat_deg=dataset.mean_latitude())
+    k = inv.flags.get("robust_k", mechanism(config.lppm_name).robust_k)
     root = RandomStream(inv.flags["seed"])
 
     lines = [f"{'user':<12} {'pois':>8} {'distortion_m':>14} {'coverage':>10}"]
@@ -341,21 +332,12 @@ def _cmd_protect(inv: CliInvocation) -> int:
     return 0
 
 
-def _cmd_optimize(inv: CliInvocation) -> int:
+def _cmd_tune(inv: CliInvocation) -> int:
     _require(inv, "input", "lppm")
     dataset = load_dataset(inv.flags["input"])
-    config = _run_config(inv, "offline")
-    report = run_offline(dataset, config)
-    _write_report(report, inv, f"optimize_{config.lppm_name}")
-    return 0
-
-
-def _cmd_online(inv: CliInvocation) -> int:
-    _require(inv, "input", "lppm")
-    dataset = load_dataset(inv.flags["input"])
-    config = _run_config(inv, "online")
-    report = run_online(dataset, config)
-    _write_report(report, inv, f"online_{config.lppm_name}")
+    config = _run_config(inv)
+    run_fn = run_offline if inv.command == "optimize" else run_online
+    _write_report(run_fn(dataset, config), inv, f"{inv.command}_{config.lppm_name}")
     return 0
 
 
@@ -363,8 +345,8 @@ _HANDLERS = {
     "synth": _cmd_synth,
     "evaluate": _cmd_evaluate,
     "protect": _cmd_protect,
-    "optimize": _cmd_optimize,
-    "online": _cmd_online,
+    "optimize": _cmd_tune,
+    "online": _cmd_tune,
 }
 
 

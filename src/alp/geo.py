@@ -53,8 +53,9 @@ class Record:
 class Trace:
     """Chronologically ordered positions of a single user, stored as columns.
 
-    ``lat`` and ``lon`` are finite float64 degrees and ``time_ms`` int64 epoch
-    milliseconds (UTC); all three are read-only numpy arrays of one length.
+    ``lat`` and ``lon`` are float64 degrees in GeoPoint's ranges and ``time_ms``
+    int64 epoch milliseconds (UTC); all three are read-only numpy arrays of one
+    length.
     """
 
     user: str
@@ -75,6 +76,10 @@ class Trace:
             raise ValueError("trace columns must be 1-D arrays of equal lengths")
         if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
             raise ValueError("coordinates must be finite")
+        in_range = coordinates_in_range(lat, lon)
+        if not in_range.all():
+            first = int(np.argmin(in_range))
+            GeoPoint(float(lat[first]), float(lon[first]))  # raises, worded per coordinate
         if np.any(time_ms[1:] < time_ms[:-1]):
             raise ValueError("record timestamps must be non-decreasing")
 
@@ -165,10 +170,16 @@ def distance_meters(a: GeoPoint, b: GeoPoint) -> float:
     return float(haversine_m(a.lat, a.lon, b.lat, b.lon))
 
 
+def coordinates_in_range(lat, lon):
+    """Mask of the positions GeoPoint accepts (NaN fails it)."""
+    return (lat >= -90.0) & (lat <= 90.0) & (lon > -180.0) & (lon <= 180.0)
+
+
 def _wrap_degrees(lon):
     """Normalize longitudes into (-180, 180]."""
     wrapped = -((-np.asarray(lon, dtype=float) + 180.0) % 360.0 - 180.0)
-    return wrapped
+    # Just past +180 the modulo rounds up to 360, which would give -180.
+    return np.where(wrapped == -180.0, 180.0, wrapped)
 
 
 def local_xy(origin: GeoPoint, lat, lon):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetLoadError
-from .geo import Dataset, GeoPoint, Trace
+from .geo import Dataset, GeoPoint, Trace, coordinates_in_range
 
 CSV_HEADER = ["user", "timestamp", "lat", "lon"]
 
@@ -79,9 +79,8 @@ def load_dataset(path) -> Dataset:
     traces = []
     for user, (line_nos, times, lats, lons) in sorted(columns.items()):
         lat, lon = np.array(lats), np.array(lons)
-        # One vectorized range test (NaN fails it); GeoPoint words the problem.
-        in_range = (lat >= -90.0) & (lat <= 90.0) & (lon > -180.0) & (lon <= 180.0)
-        for i in np.flatnonzero(~in_range).tolist():
+        # One vectorized range test; GeoPoint words the problem.
+        for i in np.flatnonzero(~coordinates_in_range(lat, lon)).tolist():
             try:
                 GeoPoint(lats[i], lons[i])
             except ValueError as exc:

@@ -2,8 +2,8 @@
 
 A mechanism turns one trace into one protected trace under a parameter
 assignment. ``MECHANISMS`` holds one entry per mechanism (``geo-i`` and
-``promesse``): its transform, its parameter domains, whether it is
-deterministic and its default objectives. An :class:`LppmConfig` names the
+``promesse``): its transform, its parameter domains, its default
+median-of-k and its default objectives. An :class:`LppmConfig` names the
 mechanism and its values, so evaluators and the tuner stay
 mechanism-agnostic; :func:`checked` is the one place that validates it.
 """
@@ -205,12 +205,14 @@ class Mechanism:
 
     ``transform(trace, assignment, rng)`` protects a trace. The parameter
     names are the names of ``domains``, the grids the tuner searches.
-    ``objectives`` is the default objective spec.
+    ``robust_k`` is the default number of replicates a metric is the median
+    of (1 when the transform draws no randomness), and ``objectives`` the
+    default objective spec.
     """
 
     transform: Callable
     domains: tuple
-    deterministic: bool
+    robust_k: int
     objectives: str
 
 
@@ -220,7 +222,7 @@ MECHANISMS = {
     "geo-i": Mechanism(
         transform=lambda trace, a, rng: geo_i_obfuscate(trace, a["epsilon"], rng),
         domains=(ParameterDomain.log_spaced("epsilon", 0.001, 0.1, 101),),
-        deterministic=False,
+        robust_k=3,
         objectives="min:pois,min:distortion:scale=500",
     ),
     # Speed smoothing at spacing alpha (meters); it obfuscates time rather
@@ -228,7 +230,7 @@ MECHANISMS = {
     "promesse": Mechanism(
         transform=lambda trace, a, rng: promesse_obfuscate(trace, a["alpha"]),
         domains=(ParameterDomain.linear("alpha", 5.0, 500.0, 101),),
-        deterministic=True,
+        robust_k=1,
         objectives="min:pois,max:coverage",
     ),
 }

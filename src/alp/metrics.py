@@ -30,10 +30,9 @@ from .geo import (
     local_xy,
     sphere_xyz,
 )
-from .lppm import LppmConfig, apply_lppm, mechanism
+from .lppm import LppmConfig, apply_lppm
 from .rng import RngLike, as_stream
 
-MIN_STAY_MS_DEFAULT = 15 * 60 * 1000
 # Slack of the distance bounds in extract_pois, far above their rounding.
 _MARGIN_M = 1e-6
 
@@ -43,7 +42,7 @@ class PoiClusteringParams:
     """Knobs of the stay-point extractor and the POI matching threshold."""
 
     max_diameter_m: float = 200.0
-    min_stay_ms: int = MIN_STAY_MS_DEFAULT
+    min_stay_ms: int = 15 * 60 * 1000
     match_threshold_m: float = 100.0
 
     def __post_init__(self):
@@ -301,11 +300,6 @@ def make_evaluator(name: str, *, poi_params: PoiClusteringParams | None = None,
             f"unknown evaluator {name!r}; registered: {', '.join(sorted(_EVALUATOR_FACTORIES))}"
         ) from None
     return factory(poi_params, cell_grid)
-
-
-def default_robust_k(lppm_name: str) -> int:
-    """Median-of-3 for stochastic mechanisms, single run for deterministic ones."""
-    return 1 if mechanism(lppm_name).deterministic else 3
 
 
 def bind_evaluators(names: Sequence[str], raw: Trace, *,

@@ -1,9 +1,10 @@
 """Run orchestration: offline per-user tuning, online per-day tuning, reports.
 
-The offline scenario tunes one configuration per user on their concatenated
-trace. The online scenario splits each user's records into UTC daily
-batches and tunes (or, for static baselines, fixes) a configuration per
-batch. Both produce a :class:`Report` of per-unit rows plus CDF summaries,
+The offline scenario (:func:`run_offline`) tunes one configuration per user
+on their concatenated trace. The online scenario (:func:`run_online`) splits
+each user's records into UTC daily batches and tunes a configuration per
+batch, or fixes the one in ``RunConfig.static_assignment`` (the static
+baseline). Both produce a :class:`Report` of per-unit rows plus CDF summaries,
 and both are deterministic functions of (dataset, config): units run one
 at a time, in (user, day) order, on the calling thread, and each derives its
 randomness from (seed, user, day).
@@ -11,7 +12,7 @@ randomness from (seed, user, day).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from typing import Sequence
 
@@ -20,12 +21,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
 from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism
-from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, default_robust_k
+from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators
 from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, default_objectives
 from .rng import RandomStream
-
-MODES = ("offline", "online", "static-baseline")
-
 
 @dataclass(frozen=True)
 class Batch:
@@ -62,60 +60,54 @@ def cdf_points(values) -> list:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs besides the dataset itself."""
+    """Everything a pipeline run needs besides the dataset itself.
+
+    A ``static_assignment`` fixes the configuration of every unit instead of
+    tuning it: the static baseline, which only :func:`run_online` runs.
+    ``objectives`` and ``robust_k`` left at None take the mechanism's
+    defaults from ``MECHANISMS``.
+    """
 
     lppm_name: str
-    mode: str = "offline"
     static_assignment: dict | None = None
     objectives: tuple | None = None
     schedule: AnnealingSchedule = field(default_factory=AnnealingSchedule)
     poi_params: PoiClusteringParams = field(default_factory=PoiClusteringParams)
-    cell_size_m: float = 250.0
+    cell_size_m: float = CellGrid.cell_size_m
     seed: int = 42
     robust_k: int | None = None
     use_best: bool = True
 
     def __post_init__(self):
-        mechanism(self.lppm_name)
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.mode == "static-baseline":
-            if self.static_assignment is None:
-                raise ConfigurationError("static-baseline mode requires a full parameter assignment")
+        entry = mechanism(self.lppm_name)
+        if self.static_assignment is not None:
             checked(LppmConfig(self.lppm_name, self.static_assignment))
-        elif self.static_assignment is not None:
-            raise ConfigurationError(f"{self.mode} mode searches domains; drop the static assignment")
+        objectives = default_objectives(self.lppm_name) if self.objectives is None else self.objectives
+        object.__setattr__(self, "objectives", tuple(objectives))
+        if self.robust_k is None:
+            object.__setattr__(self, "robust_k", entry.robust_k)
 
-    def resolved_objectives(self) -> list:
-        return list(self.objectives) if self.objectives is not None else default_objectives(self.lppm_name)
-
-    def resolved_robust_k(self) -> int:
-        return self.robust_k if self.robust_k is not None else default_robust_k(self.lppm_name)
-
-    def describe(self) -> dict:
+    def describe(self, mode: str) -> dict:
         """JSON-ready snapshot recorded in every report."""
         return {
             "lppm": self.lppm_name,
-            "mode": self.mode,
+            "mode": mode,
             "domains": [
                 {"name": d.name, "spacing": d.spacing,
                  "min": d.values[0], "max": d.values[-1], "count": len(d)}
-                for d in (MECHANISMS[self.lppm_name].domains if self.mode != "static-baseline" else [])
+                for d in (MECHANISMS[self.lppm_name].domains if self.static_assignment is None else [])
             ],
             "static_assignment": self.static_assignment,
             "objectives": [
                 {"evaluator": o.evaluator_name, "direction": "min" if o.minimise else "max",
                  "scale": o.scale}
-                for o in self.resolved_objectives()
+                for o in self.objectives
             ],
-            "schedule": {"t0": self.schedule.t0, "t_min": self.schedule.t_min,
-                         "delta_t": self.schedule.delta_t},
-            "poi_params": {"max_diameter_m": self.poi_params.max_diameter_m,
-                           "min_stay_ms": self.poi_params.min_stay_ms,
-                           "match_threshold_m": self.poi_params.match_threshold_m},
+            "schedule": asdict(self.schedule),
+            "poi_params": asdict(self.poi_params),
             "cell_size_m": self.cell_size_m,
             "seed": self.seed,
-            "robust_k": self.resolved_robust_k(),
+            "robust_k": self.robust_k,
             "use_best": self.use_best,
         }
 
@@ -158,17 +150,13 @@ def _summaries(rows: Sequence[ReportRow]):
         for name in EVALUATOR_NAMES
     }
     param_names = sorted({name for row in rows for name in row.config.assignment})
-    param_cdf = {
-        name: cdf_points([row.config.assignment[name] for row in rows
-                          if name in row.config.assignment])
-        for name in param_names
-    }
+    param_cdf = {name: cdf_points([row.config.assignment[name] for row in rows])
+                 for name in param_names}
     ranges: dict = {}
     for name in param_names:
         per_user: dict = {}
         for row in rows:
-            if name in row.config.assignment:
-                per_user.setdefault(row.user, []).append(row.config.assignment[name])
+            per_user.setdefault(row.user, []).append(row.config.assignment[name])
         ranges[name] = {user: max(vs) - min(vs) for user, vs in sorted(per_user.items())}
     return cdf, param_cdf, ranges
 
@@ -183,11 +171,11 @@ def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
     day_label = day.isoformat() if day is not None else "offline"
     root = RandomStream(config.seed).child(user, day_label)
 
-    objectives = config.resolved_objectives()
+    objectives = config.objectives
     bound = bind_evaluators(EVALUATOR_NAMES + tuple(o.evaluator_name for o in objectives), raw,
                             poi_params=config.poi_params, cell_grid=grid)
-    cost_fn = ObjectiveCost(objectives, raw, bound, config.resolved_robust_k())
-    if config.mode == "static-baseline":
+    cost_fn = ObjectiveCost(objectives, raw, bound, config.robust_k)
+    if config.static_assignment is not None:
         chosen = LppmConfig(config.lppm_name, config.static_assignment)
         cost = cost_fn(chosen, root.child("cost"))
     else:
@@ -201,31 +189,31 @@ def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
     return ReportRow(user, day, chosen, metrics, cost), protected
 
 
-def _run_units(units, config: RunConfig, grid: CellGrid) -> Report:
+def _run_units(units, config: RunConfig, grid: CellGrid, mode: str) -> Report:
     """Process units in the given (user, day) order and summarise them."""
     outcomes = [_process_unit(key, raw, config, grid) for key, raw in units]
     rows = tuple(row for row, _ in outcomes)
     protected = Dataset(tuple(trace for _, trace in outcomes))
     cdf, param_cdf, ranges = _summaries(rows)
-    return Report(rows, config.describe(), cdf, param_cdf, ranges, protected)
+    return Report(rows, config.describe(mode), cdf, param_cdf, ranges, protected)
 
 
 def run_offline(dataset: Dataset, config: RunConfig) -> Report:
     """One tuned configuration per user, fitted on the concatenated trace."""
-    if config.mode != "offline":
-        raise ConfigurationError(f"run_offline needs mode='offline', got {config.mode!r}")
+    if config.static_assignment is not None:
+        raise ConfigurationError("offline mode searches domains; drop the static assignment")
     grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
     units = [((user, None), trace) for user, trace in dataset.merged_by_user().items()]
-    return _run_units(units, config, grid)
+    return _run_units(units, config, grid, "offline")
 
 
 def run_online(dataset: Dataset, config: RunConfig) -> Report:
-    """One configuration per non-empty (user, UTC day) batch."""
-    if config.mode not in ("online", "static-baseline"):
-        raise ConfigurationError(f"run_online needs mode 'online' or 'static-baseline', got {config.mode!r}")
+    """One configuration per non-empty (user, UTC day) batch: tuned, or the
+    static assignment when the config holds one."""
     grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
     units = []
     for user, trace in dataset.merged_by_user().items():
         for batch in split_daily_batches(trace):
             units.append(((batch.user, batch.day), batch.trace))
-    return _run_units(units, config, grid)
+    mode = "online" if config.static_assignment is None else "static-baseline"
+    return _run_units(units, config, grid, mode)

@@ -248,12 +248,12 @@ def test_criterion_7_adaptive_dominance(batch_dataset):
             ("promesse", "alpha", (100.0, 200.0, 300.0, 500.0)),
         )
         for lppm, param, static_values in comparisons:
-            adaptive = run_online(batch_dataset, RunConfig(lppm_name=lppm, mode="online", seed=53))
+            adaptive = run_online(batch_dataset, RunConfig(lppm_name=lppm, seed=53))
             adaptive_cost = {(r.user, r.day): r.cost for r in adaptive.rows}
             static_cost = []
             for value in static_values:
                 report = run_online(batch_dataset, RunConfig(
-                    lppm_name=lppm, mode="static-baseline",
+                    lppm_name=lppm,
                     static_assignment={param: value}, seed=53))
                 static_cost.append({(r.user, r.day): r.cost for r in report.rows})
             dominated = sum(

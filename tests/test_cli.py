@@ -1,12 +1,20 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
 
 import pytest
 
-from alp.cli import main, parse_args
+from alp.cli import _run_config, build_parser, main, parse_args
+from alp.geo import CellGrid
+from alp.io import write_dataset_csv
+from alp.lppm import MECHANISMS
+from alp.metrics import PoiClusteringParams
+from alp.optimizer import AnnealingSchedule, Objective
+from alp.pipeline import RunConfig
+from alp.synth import SynthSpec, generate_synthetic_dataset
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -237,6 +245,16 @@ class TestPipelineCommands:
         rows = (out_dir / "static.csv").read_text().splitlines()
         assert len(rows) == 3  # two daily batches
 
+    def test_unknown_objective_is_runtime_error_without_output(self, tiny_input, tmp_path, capsys):
+        code = main(["online", "--input", str(tiny_input), "--lppm", "promesse",
+                     "--objectives", "min:nope", "--out-dir", str(tmp_path), "--name", "run"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: unknown evaluator 'nope'; "
+                                "registered: coverage, distortion, pois\n")
+        assert list(tmp_path.glob("run*")) == []
+
     def test_online_adaptive_runs_identically(self, tiny_input, tmp_path):
         names = []
         for name in ("r1", "r2"):
@@ -266,3 +284,54 @@ class TestPipelineCommands:
                             for f in ("run.csv", "run.json", "run_protected.csv")])
         assert threads == [threading.get_ident()] * 6  # two daily units per run
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestSingleOwner:
+    """Unset flags leave each default to its dataclass or mechanism-table entry."""
+
+    @pytest.mark.parametrize("command", ["optimize", "online"])
+    @pytest.mark.parametrize("lppm", sorted(MECHANISMS))
+    def test_required_flags_give_the_default_run_config(self, command, lppm):
+        inv = parse_args([command, "--input", "d.csv", "--lppm", lppm, "--seed", "5"])
+        assert _run_config(inv) == RunConfig(lppm, seed=5)
+
+    def test_param_gives_the_static_baseline(self):
+        inv = parse_args(["online", "--input", "d.csv", "--lppm", "geo-i",
+                          "--param", "epsilon=0.01", "--seed", "5"])
+        assert _run_config(inv) == RunConfig("geo-i", static_assignment={"epsilon": 0.01}, seed=5)
+
+    def test_each_flag_sets_its_field(self):
+        inv = parse_args(["optimize", "--input", "d.csv", "--lppm", "geo-i", "--seed", "5",
+                          "--objectives", "max:coverage", "--t0", "2", "--t-min", "0.01",
+                          "--cooling", "0.5", "--poi-diameter", "150", "--poi-stay-minutes", "10",
+                          "--match-threshold", "80", "--cell-size", "300", "--robust-k", "5",
+                          "--final-state"])
+        assert _run_config(inv) == RunConfig(
+            "geo-i", objectives=(Objective("coverage", minimise=False),),
+            schedule=AnnealingSchedule(t0=2.0, t_min=0.01, delta_t=0.5),
+            poi_params=PoiClusteringParams(150.0, 600_000, 80.0),
+            cell_size_m=300.0, seed=5, robust_k=5, use_best=False)
+
+    def test_synth_defaults_come_from_the_spec(self, tmp_path, capsys):
+        out = tmp_path / "cli.csv"
+        assert main(["synth", "--seed", "3", "--out", str(out)]) == 0
+        expected = write_dataset_csv(generate_synthetic_dataset(SynthSpec(seed=3)).dataset,
+                                     tmp_path / "lib.csv")
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_help_states_the_dataclass_defaults(self):
+        poi, spec = PoiClusteringParams(), SynthSpec()
+        schedule = AnnealingSchedule()
+        defaults = {
+            "t0": schedule.t0, "t_min": schedule.t_min, "cooling": schedule.delta_t,
+            "poi_diameter": poi.max_diameter_m, "poi_stay_minutes": poi.min_stay_ms / 60_000,
+            "match_threshold": poi.match_threshold_m, "cell_size": CellGrid().cell_size_m,
+            "users": spec.users, "days": spec.days, "pois": spec.pois_per_user,
+            "dwell_minutes": spec.dwell_minutes, "speed": spec.speed_mps,
+            "sample_period": spec.sample_period_s,
+        }
+        (sub,) = (a for a in build_parser()._actions if a.dest == "command")
+        stated = {action.dest: float(m.group(1))
+                  for command in sub.choices.values() for action in command._actions
+                  if (m := re.search(r"\(default ([0-9][0-9.e+-]*)\)", action.help or ""))}
+        assert stated == {dest: float(value) for dest, value in defaults.items()}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from alp.geo import (
     GeoPoint,
     Record,
     Trace,
+    _wrap_degrees,
     distance_meters,
     from_local_plane,
     to_local_plane,
@@ -78,7 +80,35 @@ class TestLocalPlane:
             assert abs(back.lon - p.lon) < 1e-9
 
 
+    @pytest.mark.parametrize("lon", [np.nextafter(180.0, math.inf), np.nextafter(-180.0, -math.inf),
+                                     540.0, -540.0, 180.0, -180.0])
+    def test_wrap_lands_in_half_open_range(self, lon):
+        # just past +180 the modulo rounds up to a full turn
+        wrapped = float(_wrap_degrees(lon))
+        assert -180.0 < wrapped <= 180.0
+        assert math.remainder(wrapped - lon, 360.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_inverse_just_across_the_antimeridian(self):
+        # the POI-centroid path: a 2 nm eastward step from lon 180
+        p = from_local_plane(GeoPoint(0, 180), (2e-9, 0))
+        assert p.lon == pytest.approx(180.0, abs=1e-9)
+
+
 class TestTraceInvariants:
+    @pytest.mark.parametrize("lat, lon, message", [
+        (1000.0, 5.0, "latitude 1000.0 outside [-90, 90]"),
+        (45.0, -180.0, "longitude -180.0 outside (-180, 180]"),
+        (45.0, 180.5, "longitude 180.5 outside (-180, 180]"),
+    ])
+    def test_rejects_out_of_range_coordinates(self, lat, lon, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trace("u", [lat] * 40, [lon] * 40, 30_000 * np.arange(40))
+
+    def test_range_error_names_the_first_bad_value(self):
+        with pytest.raises(ValueError, match=re.escape("latitude 95.0 outside")):
+            Trace("u", [0.0, 95.0, -99.0], [0.0, 0.0, 0.0], [0, 1, 2])
+        Trace("u", [90.0, -90.0], [180.0, -179.999], [0, 1])  # the closed ends are valid
+
     def test_rejects_mixed_users(self):
         records = (Record("a", GeoPoint(0, 0), 0), Record("b", GeoPoint(0, 0), 1))
         with pytest.raises(ValueError, match="user"):

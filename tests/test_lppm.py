@@ -16,7 +16,7 @@ from alp.lppm import (
     geo_i_sample_radius,
     promesse_obfuscate,
 )
-from alp.metrics import EVALUATOR_NAMES, default_robust_k
+from alp.metrics import EVALUATOR_NAMES
 from alp.optimizer import default_objectives, parse_objectives
 from alp.rng import RandomStream
 
@@ -216,10 +216,12 @@ def test_mechanism_table_is_consistent(name, gen):
     objectives = parse_objectives(entry.objectives)
     assert objectives and {o.evaluator_name for o in objectives} <= set(EVALUATOR_NAMES)
     assert default_objectives(name) == objectives
-    assert (default_robust_k(name) == 1) == entry.deterministic
     trace = random_walk_trace(gen, n=40, user="carol")
-    assignment = {d.name: d.values[0] for d in entry.domains}
-    assert apply_lppm(LppmConfig(name, assignment), trace, RandomStream(3)).user == "carol"
+    config = LppmConfig(name, {d.name: d.values[0] for d in entry.domains})
+    protected = apply_lppm(config, trace, RandomStream(3))
+    assert protected.user == "carol"
+    # a single replicate is enough exactly when the transform ignores its stream
+    assert (entry.robust_k == 1) == (protected == apply_lppm(config, trace, RandomStream(4)))
 
 
 class TestDomains:

@@ -193,22 +193,17 @@ def three_day_dataset():
 
 
 class TestRunConfig:
-    def test_static_baseline_requires_assignment(self):
-        with pytest.raises(ConfigurationError):
-            RunConfig(lppm_name="geo-i", mode="static-baseline")
-
-    def test_adaptive_modes_reject_assignment(self):
-        with pytest.raises(ConfigurationError):
-            RunConfig(lppm_name="geo-i", mode="offline", static_assignment={"epsilon": 0.01})
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            RunConfig(lppm_name="geo-i", mode="sideways")
+    def test_adaptive_modes_reject_assignment(self, trip_dataset):
+        # run_offline searches the domains; only run_online has a static baseline
+        config = RunConfig(lppm_name="geo-i", static_assignment={"epsilon": 0.01})
+        with pytest.raises(ConfigurationError,
+                           match="offline mode searches domains; drop the static assignment"):
+            run_offline(trip_dataset, config)
 
 
 class TestRunOffline:
     def test_report_shape_and_determinism(self, trip_dataset, tmp_path):
-        config = RunConfig(lppm_name="promesse", mode="offline", seed=11)
+        config = RunConfig(lppm_name="promesse", seed=11)
         report = run_offline(trip_dataset, config)
         assert len(report.rows) == 1
         row = report.rows[0]
@@ -224,18 +219,14 @@ class TestRunOffline:
         assert paths[0] == paths[1]
 
     def test_promesse_hides_planted_pois(self, trip_dataset):
-        config = RunConfig(lppm_name="promesse", mode="offline", seed=11)
+        config = RunConfig(lppm_name="promesse", seed=11)
         report = run_offline(trip_dataset, config)
         assert report.rows[0].metrics["pois"] == 0.0
-
-    def test_mode_checked(self, trip_dataset):
-        with pytest.raises(ConfigurationError):
-            run_offline(trip_dataset, RunConfig(lppm_name="promesse", mode="online"))
 
 
 class TestRunOnline:
     def test_one_row_per_batch_and_param_range(self, three_day_dataset):
-        config = RunConfig(lppm_name="promesse", mode="online", seed=5)
+        config = RunConfig(lppm_name="promesse", seed=5)
         report = run_online(three_day_dataset, config)
         assert len(report.rows) == 3
         chosen = [row.config.assignment["alpha"] for row in report.rows]
@@ -244,7 +235,7 @@ class TestRunOnline:
         assert set(report.param_cdf) == {"alpha"}
 
     def test_static_baseline_constant_choice(self, three_day_dataset):
-        config = RunConfig(lppm_name="geo-i", mode="static-baseline",
+        config = RunConfig(lppm_name="geo-i",
                            static_assignment={"epsilon": 0.01}, seed=5)
         report = run_online(three_day_dataset, config)
         assert len(report.rows) == 3
@@ -252,7 +243,7 @@ class TestRunOnline:
         assert report.per_user_param_range["epsilon"]["u000"] == 0.0
 
     def test_rows_match_non_empty_batches(self, three_day_dataset):
-        config = RunConfig(lppm_name="promesse", mode="online", seed=5)
+        config = RunConfig(lppm_name="promesse", seed=5)
         report = run_online(three_day_dataset, config)
         batches = [b for user, trace in three_day_dataset.merged_by_user().items()
                    for b in split_daily_batches(trace)]
@@ -261,7 +252,7 @@ class TestRunOnline:
 
     def test_round_trip_audit(self, three_day_dataset):
         # every row's metrics must be re-derivable from its recorded config
-        config = RunConfig(lppm_name="promesse", mode="online", seed=5)
+        config = RunConfig(lppm_name="promesse", seed=5)
         report = run_online(three_day_dataset, config)
         from alp.geo import CellGrid
 
@@ -288,7 +279,7 @@ class TestRunOnline:
                 return bind(self, raw)
 
             monkeypatch.setattr(cls, "bind", counted_bind)
-        config = RunConfig(lppm_name="geo-i", mode="online", seed=5,
+        config = RunConfig(lppm_name="geo-i", seed=5,
                            schedule=AnnealingSchedule(t_min=0.5))
         report = run_online(three_day_dataset, config)
         assert len(binds) == 3 * len(report.rows) == 9
