@@ -26,8 +26,8 @@ from pathlib import Path
 from .errors import AlpError
 from .geo import CellGrid, Dataset
 from .io import load_dataset, write_dataset_csv, write_json, write_rows_csv
-from .lppm import MECHANISMS, LppmConfig, apply_lppm, mechanism
-from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, median_of_k
+from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked
+from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, checked_robust_k, median_of_k
 from .optimizer import AnnealingSchedule, parse_objectives
 from .pipeline import Report, RunConfig, run_offline, run_online
 from .rng import RandomStream
@@ -298,10 +298,10 @@ def _cmd_synth(inv: CliInvocation) -> int:
 def _cmd_evaluate(inv: CliInvocation) -> int:
     _require(inv, "input")
     config = _static_config(inv)
+    k = checked_robust_k(inv.flags.get("robust_k", checked(config).robust_k))  # before the input is read
     dataset = load_dataset(inv.flags["input"])
     poi_params = _poi_params_from(inv.flags)
     grid = CellGrid(**_given(inv.flags, cell_size_m="cell_size"), ref_lat_deg=dataset.mean_latitude())
-    k = inv.flags.get("robust_k", mechanism(config.lppm_name).robust_k)
     root = RandomStream(inv.flags["seed"])
 
     lines = [f"{'user':<12} {'pois':>8} {'distortion_m':>14} {'coverage':>10}"]
@@ -317,16 +317,15 @@ def _cmd_evaluate(inv: CliInvocation) -> int:
 def _cmd_protect(inv: CliInvocation) -> int:
     _require(inv, "input")
     config = _static_config(inv)
+    checked(config)  # before the input is read
     dataset = load_dataset(inv.flags["input"])
     root = RandomStream(inv.flags["seed"])
     protected = Dataset(tuple(
         apply_lppm(config, trace, root.child("protect", user))
         for user, trace in dataset.merged_by_user().items()
     ))
-    out = inv.flags.get("out")
-    if not out:
-        stem = Path(inv.flags["input"]).stem
-        out = Path(inv.flags["input"]).with_name(f"{stem}_protected.csv")
+    source = Path(inv.flags["input"])
+    out = inv.flags.get("out") or source.with_name(f"{source.stem}_protected.csv")
     write_dataset_csv(protected, out)
     print(f"wrote {protected.total_records()} protected records to {out}")
     return 0
@@ -334,8 +333,8 @@ def _cmd_protect(inv: CliInvocation) -> int:
 
 def _cmd_tune(inv: CliInvocation) -> int:
     _require(inv, "input", "lppm")
-    dataset = load_dataset(inv.flags["input"])
     config = _run_config(inv)
+    dataset = load_dataset(inv.flags["input"])
     run_fn = run_offline if inv.command == "optimize" else run_online
     _write_report(run_fn(dataset, config), inv, f"{inv.command}_{config.lppm_name}")
     return 0

@@ -9,7 +9,9 @@ leave partial output behind.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import itertools
 import json
 import os
@@ -24,6 +26,7 @@ from .errors import DatasetLoadError
 from .geo import Dataset, GeoPoint, Trace, coordinates_in_range
 
 CSV_HEADER = ["user", "timestamp", "lat", "lon"]
+_CHUNK_ROWS = 4096  # rows of text formatted per write
 
 
 def parse_timestamp_ms(text: str) -> int:
@@ -57,15 +60,13 @@ def load_dataset(path) -> Dataset:
                 f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
             )
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            user = row[0].strip() if len(row) == 4 else ""
+            if not user:  # a bad field count, an empty user id or a blank row
+                if any(c.strip() for c in row):
+                    problems.append((line_no, "empty user id" if len(row) == 4
+                                     else f"expected 4 fields, got {len(row)}"))
                 continue
-            if len(row) != 4:
-                problems.append((line_no, f"expected 4 fields, got {len(row)}"))
-                continue
-            user = row[0].strip()
             try:
-                if not user:
-                    raise ValueError("empty user id")
                 time_ms = parse_timestamp_ms(row[1])
                 lat, lon = float(row[2]), float(row[3])
             except ValueError as exc:
@@ -104,25 +105,24 @@ def _atomic_write(path: Path, write_fn):
             write_fn(fh)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
 def write_dataset_csv(dataset: Dataset, path) -> Path:
-    """Write traces with epoch-millisecond timestamps; returns the path."""
+    """Write traces (epoch-ms timestamps, ``repr`` coordinates); returns the path."""
     path = Path(path)
 
     def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        csv.writer(fh).writerow(CSV_HEADER)
         for trace in dataset:
-            writer.writerows(zip(
-                itertools.repeat(trace.user), trace.time_ms.tolist(),
-                map(repr, trace.lat.tolist()), map(repr, trace.lon.tolist()),
-            ))
+            cell = io.StringIO()  # the user is the one cell csv may have to quote
+            csv.writer(cell).writerow([trace.user, ""])
+            user = cell.getvalue()[:-2]  # the quoted user and its comma, less csv's "\r\n"
+            rows = zip(trace.time_ms.tolist(), trace.lat.tolist(), trace.lon.tolist())
+            while chunk := [f"{user}{t},{a!r},{b!r}\r\n" for t, a, b in itertools.islice(rows, _CHUNK_ROWS)]:
+                fh.write("".join(chunk))
 
     _atomic_write(path, write)
     return path

@@ -86,32 +86,27 @@ class LppmConfig:
 # Planar Laplace noise (geo-indistinguishability)
 # ---------------------------------------------------------------------------
 
-def _radial_cdf(x):
-    """CDF of the planar-Laplace radius in units of 1/epsilon: 1 - (1+x)e^{-x}."""
-    return 1.0 - (1.0 + x) * np.exp(-x)
+_P_SERIES = 1e-5  # below it the series, above it Newton (see below)
 
 
 def _inverse_radial_cdf(epsilon: float, p: np.ndarray) -> np.ndarray:
-    """Solve 1 - (1+eps*r)e^{-eps*r} = p by bisection, vectorized over p.
+    """Radius r with 1 - (1 + eps*r)e^{-eps*r} = p, vectorized over p in [0, 1).
 
-    The bracket is grown geometrically, then 100 halvings push the absolute
-    error far below the 1e-9 relative tolerance of the sampler contract.
-    """
+    r = -(W₋₁((p-1)/e) + 1)/eps (Andrés et al., CCS 2013), W₋₁ the lower Lambert
+    W branch. For x = eps*r: below p = 1e-5, where x - log1p(x) cancels, the
+    branch-point series in sqrt(2p) (Corless et al. 1996); above, four Newton
+    steps on the convex x - log1p(x) = L = -log1p(-p), down from the upper bound
+    L + log1p(L + sqrt(2L)). Relative error against a 60-digit root: < 1e-13 on
+    [2^-53, 1 - 2^-53]. p = 0 gives 0."""
     p = np.asarray(p, dtype=float)
-    hi = 1.0
-    pmax = float(np.max(p)) if p.size else 0.0
-    while _radial_cdf(hi) < pmax:
-        hi *= 2.0
-        if hi > 2.0 ** 30:  # unreachable for p < 1
-            raise ValueError("failed to bracket radial quantile")
-    lo = np.zeros_like(p)
-    hi = np.full_like(p, hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        below = _radial_cdf(mid) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi) / epsilon
+    s = np.sqrt(2.0 * p)
+    series = s * (1.0 + s * (1.0 / 3.0 + s * (11.0 / 72.0 + s * (43.0 / 540.0 + s * (769.0 / 17280.0)))))
+    # The floor keeps the Newton arm, discarded below _P_SERIES, off 0/0.
+    target = np.maximum(-np.log1p(-p), _P_SERIES)
+    x = target + np.log1p(target + np.sqrt(2.0 * target))
+    for _ in range(4):
+        x -= (x - np.log1p(x) - target) * (1.0 + x) / x
+    return np.where(p < _P_SERIES, series, x) / epsilon
 
 
 def geo_i_sample_radius(epsilon: float, p):

@@ -312,14 +312,20 @@ def bind_evaluators(names: Sequence[str], raw: Trace, *,
     }
 
 
+def checked_robust_k(k: int) -> int:
+    """k, once it is odd and at least 1, so that a median of k is one of them."""
+    if k < 1 or k % 2 == 0:
+        raise ConfigurationError(f"robust_k must be an odd integer >= 1, got {k}")
+    return k
+
+
 def median_of_k(bound: dict, config: LppmConfig, raw: Trace, k: int, rng: RngLike) -> dict:
     """Median value of every bound evaluator over k protected replicates.
 
     Replicate i is obfuscated once, on the sub-stream ``rep/i``, and every
     bound evaluator scores that same protected trace.
     """
-    if k < 1 or k % 2 == 0:
-        raise ConfigurationError(f"robust_k must be an odd integer >= 1, got {k}")
+    checked_robust_k(k)
     stream = as_stream(rng)
     values = {name: [] for name in bound}
     for i in range(k):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
 from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism
-from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators
+from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, checked_robust_k, make_evaluator
 from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, default_objectives
 from .rng import RandomStream
 
@@ -65,7 +65,7 @@ class RunConfig:
     A ``static_assignment`` fixes the configuration of every unit instead of
     tuning it: the static baseline, which only :func:`run_online` runs.
     ``objectives`` and ``robust_k`` left at None take the mechanism's
-    defaults from ``MECHANISMS``.
+    defaults from ``MECHANISMS``, and every setting is checked here.
     """
 
     lppm_name: str
@@ -83,9 +83,11 @@ class RunConfig:
         if self.static_assignment is not None:
             checked(LppmConfig(self.lppm_name, self.static_assignment))
         objectives = default_objectives(self.lppm_name) if self.objectives is None else self.objectives
+        for objective in objectives:
+            make_evaluator(objective.evaluator_name)  # raises on an unknown name
         object.__setattr__(self, "objectives", tuple(objectives))
-        if self.robust_k is None:
-            object.__setattr__(self, "robust_k", entry.robust_k)
+        k = entry.robust_k if self.robust_k is None else self.robust_k
+        object.__setattr__(self, "robust_k", checked_robust_k(k))
 
     def describe(self, mode: str) -> dict:
         """JSON-ready snapshot recorded in every report."""
@@ -164,23 +166,21 @@ def _summaries(rows: Sequence[ReportRow]):
 def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
     """Tune (or fix) a configuration for one unit, protect it, measure it.
 
-    Each evaluator is bound to the raw trace once; the search and the row's
-    metrics share those bindings.
+    Each of ``EVALUATOR_NAMES`` is bound to the raw trace once; the search,
+    whose objectives name only these, and the row's metrics share them.
     """
     user, day = unit_key
     day_label = day.isoformat() if day is not None else "offline"
     root = RandomStream(config.seed).child(user, day_label)
 
-    objectives = config.objectives
-    bound = bind_evaluators(EVALUATOR_NAMES + tuple(o.evaluator_name for o in objectives), raw,
-                            poi_params=config.poi_params, cell_grid=grid)
-    cost_fn = ObjectiveCost(objectives, raw, bound, config.robust_k)
+    bound = bind_evaluators(EVALUATOR_NAMES, raw, poi_params=config.poi_params, cell_grid=grid)
+    cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k)
     if config.static_assignment is not None:
         chosen = LppmConfig(config.lppm_name, config.static_assignment)
         cost = cost_fn(chosen, root.child("cost"))
     else:
         result = anneal(config.lppm_name, MECHANISMS[config.lppm_name].domains, cost_fn,
-                        config.schedule, root.child("anneal"), n_objectives=len(objectives))
+                        config.schedule, root.child("anneal"), n_objectives=len(config.objectives))
         chosen = result.chosen(config.use_best)
         cost = result.best_cost if config.use_best else result.final_cost
 

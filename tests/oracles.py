@@ -2,10 +2,14 @@
 
 Everything here is deliberately simple and slow: plain loops, full pairwise
 tables, and textbook arithmetic, kept free of the vectorized shortcuts the
-library itself uses. The exception is ``scan_extract_pois``, which keeps the
-library's arithmetic so that the two can be compared exactly.
+library itself uses. The exceptions are ``scan_extract_pois`` and
+``csv_write_dataset``, which keep the library's former arithmetic and bytes
+so that the two can be compared exactly.
 """
 
+import csv
+import decimal
+import itertools
 import math
 
 import numpy as np
@@ -201,3 +205,36 @@ def monotone_arc_positions(path_xy, points_xy, tol_m=1e-6):
         positions.append(pos)
         last_pos = pos
     return positions
+
+
+def csv_write_dataset(dataset, fh):
+    """The plain writer: every row through ``csv.writer``, coordinates as ``repr``."""
+    writer = csv.writer(fh)
+    writer.writerow(["user", "timestamp", "lat", "lon"])
+    for trace in dataset:
+        writer.writerows(zip(
+            itertools.repeat(trace.user), trace.time_ms.tolist(),
+            map(repr, trace.lat.tolist()), map(repr, trace.lon.tolist()),
+        ))
+
+
+def decimal_radial_quantile(epsilon, p, digits=60):
+    """Planar-Laplace radius at radial-CDF level p, by Newton in ``digits``-digit decimals.
+
+    Solves x - ln(1 + x) = -ln(1 - p) for x = epsilon * r, which is
+    1 - (1 + x)e^{-x} = p rearranged. The left side is convex and increasing,
+    so Newton started above the root, at L + sqrt(2L), descends to it
+    monotonically. Returns a Decimal; p = 0 gives 0.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        target = -(1 - decimal.Decimal(p)).ln()
+        if target == 0:
+            return decimal.Decimal(0)
+        x = target + (2 * target).sqrt()
+        for _ in range(200):
+            step = (x - (1 + x).ln() - target) * (1 + x) / x
+            x -= step
+            if abs(step) <= x.scaleb(-digits + 5):
+                break
+        return x / decimal.Decimal(epsilon)

@@ -221,6 +221,55 @@ class TestStaticCommands:
         assert not out.exists()
 
 
+class TestSettingsCheckedBeforeInput:
+    """Settings that depend on flags alone fail before the input is opened."""
+
+    @pytest.mark.parametrize("extra, message", [
+        (["protect", "--lppm", "geo-i", "--param", "epsilon=inf"],
+         "epsilon must be positive and finite"),
+        (["evaluate", "--lppm", "geo-i", "--param", "epsilon=0.01", "--robust-k", "4"],
+         "robust_k must be an odd integer >= 1, got 4"),
+        (["evaluate", "--lppm", "promesse", "--param", "beta=3"],
+         "'promesse' config missing parameters: ['alpha']"),
+        (["online", "--lppm", "geo-i", "--robust-k", "2"],
+         "robust_k must be an odd integer >= 1, got 2"),
+        (["optimize", "--lppm", "geo-i", "--objectives", "min:nope"],
+         "unknown evaluator 'nope'; registered: coverage, distortion, pois"),
+        (["online", "--lppm", "promesse", "--param", "alpha=0"],
+         "alpha must be positive and finite"),
+    ], ids=["protect-epsilon", "evaluate-k", "evaluate-param", "online-k", "optimize-objective",
+            "online-static-param"])
+    def test_error_names_the_setting_not_the_missing_file(self, tmp_path, capsys, extra, message):
+        command, *flags = extra
+        argv = [command, "--input", str(tmp_path / "missing.csv"), *flags]
+        if command in ("online", "optimize"):
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLightCommandsSkipScipy:
+    def test_protect_and_synth_never_import_scipy(self, tmp_path):
+        # The distortion kd-tree imports scipy lazily and the radius sampler
+        # uses numpy alone, so neither command should pay for scipy.
+        data = tmp_path / "d.csv"
+        script = (
+            "import sys\n"
+            "from alp.cli import main\n"
+            f"assert main(['synth', '--users', '1', '--sample-period', '600', '--out', {str(data)!r}]) == 0\n"
+            f"assert main(['protect', '--input', {str(data)!r}, '--lppm', 'geo-i',"
+            " '--param', 'epsilon=0.01']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds this alp
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "d_protected.csv").exists()
+
+
 class TestPipelineCommands:
     def test_optimize_writes_report_files(self, tiny_input, tmp_path, capsys):
         out_dir = tmp_path / "rep"

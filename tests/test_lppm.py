@@ -1,4 +1,6 @@
+import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from alp.lppm import (
     MECHANISMS,
     LppmConfig,
     ParameterDomain,
+    _inverse_radial_cdf,
     apply_lppm,
     checked,
     geo_i_obfuscate,
@@ -21,7 +24,7 @@ from alp.optimizer import default_objectives, parse_objectives
 from alp.rng import RandomStream
 
 from conftest import points_of, random_walk_trace
-from oracles import monotone_arc_positions
+from oracles import decimal_radial_quantile, monotone_arc_positions
 
 ORIGIN = GeoPoint(45.0, 5.0)
 
@@ -53,6 +56,23 @@ class TestRadialSampling:
     def test_rejects_bad_arguments(self, epsilon, p):
         with pytest.raises(ValueError):
             geo_i_sample_radius(epsilon, p)
+
+    @pytest.mark.parametrize("epsilon", [0.001, 0.01, 1.0])
+    def test_matches_a_high_precision_root(self, epsilon):
+        # Both tails included: 2**-53 is the smallest non-zero uniform draw.
+        p = [2.0 ** -53, 1e-12, 1e-9, 1e-6, 0.5, 1 - 1e-9, 1 - 2.0 ** -53]
+        p += RandomStream(12, "radius-oracle").generator().uniform(size=200).tolist()
+        p += np.logspace(-15, -1, 29).tolist()  # across the series/Newton switch
+        radii = _inverse_radial_cdf(epsilon, np.array(p))
+        worst = max(abs(decimal.Decimal(r) / decimal_radial_quantile(epsilon, q) - 1)
+                    for q, r in zip(p, radii.tolist()))
+        assert worst <= decimal.Decimal("1e-12")
+
+    def test_zero_probability_gives_zero_radius_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            radii = _inverse_radial_cdf(0.01, np.array([0.0]))
+        assert radii.tolist() == [0.0]
 
     def test_radii_follow_radial_cdf(self):
         epsilon = 0.01

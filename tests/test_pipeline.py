@@ -1,14 +1,15 @@
+import io
 from collections import Counter
 from datetime import date
 
 import pytest
 
 from alp.errors import ConfigurationError, DatasetLoadError
-from alp.geo import GeoPoint, Record, Trace
+from alp.geo import Dataset, GeoPoint, Record, Trace
 from alp.io import load_dataset, parse_timestamp_ms, write_dataset_csv, write_json, write_rows_csv
 from alp.lppm import apply_lppm
 from alp.metrics import make_evaluator
-from alp.optimizer import AnnealingSchedule
+from alp.optimizer import AnnealingSchedule, Objective
 from alp.pipeline import (
     RunConfig,
     cdf_points,
@@ -18,6 +19,8 @@ from alp.pipeline import (
 )
 from alp.rng import RandomStream
 from alp.synth import SynthSpec, generate_synthetic_dataset
+
+from oracles import csv_write_dataset
 
 DAY_MS = 86_400_000
 
@@ -115,6 +118,20 @@ class TestLoadDataset:
             (11, "latitude -91.0 outside [-90, 90]"),
         ]
 
+    def test_blank_rows_skipped_but_a_blank_user_reported(self, tmp_path):
+        path = self.write(tmp_path, "user,timestamp,lat,lon\n"
+                                    "u1,1000,45,5\n"
+                                    ",,,\n"
+                                    " , \t,  , \n"
+                                    "\n"
+                                    '" ",1000,45,5\n'
+                                    "u1,2000,45,5\n")
+        with pytest.raises(DatasetLoadError) as err:
+            load_dataset(path)
+        assert err.value.problems == [(6, "empty user id")]
+        path = self.write(tmp_path, "user,timestamp,lat,lon\nu1,1000,45,5\n,,,\n , ,\t, \n")
+        assert load_dataset(path).traces[0].time_ms.tolist() == [1_000_000]
+
     def test_users_grouped_and_sorted_stably(self, tmp_path):
         path = self.write(tmp_path, "user,timestamp,lat,lon\n"
                                     "b,2000,1,1\na,3000,2,2\nb,1000,3,3\nb,2000,4,4\na,1000,5,5\n")
@@ -131,6 +148,20 @@ class TestLoadDataset:
         first = write_dataset_csv(syn.dataset, tmp_path / "first.csv")
         second = write_dataset_csv(load_dataset(first), tmp_path / "second.csv")
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("users", [
+        ("u000",),
+        ("a,b", 'say "hi"', "{x}", "}{", "two\nlines", "cr\rlf", " pad ", "{0}{1!r}%s"),
+    ], ids=["plain", "awkward"])
+    def test_writer_bytes_match_csv_writer(self, tmp_path, users):
+        # 30 s sampling over 2 days: 5,760 rows per user, more than one write chunk
+        base = generate_synthetic_dataset(SynthSpec(users=len(users), days=2, seed=5))
+        dataset = Dataset(tuple(Trace(user, t.lat, t.lon, t.time_ms)
+                                for user, t in zip(users, base.dataset)))
+        expected = io.StringIO(newline="")
+        csv_write_dataset(dataset, expected)
+        path = write_dataset_csv(dataset, tmp_path / "out.csv")
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_round_trip_through_writer(self, tmp_path):
         syn = generate_synthetic_dataset(SynthSpec(users=2, days=1, seed=3,
@@ -199,6 +230,17 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError,
                            match="offline mode searches domains; drop the static assignment"):
             run_offline(trip_dataset, config)
+
+    @pytest.mark.parametrize("k", [0, -1, 2, 4])
+    def test_bad_robust_k_rejected_on_construction(self, k):
+        with pytest.raises(ConfigurationError) as err:
+            RunConfig("geo-i", robust_k=k)
+        assert str(err.value) == f"robust_k must be an odd integer >= 1, got {k}"
+
+    def test_unknown_objective_rejected_on_construction(self):
+        with pytest.raises(ConfigurationError) as err:
+            RunConfig("promesse", objectives=(Objective("pois", True), Objective("nope", False)))
+        assert str(err.value) == "unknown evaluator 'nope'; registered: coverage, distortion, pois"
 
 
 class TestRunOffline:
