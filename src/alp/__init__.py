@@ -45,7 +45,6 @@ from .optimizer import (
     restrict_by_half,
 )
 from .pipeline import (
-    Batch,
     Report,
     ReportRow,
     RunConfig,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealResult",
     "AnnealingSchedule",
-    "Batch",
     "CellGrid",
     "Dataset",
     "GeoPoint",

@@ -48,15 +48,17 @@ class CliInvocation:
 
 def _parse_param_items(items) -> dict:
     assignment = {}
-    for item in items:
-        for part in str(item).split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"bad --param {part!r}: want name=value")
-            name, value = part.split("=", 1)
-            assignment[name.strip()] = float(value)
+    parts = (part.strip() for item in items for part in str(item).split(","))
+    for part in filter(None, parts):
+        if "=" not in part:
+            raise ValueError(f"bad --param {part!r}: want name=value")
+        name, value = (s.strip() for s in part.split("=", 1))
+        if name in assignment:
+            raise ValueError(f"--param {name!r} given twice")
+        try:
+            assignment[name] = float(value)
+        except ValueError:
+            raise ValueError(f"bad --param {part!r}: {value!r} is not a number") from None
     return assignment
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geo import EARTH_RADIUS_M, GeoPoint, Trace, _wrap_degrees, latlon_from_local, local_xy
-from .rng import RngLike, as_generator
+from .rng import RandomStream
 
 _TWO_PI = 2.0 * math.pi
 
@@ -123,7 +123,7 @@ def geo_i_sample_radius(epsilon: float, p):
     return float(radii) if np.isscalar(p) or arr.ndim == 0 else radii
 
 
-def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RngLike) -> Trace:
+def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RandomStream) -> Trace:
     """Displace every record independently with planar-Laplace noise.
 
     Each point is moved by (r, theta) in its own tangent plane, with theta
@@ -135,7 +135,7 @@ def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RngLike) -> Trace:
     n = len(trace)
     if n == 0:
         return trace
-    gen = as_generator(rng)
+    gen = rng.generator()
     p = gen.uniform(size=n)
     theta = gen.uniform(0.0, _TWO_PI, size=n)
     r = _inverse_radial_cdf(epsilon, p)
@@ -258,6 +258,6 @@ def checked(config: LppmConfig) -> Mechanism:
     return entry
 
 
-def apply_lppm(config: LppmConfig, trace: Trace, rng: RngLike) -> Trace:
+def apply_lppm(config: LppmConfig, trace: Trace, rng: RandomStream) -> Trace:
     """Obfuscate a trace under a named mechanism and parameter assignment."""
     return checked(config).transform(trace, config.assignment, rng)

@@ -31,7 +31,7 @@ from .geo import (
     sphere_xyz,
 )
 from .lppm import LppmConfig, apply_lppm
-from .rng import RngLike, as_stream
+from .rng import RandomStream
 
 # Slack of the distance bounds in extract_pois, far above their rounding.
 _MARGIN_M = 1e-6
@@ -319,17 +319,16 @@ def checked_robust_k(k: int) -> int:
     return k
 
 
-def median_of_k(bound: dict, config: LppmConfig, raw: Trace, k: int, rng: RngLike) -> dict:
+def median_of_k(bound: dict, config: LppmConfig, raw: Trace, k: int, rng: RandomStream) -> dict:
     """Median value of every bound evaluator over k protected replicates.
 
     Replicate i is obfuscated once, on the sub-stream ``rep/i``, and every
     bound evaluator scores that same protected trace.
     """
     checked_robust_k(k)
-    stream = as_stream(rng)
     values = {name: [] for name in bound}
     for i in range(k):
-        protected = apply_lppm(config, raw, stream.child("rep", i))
+        protected = apply_lppm(config, raw, rng.child("rep", i))
         for name, evaluate in bound.items():
             values[name].append(evaluate(protected))
     return {name: sorted(vs)[k // 2] for name, vs in values.items()}

@@ -14,11 +14,13 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .geo import Trace
 from .lppm import LppmConfig, ParameterDomain, mechanism
 from .metrics import median_of_k
-from .rng import RandomStream, RngLike, as_generator, as_stream
+from .rng import RandomStream
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,9 @@ class AnnealResult:
     iterations: int
     cost_trace: tuple
 
-    def chosen(self, use_best: bool = True) -> LppmConfig:
-        return self.best_state if use_best else self.final_state
+    def chosen(self, use_best: bool = True) -> tuple:
+        """(state, cost): the best-seen pair, or the final one."""
+        return (self.best_state, self.best_cost) if use_best else (self.final_state, self.final_cost)
 
 
 def acceptance_probability(c: float, c2: float, t: float, n_objectives: int) -> float:
@@ -114,11 +117,10 @@ def acceptance_probability(c: float, c2: float, t: float, n_objectives: int) -> 
     return 1.0 / (1.0 + math.exp(exponent))
 
 
-def initial_state(lppm_name: str, domains: Sequence[ParameterDomain], rng: RngLike) -> LppmConfig:
+def initial_state(lppm_name: str, domains: Sequence[ParameterDomain], gen: np.random.Generator) -> LppmConfig:
     """Independent uniform draw over each domain's indices."""
     if not domains:
         raise ConfigurationError("at least one parameter domain is required")
-    gen = as_generator(rng)
     assignment = {d.name: d.values[int(gen.integers(len(d)))] for d in domains}
     return LppmConfig(lppm_name, assignment)
 
@@ -138,9 +140,8 @@ def restrict_by_half(domain: ParameterDomain, current: float) -> list:
     return candidates if candidates else [domain.values[i]]
 
 
-def neighbour(state: LppmConfig, domains: Sequence[ParameterDomain], rng: RngLike) -> LppmConfig:
+def neighbour(state: LppmConfig, domains: Sequence[ParameterDomain], gen: np.random.Generator) -> LppmConfig:
     """Change exactly one uniformly chosen parameter within its halved window."""
-    gen = as_generator(rng)
     domain = domains[int(gen.integers(len(domains)))]
     candidates = restrict_by_half(domain, state.assignment[domain.name])
     assignment = dict(state.assignment)
@@ -152,25 +153,25 @@ CostFn = Callable[[LppmConfig, RandomStream], float]
 
 
 def anneal(lppm_name: str, domains: Sequence[ParameterDomain], cost_fn: CostFn,
-           schedule: AnnealingSchedule, rng: RngLike, n_objectives: int = 1) -> AnnealResult:
+           schedule: AnnealingSchedule, rng: RandomStream, n_objectives: int = 1) -> AnnealResult:
     """Run the annealing loop and return final plus best-seen states.
 
-    The chain (initial draw, neighbour picks, acceptance uniforms) consumes
-    one generator; every cost evaluation gets its own labelled sub-stream,
+    The chain (initial draw, neighbour picks, acceptance uniforms) is one
+    generator from ``rng/chain``, shared by :func:`initial_state` and
+    :func:`neighbour`; cost evaluation j gets the sub-stream ``rng/eval/j``,
     so results are independent of how the cost function uses randomness.
     """
-    stream = as_stream(rng)
-    chain = stream.child("chain").generator()
+    chain = rng.child("chain").generator()
 
     state = initial_state(lppm_name, domains, chain)
-    cost = cost_fn(state, stream.child("eval", 0))
+    cost = cost_fn(state, rng.child("eval", 0))
     best_state, best_cost = state, cost
 
     trace = []
     iterations = 0
     for t in schedule.temperatures():
         candidate = neighbour(state, domains, chain)
-        candidate_cost = cost_fn(candidate, stream.child("eval", iterations + 1))
+        candidate_cost = cost_fn(candidate, rng.child("eval", iterations + 1))
         if candidate_cost < best_cost:
             best_state, best_cost = candidate, candidate_cost
         if acceptance_probability(cost, candidate_cost, t, n_objectives) >= chain.uniform():
@@ -199,7 +200,7 @@ class ObjectiveCost:
         self.robust_k = robust_k
         self._bound = {o.evaluator_name: bound[o.evaluator_name] for o in self.objectives}
 
-    def __call__(self, state: LppmConfig, rng: RngLike) -> float:
+    def __call__(self, state: LppmConfig, rng: RandomStream) -> float:
         medians = median_of_k(self._bound, state, self.ref, self.robust_k, rng)
         total = 0.0
         for o in self.objectives:

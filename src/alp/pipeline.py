@@ -25,22 +25,14 @@ from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, chec
 from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, default_objectives
 from .rng import RandomStream
 
-@dataclass(frozen=True)
-class Batch:
-    """One user's records within one UTC calendar day."""
-
-    user: str
-    day: date
-    trace: Trace
-
 
 def split_daily_batches(trace: Trace) -> list:
-    """Partition a trace by UTC day (half-open: midnight starts the new day)."""
+    """Partition a trace by UTC day (half-open: midnight starts the new day)
+    into ``(day, trace)`` pairs, one per non-empty day, in order."""
     days = np.unique(trace.time_ms // MS_PER_DAY)
     bounds = np.append(np.searchsorted(trace.time_ms, days * MS_PER_DAY), len(trace))
     return [
-        Batch(trace.user, utc_day(day * MS_PER_DAY),
-              Trace(trace.user, trace.lat[a:b], trace.lon[a:b], trace.time_ms[a:b]))
+        (utc_day(day * MS_PER_DAY), Trace(trace.user, trace.lat[a:b], trace.lon[a:b], trace.time_ms[a:b]))
         for day, a, b in zip(days.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
     ]
 
@@ -83,6 +75,8 @@ class RunConfig:
         if self.static_assignment is not None:
             checked(LppmConfig(self.lppm_name, self.static_assignment))
         objectives = default_objectives(self.lppm_name) if self.objectives is None else self.objectives
+        if not objectives:
+            raise ConfigurationError("at least one objective is required")
         for objective in objectives:
             make_evaluator(objective.evaluator_name)  # raises on an unknown name
         object.__setattr__(self, "objectives", tuple(objectives))
@@ -181,8 +175,7 @@ def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
     else:
         result = anneal(config.lppm_name, MECHANISMS[config.lppm_name].domains, cost_fn,
                         config.schedule, root.child("anneal"), n_objectives=len(config.objectives))
-        chosen = result.chosen(config.use_best)
-        cost = result.best_cost if config.use_best else result.final_cost
+        chosen, cost = result.chosen(config.use_best)
 
     protected = apply_lppm(chosen, raw, root.child("protect"))
     metrics = {name: bound[name](protected) for name in EVALUATOR_NAMES}
@@ -211,9 +204,7 @@ def run_online(dataset: Dataset, config: RunConfig) -> Report:
     """One configuration per non-empty (user, UTC day) batch: tuned, or the
     static assignment when the config holds one."""
     grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
-    units = []
-    for user, trace in dataset.merged_by_user().items():
-        for batch in split_daily_batches(trace):
-            units.append(((batch.user, batch.day), batch.trace))
+    units = [((user, day), batch) for user, trace in dataset.merged_by_user().items()
+             for day, batch in split_daily_batches(trace)]
     mode = "online" if config.static_assignment is None else "static-baseline"
     return _run_units(units, config, grid, mode)

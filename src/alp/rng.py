@@ -1,21 +1,18 @@
 """Reproducible random streams.
 
-Every stochastic operation in the toolkit draws from a :class:`RandomStream`,
-a value object identified by a 64-bit seed and a string label. Identical
-(seed, label) pairs always reproduce identical draw sequences, and child
-streams are derived from labels rather than from draw order, so results do
-not depend on scheduling or worker count.
+Every stochastic function takes a :class:`RandomStream`, a value object
+identified by a 64-bit seed and a string label. Identical (seed, label) pairs
+reproduce identical draws, and child streams derive from labels, not from draw
+order, so results do not depend on the order units run in. A numpy ``Generator``
+is only a sequence that one function draws from, such as the annealing chain.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
-
-RngLike = Union["RandomStream", np.random.Generator, int]
 
 
 @dataclass(frozen=True)
@@ -36,23 +33,3 @@ class RandomStream:
         digest = hashlib.sha256(f"{self.seed}\x1f{self.label}".encode()).digest()
         words = np.frombuffer(digest, dtype=np.uint32).tolist()
         return np.random.default_rng(np.random.SeedSequence(words))
-
-
-def as_generator(rng: RngLike) -> np.random.Generator:
-    """Coerce a stream, generator, or bare seed into a numpy Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RandomStream):
-        return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return RandomStream(int(rng)).generator()
-    raise TypeError(f"cannot use {type(rng).__name__} as a random source")
-
-
-def as_stream(rng: RngLike) -> RandomStream:
-    """Coerce to a RandomStream; generators are not accepted (no stable label)."""
-    if isinstance(rng, RandomStream):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return RandomStream(int(rng))
-    raise TypeError(f"cannot use {type(rng).__name__} as a labelled random stream")

@@ -237,8 +237,10 @@ class TestSettingsCheckedBeforeInput:
          "unknown evaluator 'nope'; registered: coverage, distortion, pois"),
         (["online", "--lppm", "promesse", "--param", "alpha=0"],
          "alpha must be positive and finite"),
+        (["online", "--lppm", "geo-i", "--objectives", ","],
+         "at least one objective is required"),
     ], ids=["protect-epsilon", "evaluate-k", "evaluate-param", "online-k", "optimize-objective",
-            "online-static-param"])
+            "online-static-param", "online-no-objective"])
     def test_error_names_the_setting_not_the_missing_file(self, tmp_path, capsys, extra, message):
         command, *flags = extra
         argv = [command, "--input", str(tmp_path / "missing.csv"), *flags]
@@ -247,6 +249,29 @@ class TestSettingsCheckedBeforeInput:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParamItems:
+    """Each ``--param`` name is given once, with a number, in whatever form."""
+
+    @pytest.mark.parametrize("params, config_lines, message", [
+        (["epsilon=0.01", "epsilon=5"], "", "--param 'epsilon' given twice"),
+        (["epsilon=0.01,epsilon=0.02"], "", "--param 'epsilon' given twice"),
+        ([], "param = epsilon=0.01\nparam = epsilon=5\n", "--param 'epsilon' given twice"),
+        (["epsilon=abc"], "", "bad --param 'epsilon=abc': 'abc' is not a number"),
+    ], ids=["repeated-flag", "comma-list", "config-lines", "not-a-number"])
+    def test_bad_item_fails_without_output(self, tiny_input, tmp_path, capsys, params,
+                                           config_lines, message):
+        config = tmp_path / "run.conf"
+        config.write_text(config_lines)
+        out = tmp_path / "p.csv"
+        argv = ["protect", "--config", str(config), "--input", str(tiny_input), "--lppm", "geo-i",
+                "--out", str(out)]
+        for param in params:
+            argv += ["--param", param]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestLightCommandsSkipScipy:

@@ -135,23 +135,23 @@ class TestAcceptanceProbability:
 class TestInitialState:
     def test_singleton_domains(self):
         domains = [ParameterDomain("a", (3.0,)), ParameterDomain("b", (7.0,))]
-        state = initial_state("geo-i", domains, RandomStream(0))
+        state = initial_state("geo-i", domains, RandomStream(0).generator())
         assert state.assignment == {"a": 3.0, "b": 7.0}
 
     def test_seeded_regression(self):
-        state = initial_state("geo-i", MECHANISMS["geo-i"].domains, RandomStream(123, "init"))
+        state = initial_state("geo-i", MECHANISMS["geo-i"].domains, RandomStream(123, "init").generator())
         assert state.assignment["epsilon"] == pytest.approx(0.0022908676527677724, rel=1e-15)
 
     def test_draws_stay_in_domains(self):
         domains = [DOMAIN_1_5, DOMAIN_101]
         for seed in range(1000):
-            state = initial_state("geo-i", domains, RandomStream(seed))
+            state = initial_state("geo-i", domains, RandomStream(seed).generator())
             assert state.assignment["a"] in DOMAIN_1_5.values
             assert state.assignment["x"] in DOMAIN_101.values
 
     def test_empty_domains_rejected(self):
         with pytest.raises(ConfigurationError):
-            initial_state("geo-i", [], RandomStream(0))
+            initial_state("geo-i", [], RandomStream(0).generator())
 
 
 class TestRestrictByHalf:
@@ -182,19 +182,19 @@ class TestNeighbour:
     def test_single_parameter_window(self):
         state = LppmConfig("geo-i", {"a": 2.0})
         for seed in range(50):
-            nxt = neighbour(state, [DOMAIN_1_5], RandomStream(seed))
+            nxt = neighbour(state, [DOMAIN_1_5], RandomStream(seed).generator())
             assert nxt.assignment["a"] in (1.0, 3.0)
 
     def test_singleton_domain_keeps_state(self):
         domain = ParameterDomain("a", (7.0,))
         state = LppmConfig("geo-i", {"a": 7.0})
-        assert neighbour(state, [domain], RandomStream(0)) == state
+        assert neighbour(state, [domain], RandomStream(0).generator()) == state
 
     def test_changes_exactly_one_coordinate(self):
         domains = [DOMAIN_1_5, DOMAIN_101]
         state = LppmConfig("geo-i", {"a": 3.0, "x": 50.0})
         for seed in range(1000):
-            nxt = neighbour(state, domains, RandomStream(seed))
+            nxt = neighbour(state, domains, RandomStream(seed).generator())
             changed = sum(nxt.assignment[k] != state.assignment[k] for k in ("a", "x"))
             assert changed == 1
 

@@ -7,9 +7,9 @@ import pytest
 from alp.errors import ConfigurationError, DatasetLoadError
 from alp.geo import Dataset, GeoPoint, Record, Trace
 from alp.io import load_dataset, parse_timestamp_ms, write_dataset_csv, write_json, write_rows_csv
-from alp.lppm import apply_lppm
+from alp.lppm import LppmConfig, apply_lppm
 from alp.metrics import make_evaluator
-from alp.optimizer import AnnealingSchedule, Objective
+from alp.optimizer import AnnealingSchedule, AnnealResult, Objective
 from alp.pipeline import (
     RunConfig,
     cdf_points,
@@ -177,19 +177,20 @@ class TestDailyBatches:
 
     def test_two_days(self):
         batches = split_daily_batches(self.trace([0, 1000, DAY_MS + 5]))
-        assert [b.day for b in batches] == [date(1970, 1, 1), date(1970, 1, 2)]
-        assert [len(b.trace) for b in batches] == [2, 1]
+        assert [day for day, _ in batches] == [date(1970, 1, 1), date(1970, 1, 2)]
+        assert [len(batch) for _, batch in batches] == [2, 1]
+        assert [batch.user for _, batch in batches] == ["u", "u"]
 
     def test_empty_trace(self):
         assert split_daily_batches(Trace("u")) == []
 
     def test_midnight_starts_new_day(self):
         batches = split_daily_batches(self.trace([DAY_MS - 1, DAY_MS]))
-        assert [b.day for b in batches] == [date(1970, 1, 1), date(1970, 1, 2)]
+        assert [day for day, _ in batches] == [date(1970, 1, 1), date(1970, 1, 2)]
 
     def test_no_empty_batches_with_day_gaps(self):
         batches = split_daily_batches(self.trace([0, 3 * DAY_MS]))
-        assert [b.day for b in batches] == [date(1970, 1, 1), date(1970, 1, 4)]
+        assert [day for day, _ in batches] == [date(1970, 1, 1), date(1970, 1, 4)]
 
 
 class TestCdfPoints:
@@ -242,6 +243,11 @@ class TestRunConfig:
             RunConfig("promesse", objectives=(Objective("pois", True), Objective("nope", False)))
         assert str(err.value) == "unknown evaluator 'nope'; registered: coverage, distortion, pois"
 
+    def test_empty_objectives_rejected_on_construction(self):
+        with pytest.raises(ConfigurationError) as err:
+            RunConfig("geo-i", objectives=())
+        assert str(err.value) == "at least one objective is required"
+
 
 class TestRunOffline:
     def test_report_shape_and_determinism(self, trip_dataset, tmp_path):
@@ -276,6 +282,16 @@ class TestRunOnline:
         assert report.per_user_param_range["alpha"]["u000"] == pytest.approx(expected_range)
         assert set(report.param_cdf) == {"alpha"}
 
+    @pytest.mark.parametrize("use_best", [True, False])
+    def test_row_reports_the_chosen_state_with_its_cost(self, three_day_dataset, monkeypatch,
+                                                        use_best):
+        best, final = LppmConfig("promesse", {"alpha": 100.0}), LppmConfig("promesse", {"alpha": 300.0})
+        result = AnnealResult(best, 0.25, final, 0.75, iterations=1, cost_trace=((1.0, 0.75),))
+        monkeypatch.setattr("alp.pipeline.anneal", lambda *args, **kwargs: result)
+        report = run_online(three_day_dataset, RunConfig("promesse", seed=5, use_best=use_best))
+        expected = (best, 0.25) if use_best else (final, 0.75)
+        assert [(row.config, row.cost) for row in report.rows] == [expected] * 3
+
     def test_static_baseline_constant_choice(self, three_day_dataset):
         config = RunConfig(lppm_name="geo-i",
                            static_assignment={"epsilon": 0.01}, seed=5)
@@ -287,10 +303,10 @@ class TestRunOnline:
     def test_rows_match_non_empty_batches(self, three_day_dataset):
         config = RunConfig(lppm_name="promesse", seed=5)
         report = run_online(three_day_dataset, config)
-        batches = [b for user, trace in three_day_dataset.merged_by_user().items()
-                   for b in split_daily_batches(trace)]
-        assert len(report.rows) == len(batches)
-        assert [(r.user, r.day) for r in report.rows] == [(b.user, b.day) for b in batches]
+        keys = [(user, day) for user, trace in three_day_dataset.merged_by_user().items()
+                for day, _ in split_daily_batches(trace)]
+        assert len(report.rows) == len(keys)
+        assert [(r.user, r.day) for r in report.rows] == keys
 
     def test_round_trip_audit(self, three_day_dataset):
         # every row's metrics must be re-derivable from its recorded config
@@ -299,9 +315,9 @@ class TestRunOnline:
         from alp.geo import CellGrid
 
         grid = CellGrid(config.cell_size_m, three_day_dataset.mean_latitude())
-        batches = {(b.user, b.day): b.trace
+        batches = {(user, day): batch
                    for user, trace in three_day_dataset.merged_by_user().items()
-                   for b in split_daily_batches(trace)}
+                   for day, batch in split_daily_batches(trace)}
         for row in report.rows:
             raw = batches[(row.user, row.day)]
             rng = RandomStream(config.seed).child(row.user, row.day.isoformat(), "protect")

@@ -1,6 +1,6 @@
 import numpy as np
 
-from alp.rng import RandomStream, as_generator
+from alp.rng import RandomStream
 
 
 def test_same_seed_and_label_reproduce_draws():
@@ -22,9 +22,3 @@ def test_child_streams_are_order_independent():
     again = root.child("u1", "2020-01-01").generator().uniform()
     assert first == again
 
-
-def test_as_generator_accepts_int_stream_and_generator():
-    g = np.random.default_rng(3)
-    assert as_generator(g) is g
-    assert isinstance(as_generator(5), np.random.Generator)
-    assert isinstance(as_generator(RandomStream(5)), np.random.Generator)
