@@ -9,11 +9,8 @@ from .geo import (
     CellGrid,
     Dataset,
     GeoPoint,
-    Record,
     Trace,
     distance_meters,
-    from_local_plane,
-    to_local_plane,
 )
 from .lppm import (
     LppmConfig,
@@ -70,7 +67,6 @@ __all__ = [
     "Poi",
     "PoiClusteringParams",
     "RandomStream",
-    "Record",
     "Report",
     "ReportRow",
     "RunConfig",
@@ -84,7 +80,6 @@ __all__ = [
     "cdf_points",
     "distance_meters",
     "extract_pois",
-    "from_local_plane",
     "generate_synthetic_dataset",
     "geo_i_obfuscate",
     "geo_i_sample_radius",
@@ -100,5 +95,4 @@ __all__ = [
     "run_offline",
     "run_online",
     "split_daily_batches",
-    "to_local_plane",
 ]

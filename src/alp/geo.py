@@ -4,6 +4,10 @@ Coordinates are WGS84-style latitude/longitude degrees treated as points on
 a sphere of radius 6,371,000 m. Distances are great-circle (haversine).
 Small-extent planar work (noise displacement, path resampling, centroids)
 happens in an equirectangular tangent plane anchored at a local origin.
+
+A :class:`Trace` holds one user's positions as columns; its constructor is
+the only way to build one. :class:`GeoPoint` is the single-point type, and
+both accept exactly the positions that :func:`coordinate_problems` passes.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -28,25 +32,9 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ValueError("coordinates must be finite")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} outside [-90, 90]")
-        if not -180.0 < self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} outside (-180, 180]")
-
-
-@dataclass(frozen=True)
-class Record:
-    """One user's position at one instant (epoch milliseconds, UTC)."""
-
-    user: str
-    point: GeoPoint
-    time_ms: int
-
-    def __post_init__(self):
-        if not self.user:
-            raise ValueError("record user id must be non-empty")
+        problems = coordinate_problems(self.lat, self.lon)
+        if problems:
+            raise ValueError(problems[0][1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +43,9 @@ class Trace:
 
     ``lat`` and ``lon`` are float64 degrees in GeoPoint's ranges and ``time_ms``
     int64 epoch milliseconds (UTC); all three are read-only numpy arrays of one
-    length.
+    length. The constructor copies the columns, checks them and does not sort
+    them: a bad position raises the first message of
+    :func:`coordinate_problems`, and a decreasing timestamp raises too.
     """
 
     user: str
@@ -74,27 +64,11 @@ class Trace:
         if not (lat.ndim == lon.ndim == time_ms.ndim == 1
                 and len(lat) == len(lon) == len(time_ms)):
             raise ValueError("trace columns must be 1-D arrays of equal lengths")
-        if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
-            raise ValueError("coordinates must be finite")
-        in_range = coordinates_in_range(lat, lon)
-        if not in_range.all():
-            first = int(np.argmin(in_range))
-            GeoPoint(float(lat[first]), float(lon[first]))  # raises, worded per coordinate
+        problems = coordinate_problems(lat, lon)
+        if problems:
+            raise ValueError(problems[0][1])
         if np.any(time_ms[1:] < time_ms[:-1]):
             raise ValueError("record timestamps must be non-decreasing")
-
-    @classmethod
-    def from_records(cls, records: Iterable[Record]) -> "Trace":
-        """Columns from per-point records of one user, sorted by time (stable)."""
-        records = sorted(records, key=lambda r: r.time_ms)
-        if not records:
-            raise ValueError("cannot infer user id from an empty record list")
-        user = records[0].user
-        for r in records:
-            if r.user != user:
-                raise ValueError(f"record user {r.user!r} differs from trace user {user!r}")
-        return cls(user, [r.point.lat for r in records], [r.point.lon for r in records],
-                   [r.time_ms for r in records])
 
     def __len__(self) -> int:
         return len(self.time_ms)
@@ -152,8 +126,25 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Distance and projection math (vectorized core, scalar wrappers)
+# Coordinate checks, distance and projection math (vectorized)
 # ---------------------------------------------------------------------------
+
+def coordinate_problems(lat, lon) -> list:
+    """``(index, message)`` for each bad position of two degree arrays (or
+    scalars): the non-finite ones first, then those with a latitude outside
+    [-90, 90] or a longitude outside (-180, 180], each in index order."""
+    # [()] makes a scalar's 0-d array a numpy scalar, whose tests are cheaper.
+    lat, lon = np.asarray(lat, dtype=float)[()], np.asarray(lon, dtype=float)[()]
+    ok_lat, ok_lon = (lat >= -90.0) & (lat <= 90.0), (lon > -180.0) & (lon <= 180.0)
+    if (ok_lat & ok_lon).all():  # NaN fails every comparison
+        return []
+    lat, lon, ok_lat, ok_lon = map(np.ravel, (lat, lon, ok_lat, ok_lon))
+    finite = np.isfinite(lat) & np.isfinite(lon)
+    problems = [(i, "coordinates must be finite") for i in np.flatnonzero(~finite).tolist()]
+    return problems + [(i, f"latitude {float(lat[i])} outside [-90, 90]" if not ok_lat[i]
+                        else f"longitude {float(lon[i])} outside (-180, 180]")
+                       for i in np.flatnonzero(finite & ~(ok_lat & ok_lon)).tolist()]
+
 
 def haversine_m(lat1, lon1, lat2, lon2):
     """Great-circle distance in meters between degree coordinates (vectorized)."""
@@ -168,11 +159,6 @@ def haversine_m(lat1, lon1, lat2, lon2):
 def distance_meters(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in meters."""
     return float(haversine_m(a.lat, a.lon, b.lat, b.lon))
-
-
-def coordinates_in_range(lat, lon):
-    """Mask of the positions GeoPoint accepts (NaN fails it)."""
-    return (lat >= -90.0) & (lat <= 90.0) & (lon > -180.0) & (lon <= 180.0)
 
 
 def _wrap_degrees(lon):
@@ -198,18 +184,6 @@ def latlon_from_local(origin: GeoPoint, x, y):
     lat = origin.lat + np.degrees(np.asarray(y, dtype=float) / EARTH_RADIUS_M)
     lon = origin.lon + np.degrees(np.asarray(x, dtype=float) / (EARTH_RADIUS_M * math.cos(phi0)))
     return np.clip(lat, -90.0, 90.0), _wrap_degrees(lon)
-
-
-def to_local_plane(origin: GeoPoint, p: GeoPoint):
-    """Project p into the tangent plane at origin; returns (x_east_m, y_north_m)."""
-    x, y = local_xy(origin, p.lat, p.lon)
-    return float(x), float(y)
-
-
-def from_local_plane(origin: GeoPoint, xy) -> GeoPoint:
-    """Map plane offsets in meters back to a geographic point."""
-    lat, lon = latlon_from_local(origin, xy[0], xy[1])
-    return GeoPoint(float(lat), float(lon))
 
 
 def sphere_xyz(lat, lon):
@@ -243,17 +217,12 @@ class CellGrid:
         if not self.cell_size_m > 0:
             raise ValueError("cell size must be positive")
 
-    def indices_of(self, lat, lon):
-        """(ix, iy) integer arrays for degree coordinate arrays."""
+    def cells_of(self, lat, lon) -> set:
+        """The set of (ix, iy) cells touched by degree coordinate arrays."""
         scale = EARTH_RADIUS_M * math.cos(math.radians(self.ref_lat_deg))
         ix = np.floor(np.radians(np.asarray(lon, dtype=float)) * scale / self.cell_size_m)
         iy = np.floor(np.radians(np.asarray(lat, dtype=float)) * EARTH_RADIUS_M / self.cell_size_m)
-        return ix.astype(np.int64), iy.astype(np.int64)
-
-    def cells_of(self, lat, lon) -> set:
-        """The set of (ix, iy) cells touched by degree coordinate arrays."""
-        ix, iy = self.indices_of(lat, lon)
-        return set(zip(ix.tolist(), iy.tolist()))
+        return set(zip(ix.astype(np.int64).tolist(), iy.astype(np.int64).tolist()))
 
 
 # ---------------------------------------------------------------------------

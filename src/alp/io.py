@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetLoadError
-from .geo import Dataset, GeoPoint, Trace, coordinates_in_range
+from .geo import Dataset, Trace, coordinate_problems
 
 CSV_HEADER = ["user", "timestamp", "lat", "lon"]
 _CHUNK_ROWS = 4096  # rows of text formatted per write
@@ -52,40 +52,46 @@ def load_dataset(path) -> Dataset:
     path = Path(path)
     problems = []
     columns: dict = defaultdict(lambda: ([], [], [], []))
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != CSV_HEADER:
-            raise DatasetLoadError(
-                f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            user = row[0].strip() if len(row) == 4 else ""
-            if not user:  # a bad field count, an empty user id or a blank row
-                if any(c.strip() for c in row):
-                    problems.append((line_no, "empty user id" if len(row) == 4
-                                     else f"expected 4 fields, got {len(row)}"))
-                continue
-            try:
-                time_ms = parse_timestamp_ms(row[1])
-                lat, lon = float(row[2]), float(row[3])
-            except ValueError as exc:
-                problems.append((line_no, str(exc)))
-                continue
-            line_nos, times, lats, lons = columns[user]
-            line_nos.append(line_no)
-            times.append(time_ms)
-            lats.append(lat)
-            lons.append(lon)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip().lower() for c in header] != CSV_HEADER:
+                raise DatasetLoadError(f"{path}: expected header {','.join(CSV_HEADER)!r}, "
+                                       f"got {header!r}")
+            for line_no, row in enumerate(reader, start=2):
+                user = row[0].strip() if len(row) == 4 else ""
+                if not user:  # a bad field count, an empty user id or a blank row
+                    if any(c.strip() for c in row):
+                        problems.append((line_no, "empty user id" if len(row) == 4
+                                         else f"expected 4 fields, got {len(row)}"))
+                    continue
+                try:
+                    time_ms = parse_timestamp_ms(row[1])
+                    lat, lon = float(row[2]), float(row[3])
+                except ValueError as exc:
+                    problems.append((line_no, str(exc)))
+                    continue
+                line_nos, times, lats, lons = columns[user]
+                line_nos.append(line_no)
+                times.append(time_ms)
+                lats.append(lat)
+                lons.append(lon)
+    # Either error ends the read; the rows before it are still checked.
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        problems.append((reader.line_num, str(exc)))
+    except UnicodeDecodeError:  # the reader decodes ahead in blocks: find the bad byte's line
+        raw = path.read_bytes()  # a BOM is valid UTF-8, so offsets count from the file start
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            problems.append((raw.count(b"\n", 0, exc.start) + 1, str(exc)))
+        else:
+            raise
     traces = []
     for user, (line_nos, times, lats, lons) in sorted(columns.items()):
         lat, lon = np.array(lats), np.array(lons)
-        # One vectorized range test; GeoPoint words the problem.
-        for i in np.flatnonzero(~coordinates_in_range(lat, lon)).tolist():
-            try:
-                GeoPoint(lats[i], lons[i])
-            except ValueError as exc:
-                problems.append((line_nos[i], str(exc)))
+        problems += [(line_nos[i], message) for i, message in coordinate_problems(lat, lon)]
         if problems:  # the error below lists them; a Trace would reject them unnumbered
             continue
         time_ms = np.array(times, dtype=np.int64)

@@ -25,8 +25,8 @@ from .geo import (
     CellGrid,
     GeoPoint,
     Trace,
-    from_local_plane,
     haversine_m,
+    latlon_from_local,
     local_xy,
     sphere_xyz,
 )
@@ -121,7 +121,7 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
             return
         origin = GeoPoint(float(lat[start]), float(lon[start]))
         xs, ys = local_xy(origin, lat[start:end + 1], lon[start:end + 1])
-        centroid = from_local_plane(origin, (float(np.mean(xs)), float(np.mean(ys))))
+        centroid = GeoPoint(*map(float, latlon_from_local(origin, np.mean(xs), np.mean(ys))))
         pois.append(Poi(trace.user, centroid, int(times[start]), int(times[end]), end - start + 1))
 
     steps = haversine_m(lat[:-1], lon[:-1], lat[1:], lon[1:]).tolist()  # steps[j - 1] = d(j-1, j)
@@ -151,18 +151,6 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     return pois
 
 
-def _match_count(pois_true: Sequence[Poi], pois_obf: Sequence[Poi], threshold_m: float) -> int:
-    """Number of obfuscated POIs lying within the threshold of some true POI."""
-    lat_t = np.array([p.centroid.lat for p in pois_true])
-    lon_t = np.array([p.centroid.lon for p in pois_true])
-    matched = 0
-    for p in pois_obf:
-        d = haversine_m(p.centroid.lat, p.centroid.lon, lat_t, lon_t)
-        if bool(np.any(d <= threshold_m)):
-            matched += 1
-    return matched
-
-
 def _f_score(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
@@ -181,7 +169,12 @@ def poi_retrieval(pois_true: Sequence[Poi], pois_obf: Sequence[Poi], threshold_m
         raise ValueError("threshold must be positive")
     if not pois_true or not pois_obf:
         return 0.0
-    matched = _match_count(pois_true, pois_obf, threshold_m)
+    lat_t = np.array([p.centroid.lat for p in pois_true])
+    lon_t = np.array([p.centroid.lon for p in pois_true])
+    matched = 0
+    for p in pois_obf:
+        if np.any(haversine_m(p.centroid.lat, p.centroid.lon, lat_t, lon_t) <= threshold_m):
+            matched += 1
     recall = min(1.0, matched / len(pois_true))
     precision = matched / len(pois_obf)
     return _f_score(precision, recall)

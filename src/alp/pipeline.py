@@ -77,8 +77,11 @@ class RunConfig:
         objectives = default_objectives(self.lppm_name) if self.objectives is None else self.objectives
         if not objectives:
             raise ConfigurationError("at least one objective is required")
-        for objective in objectives:
-            make_evaluator(objective.evaluator_name)  # raises on an unknown name
+        names = [objective.evaluator_name for objective in objectives]
+        for i, name in enumerate(names):
+            make_evaluator(name)  # raises on an unknown name
+            if name in names[:i]:
+                raise ConfigurationError(f"objectives name evaluator {name!r} twice")
         object.__setattr__(self, "objectives", tuple(objectives))
         k = entry.robust_k if self.robust_k is None else self.robust_k
         object.__setattr__(self, "robust_k", checked_robust_k(k))

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from alp.geo import GeoPoint, Trace
+from alp.geo import GeoPoint, Trace, latlon_from_local
 
 
 def make_trace(coords, user="u", t0_ms=0, step_ms=30_000):
@@ -26,11 +26,16 @@ def points_of(trace):
     return [GeoPoint(la, lo) for la, lo in zip(trace.lat.tolist(), trace.lon.tolist())]
 
 
+def plane_points(origin, offsets_m):
+    """GeoPoints at (x_east_m, y_north_m) offsets in the tangent plane at origin."""
+    x, y = np.asarray(offsets_m, dtype=float).reshape(-1, 2).T
+    lat, lon = latlon_from_local(origin, x, y)
+    return [GeoPoint(la, lo) for la, lo in zip(lat.tolist(), lon.tolist())]
+
+
 def random_walk_trace(gen, n=100, step_sd_m=50.0, base=GeoPoint(45.0, 5.0),
                       user="u", step_ms=30_000):
     """Jittery walk in the local plane around the base point."""
-    from alp.geo import latlon_from_local
-
     xy = np.cumsum(gen.normal(0.0, step_sd_m, size=(n, 2)), axis=0)
     lat, lon = latlon_from_local(base, xy[:, 0], xy[:, 1])
     return Trace(user, lat, lon, step_ms * np.arange(n))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from alp.geo import EARTH_RADIUS_M, GeoPoint, Record, distance_meters, from_local_plane, local_xy
+from alp.geo import EARTH_RADIUS_M, GeoPoint, distance_meters, latlon_from_local, local_xy
 from alp.metrics import Poi
 
 
@@ -82,12 +82,12 @@ def window_extract_pois(trace, params):
     within the limit is found from a full pairwise distance table; windows
     meeting the minimum stay become POIs and the walk restarts after them.
     """
-    records = [Record(trace.user, GeoPoint(la, lo), t) for la, lo, t in
-               zip(trace.lat.tolist(), trace.lon.tolist(), trace.time_ms.tolist())]
-    n = len(records)
+    points = [GeoPoint(la, lo) for la, lo in zip(trace.lat.tolist(), trace.lon.tolist())]
+    times = trace.time_ms.tolist()
+    n = len(points)
     if n == 0:
         return []
-    dist = [[distance_meters(a.point, b.point) for b in records] for a in records]
+    dist = [[distance_meters(a, b) for b in points] for a in points]
 
     def diameter(i, j):
         return max(
@@ -101,18 +101,17 @@ def window_extract_pois(trace, params):
         j = i
         while j + 1 < n and diameter(i, j + 1) <= params.max_diameter_m:
             j += 1
-        if records[j].time_ms - records[i].time_ms >= params.min_stay_ms:
-            window = records[i:j + 1]
-            phi0 = math.radians(window[0].point.lat)
-            lam0 = math.radians(window[0].point.lon)
-            xs = [EARTH_RADIUS_M * (math.radians(r.point.lon) - lam0) * math.cos(phi0) for r in window]
-            ys = [EARTH_RADIUS_M * (math.radians(r.point.lat) - phi0) for r in window]
+        if times[j] - times[i] >= params.min_stay_ms:
+            window = points[i:j + 1]
+            phi0 = math.radians(window[0].lat)
+            lam0 = math.radians(window[0].lon)
+            xs = [EARTH_RADIUS_M * (math.radians(p.lon) - lam0) * math.cos(phi0) for p in window]
+            ys = [EARTH_RADIUS_M * (math.radians(p.lat) - phi0) for p in window]
             centroid = GeoPoint(
                 math.degrees(phi0 + (sum(ys) / len(ys)) / EARTH_RADIUS_M),
                 math.degrees(lam0 + (sum(xs) / len(xs)) / (EARTH_RADIUS_M * math.cos(phi0))),
             )
-            pois.append(Poi(trace.user, centroid, records[i].time_ms,
-                            records[j].time_ms, j - i + 1))
+            pois.append(Poi(trace.user, centroid, times[i], times[j], j - i + 1))
         i = j + 1
     return pois
 
@@ -142,7 +141,7 @@ def scan_extract_pois(trace, params):
             return
         origin = GeoPoint(float(lat[start]), float(lon[start]))
         xs, ys = local_xy(origin, lat[start:end + 1], lon[start:end + 1])
-        centroid = from_local_plane(origin, (float(np.mean(xs)), float(np.mean(ys))))
+        centroid = GeoPoint(*map(float, latlon_from_local(origin, np.mean(xs), np.mean(ys))))
         pois.append(Poi(trace.user, centroid, int(times[start]), int(times[end]), end - start + 1))
 
     start = 0

@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from alp.cli import main
-from alp.geo import GeoPoint, distance_meters, from_local_plane, local_xy
+from alp.geo import GeoPoint, Trace, distance_meters, latlon_from_local, local_xy
 from alp.lppm import ParameterDomain, geo_i_sample_radius, promesse_obfuscate
 from alp.metrics import PoiClusteringParams, extract_pois, poi_retrieval
 from alp.geo import CellGrid
@@ -25,7 +25,7 @@ from alp.pipeline import RunConfig, run_online
 from alp.rng import RandomStream
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
-from conftest import random_walk_trace, trace_of
+from conftest import plane_points, random_walk_trace, trace_of
 from oracles import (
     brute_area_coverage,
     brute_poi_retrieval,
@@ -104,14 +104,13 @@ def test_criterion_3_metric_oracles():
         def pois_at(n):
             from alp.metrics import Poi
 
-            return [Poi("u", from_local_plane(BASE, (float(gen.uniform(-1500, 1500)),
-                                                     float(gen.uniform(-1500, 1500)))), 0, 0, 1)
-                    for _ in range(n)]
+            xy = [(float(gen.uniform(-1500, 1500)), float(gen.uniform(-1500, 1500)))
+                  for _ in range(n)]
+            return [Poi("u", p, 0, 0, 1) for p in plane_points(BASE, xy)]
 
         def points(n):
-            return [from_local_plane(BASE, (float(gen.uniform(-2000, 2000)),
-                                            float(gen.uniform(-2000, 2000))))
-                    for _ in range(n)]
+            return plane_points(BASE, [(float(gen.uniform(-2000, 2000)), float(gen.uniform(-2000, 2000)))
+                                       for _ in range(n)])
 
         for i in range(200):
             p_true = pois_at(int(gen.integers(1, 11)))
@@ -135,8 +134,6 @@ def test_criterion_3_metric_oracles():
             check(got == want, f"coverage instance {i}: {got} != {want}")
 
         params = PoiClusteringParams()
-        from alp.geo import Record, Trace
-
         for i in range(100):
             n = int(gen.integers(1, 21))
             x = y = 0.0
@@ -149,8 +146,8 @@ def test_criterion_3_metric_oracles():
                     x += float(gen.normal(0, 40))
                 coords.append((x, y))
             times = np.cumsum(gen.integers(60_000, 600_000, size=n))
-            trace = Trace.from_records(Record("u", from_local_plane(BASE, xy), int(t))
-                                       for xy, t in zip(coords, times))
+            lat, lon = latlon_from_local(BASE, *np.array(coords).T)
+            trace = Trace("u", lat, lon, times)
             got = extract_pois(trace, params)
             want = window_extract_pois(trace, params)
             same = len(got) == len(want) and all(

@@ -37,3 +37,34 @@ def test_no_unused_imports():
     paths = sorted(root.glob("src/alp/*.py")) + sorted(root.glob("tests/*.py"))
     assert len(paths) > 20
     assert [line for path in paths for line in _unused_imports(path)] == []
+
+
+def _private_top_level_names(tree: ast.Module) -> dict:
+    """Name -> line of each private module-level function, class or variable."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update({t.id: node.lineno for t in targets if isinstance(t, ast.Name)})
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_top_level_name_is_read():
+    # A private helper that no module of the package reads is dead code,
+    # typically left behind when its last caller is deleted.
+    root = Path(__file__).resolve().parents[1]
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(root.glob("src/alp/*.py"))}
+    assert len(trees) > 5
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert [f"{file}:{line}: {name}" for file, tree in trees.items()
+            for name, line in _private_top_level_names(tree).items() if name not in read] == []

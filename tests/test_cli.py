@@ -239,8 +239,10 @@ class TestSettingsCheckedBeforeInput:
          "alpha must be positive and finite"),
         (["online", "--lppm", "geo-i", "--objectives", ","],
          "at least one objective is required"),
+        (["online", "--lppm", "geo-i", "--objectives", "min:pois,max:pois"],
+         "objectives name evaluator 'pois' twice"),
     ], ids=["protect-epsilon", "evaluate-k", "evaluate-param", "online-k", "optimize-objective",
-            "online-static-param", "online-no-objective"])
+            "online-static-param", "online-no-objective", "online-repeated-objective"])
     def test_error_names_the_setting_not_the_missing_file(self, tmp_path, capsys, extra, message):
         command, *flags = extra
         argv = [command, "--input", str(tmp_path / "missing.csv"), *flags]
@@ -249,6 +251,25 @@ class TestSettingsCheckedBeforeInput:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestUnreadableInput:
+    """Rows csv or the UTF-8 decoder cannot read fail with their line, not a traceback."""
+
+    @pytest.mark.parametrize("row, message", [
+        (b"x" * 200_000 + b",2000,45,5\n", "field larger than field limit (131072)"),
+        (b"caf\xe9,2000,45,5\n",
+         "'utf-8' codec can't decode byte 0xe9 in position 39: invalid continuation byte"),
+    ], ids=["oversized-field", "latin-1-byte"])
+    def test_protect_reports_the_line(self, tmp_path, capsys, row, message):
+        source = tmp_path / "d.csv"
+        source.write_bytes(b"user,timestamp,lat,lon\nu1,1000,45,5\n" + row)
+        out = tmp_path / "p.csv"
+        argv = ["protect", "--input", str(source), "--lppm", "geo-i", "--param", "epsilon=0.01",
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {source}: 1 malformed row(s): line 3: {message}\n"
+        assert not out.exists()
 
 
 class TestParamItems:

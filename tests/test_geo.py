@@ -1,21 +1,31 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from alp.errors import DatasetLoadError
 from alp.geo import (
     CellGrid,
     Dataset,
     GeoPoint,
-    Record,
     Trace,
     _wrap_degrees,
+    coordinate_problems,
     distance_meters,
-    from_local_plane,
-    to_local_plane,
+    local_xy,
     utc_day,
 )
+from alp.io import load_dataset
+
+from conftest import plane_points
+
+
+def plane_xy(origin, p):
+    """(x_east_m, y_north_m) of one point in the tangent plane at origin."""
+    x, y = local_xy(origin, p.lat, p.lon)
+    return float(x), float(y)
 
 
 class TestGeoPoint:
@@ -58,15 +68,15 @@ class TestDistance:
 class TestLocalPlane:
     def test_origin_maps_to_zero(self):
         origin = GeoPoint(47.3, 8.5)
-        assert to_local_plane(origin, origin) == (0.0, 0.0)
+        assert plane_xy(origin, origin) == (0.0, 0.0)
 
     def test_known_eastward_offset(self):
-        x, y = to_local_plane(GeoPoint(0, 0), GeoPoint(0, 0.001))
+        x, y = plane_xy(GeoPoint(0, 0), GeoPoint(0, 0.001))
         assert x == pytest.approx(111.19, abs=0.1)
         assert y == pytest.approx(0.0, abs=1e-9)
 
     def test_inverse_known_offset(self):
-        p = from_local_plane(GeoPoint(0, 0), (111.19, 0))
+        (p,) = plane_points(GeoPoint(0, 0), [(111.19, 0)])
         assert p.lat == pytest.approx(0.0, abs=1e-6)
         assert p.lon == pytest.approx(0.001, abs=1e-6)
 
@@ -75,7 +85,7 @@ class TestLocalPlane:
         for _ in range(1000):
             p = GeoPoint(45.0 + float(gen.uniform(-0.5, 0.5)),
                          5.0 + float(gen.uniform(-0.5, 0.5)))
-            back = from_local_plane(origin, to_local_plane(origin, p))
+            (back,) = plane_points(origin, [plane_xy(origin, p)])
             assert abs(back.lat - p.lat) < 1e-9
             assert abs(back.lon - p.lon) < 1e-9
 
@@ -90,7 +100,7 @@ class TestLocalPlane:
 
     def test_inverse_just_across_the_antimeridian(self):
         # the POI-centroid path: a 2 nm eastward step from lon 180
-        p = from_local_plane(GeoPoint(0, 180), (2e-9, 0))
+        (p,) = plane_points(GeoPoint(0, 180), [(2e-9, 0)])
         assert p.lon == pytest.approx(180.0, abs=1e-9)
 
 
@@ -108,11 +118,6 @@ class TestTraceInvariants:
         with pytest.raises(ValueError, match=re.escape("latitude 95.0 outside")):
             Trace("u", [0.0, 95.0, -99.0], [0.0, 0.0, 0.0], [0, 1, 2])
         Trace("u", [90.0, -90.0], [180.0, -179.999], [0, 1])  # the closed ends are valid
-
-    def test_rejects_mixed_users(self):
-        records = (Record("a", GeoPoint(0, 0), 0), Record("b", GeoPoint(0, 0), 1))
-        with pytest.raises(ValueError, match="user"):
-            Trace.from_records(records)
 
     def test_rejects_out_of_order_timestamps(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -148,17 +153,67 @@ class TestTraceInvariants:
         assert t != Trace("a", [1.0, 2.0], [3.0, 4.0], [0, 2])
         assert t != Trace("a", [1.0], [3.0], [0])
 
-    def test_from_records_sorts(self):
-        records = [Record("a", GeoPoint(0, 0), 10), Record("a", GeoPoint(0, 1), 5)]
-        trace = Trace.from_records(records)
-        assert trace.time_ms.tolist() == [5, 10]
-
     def test_dataset_merges_per_user(self):
-        t1 = Trace.from_records([Record("a", GeoPoint(0, 0), 10)])
-        t2 = Trace.from_records([Record("a", GeoPoint(0, 1), 5)])
+        t1 = Trace("a", [0.0], [0.0], [10])
+        t2 = Trace("a", [0.0], [1.0], [5])
         merged = Dataset((t1, t2)).merged_by_user()
         assert list(merged) == ["a"]
         assert len(merged["a"]) == 2
+
+
+NAN, INF = float("nan"), float("inf")
+FINITE = "coordinates must be finite"
+
+
+class TestOneCoordinateRule:
+    """GeoPoint, Trace and the CSV loader word a bad position alike."""
+
+    @pytest.mark.parametrize("lat, lon, message", [
+        (95.0, 5.0, "latitude 95.0 outside [-90, 90]"),
+        (-91.0, 5.0, "latitude -91.0 outside [-90, 90]"),
+        (45.0, -180.0, "longitude -180.0 outside (-180, 180]"),
+        (45.0, 180.5, "longitude 180.5 outside (-180, 180]"),
+        (95.0, 180.5, "latitude 95.0 outside [-90, 90]"),
+        (NAN, 5.0, FINITE),
+        (45.0, NAN, FINITE),
+        (INF, 5.0, FINITE),
+        (45.0, -INF, FINITE),
+        (NAN, 180.5, FINITE),
+    ])
+    def test_geopoint_trace_and_loader_agree(self, tmp_path, lat, lon, message):
+        with pytest.raises(ValueError) as point_err:
+            GeoPoint(lat, lon)
+        with pytest.raises(ValueError) as trace_err:
+            Trace("u", [45.0, lat], [5.0, lon], [0, 1])
+        path = tmp_path / "d.csv"
+        path.write_text(f"user,timestamp,lat,lon\nu1,1000,45.0,5.0\nu1,2000,{lat!r},{lon!r}\n")
+        with pytest.raises(DatasetLoadError) as load_err:
+            load_dataset(path)
+        assert str(point_err.value) == str(trace_err.value) == message
+        assert load_err.value.problems == [(3, message)]
+
+    def test_non_finite_values_come_before_range_errors(self, tmp_path):
+        assert coordinate_problems([95.0, 45.0, NAN, 45.0], [5.0, 200.0, 5.0, 5.0]) == [
+            (2, FINITE), (0, "latitude 95.0 outside [-90, 90]"),
+            (1, "longitude 200.0 outside (-180, 180]")]
+        assert coordinate_problems([90.0, -90.0], [180.0, -179.999]) == []
+        # an out-of-range record followed by a NaN: Trace names the NaN,
+        # the loader every row in line order
+        with pytest.raises(ValueError) as err:
+            Trace("u", [95.0, NAN], [5.0, 5.0], [0, 1])
+        assert str(err.value) == FINITE
+        path = tmp_path / "d.csv"
+        path.write_text("user,timestamp,lat,lon\nu1,1000,95.0,5.0\nu1,2000,nan,5.0\n")
+        with pytest.raises(DatasetLoadError) as load_err:
+            load_dataset(path)
+        assert load_err.value.problems == [(2, "latitude 95.0 outside [-90, 90]"), (3, FINITE)]
+
+    def test_the_bounds_and_messages_are_written_once(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "alp"
+        text = "".join(p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py")))
+        for fragment in ('"coordinates must be finite"', 'outside [-90, 90]"', 'outside (-180, 180]"',
+                         "(lat >= -90.0) & (lat <= 90.0)", "(lon > -180.0) & (lon <= 180.0)"):
+            assert text.count(fragment) == 1, fragment
 
 
 def cell_at(grid, p):

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from alp.errors import ConfigurationError
-from alp.geo import GeoPoint, Record, Trace, distance_meters, from_local_plane, to_local_plane
+from alp.geo import GeoPoint, Trace, distance_meters, latlon_from_local, local_xy
 from alp.lppm import (
     MECHANISMS,
     LppmConfig,
@@ -35,10 +35,13 @@ def straight_line_trace(offsets_m, t0=0, t1=None, user="u"):
     if t1 is None:
         t1 = (n - 1) * 100_000
     times = np.linspace(t0, t1, n).astype(int)
-    return Trace.from_records(
-        Record(user, from_local_plane(ORIGIN, (float(x), 0.0)), int(t))
-        for x, t in zip(offsets_m, times)
-    )
+    lat, lon = latlon_from_local(ORIGIN, np.asarray(offsets_m, dtype=float), np.zeros(n))
+    return Trace(user, lat, lon, times)
+
+
+def stationary_trace(point, n, step_ms=1):
+    """n records at one point, step_ms apart."""
+    return Trace("u", [point.lat] * n, [point.lon] * n, step_ms * np.arange(n))
 
 
 class TestRadialSampling:
@@ -105,16 +108,16 @@ class TestGeoIObfuscate:
     def test_mean_displacement_is_two_over_epsilon(self):
         epsilon = 0.01
         point = GeoPoint(45.0, 5.0)
-        trace = Trace.from_records(Record("u", point, i) for i in range(20_000))
+        trace = stationary_trace(point, 20_000)
         out = geo_i_obfuscate(trace, epsilon, RandomStream(3, "disp"))
         d = [distance_meters(point, p) for p in points_of(out)]
         assert np.mean(d) == pytest.approx(2.0 / epsilon, rel=0.02)
 
     def test_angles_uniform(self):
         point = GeoPoint(0.0, 0.0)
-        trace = Trace.from_records(Record("u", point, i) for i in range(10_000))
+        trace = stationary_trace(point, 10_000)
         out = geo_i_obfuscate(trace, 0.001, RandomStream(4, "ang"))
-        xy = np.array([to_local_plane(point, p) for p in points_of(out)])
+        xy = np.column_stack(local_xy(point, out.lat, out.lon))
         angles = np.arctan2(xy[:, 1], xy[:, 0]) % (2 * np.pi)
         counts, _ = np.histogram(angles, bins=36, range=(0, 2 * np.pi))
         assert stats.chisquare(counts).pvalue > 0.001
@@ -130,14 +133,14 @@ class TestPromesse:
         trace = straight_line_trace([0, 250, 500, 750, 1000], t0=0, t1=500_000)
         out = promesse_obfuscate(trace, 200.0)
         assert len(out) == 6
-        xs = [to_local_plane(ORIGIN, p)[0] for p in points_of(out)]
+        xs = local_xy(ORIGIN, out.lat, out.lon)[0].tolist()
         assert xs == pytest.approx([0, 200, 400, 600, 800, 1000], abs=1e-6)
         times = out.time_ms.tolist()
         assert times == [0, 100_000, 200_000, 300_000, 400_000, 500_000]
 
     def test_stationary_trace_suppressed(self):
         point = GeoPoint(45.0, 5.0)
-        trace = Trace.from_records(Record("u", point, i * 1000) for i in range(10))
+        trace = stationary_trace(point, 10, step_ms=1000)
         assert len(promesse_obfuscate(trace, 200.0)) == 0
 
     def test_short_path_suppressed(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from alp.errors import ConfigurationError
-from alp.geo import EARTH_RADIUS_M, CellGrid, GeoPoint, Record, Trace, distance_meters, from_local_plane
+from alp.geo import EARTH_RADIUS_M, CellGrid, GeoPoint, Trace, distance_meters, latlon_from_local
 from alp.lppm import LppmConfig, apply_lppm, geo_i_obfuscate
 from alp.metrics import (
     Evaluator,
@@ -17,7 +17,7 @@ from alp.metrics import (
 from alp.rng import RandomStream
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
-from conftest import make_trace, points_of, trace_of
+from conftest import make_trace, plane_points, points_of, trace_of
 from oracles import (
     brute_area_coverage,
     brute_poi_retrieval,
@@ -31,11 +31,12 @@ PARAMS = PoiClusteringParams()
 
 
 def poi_at(x_m, y_m, user="u"):
-    return Poi(user, from_local_plane(BASE, (x_m, y_m)), 0, 0, 1)
+    (point,) = plane_points(BASE, [(x_m, y_m)])
+    return Poi(user, point, 0, 0, 1)
 
 
 def points_at(offsets_m):
-    return [from_local_plane(BASE, xy) for xy in offsets_m]
+    return plane_points(BASE, offsets_m)
 
 
 def bound_distortion(raw_points, protected_points):
@@ -61,10 +62,7 @@ class TestExtractPois:
     def test_constant_motion_yields_no_poi(self):
         # 10 m/s sampled every 30 s for 20 min: 300 m steps break every cluster
         offsets = [(i * 300.0, 0.0) for i in range(41)]
-        trace = Trace.from_records(
-            Record("u", from_local_plane(BASE, xy), i * 30_000)
-            for i, xy in enumerate(offsets)
-        )
+        trace = trace_of(points_at(offsets), step_ms=30_000)
         assert extract_pois(trace, PARAMS) == []
 
     def test_empty_trace(self):
@@ -103,10 +101,8 @@ class TestExtractPois:
                     x += float(gen.normal(0, 40))
                 coords.append((x, y))
             times = np.cumsum(gen.integers(60_000, 600_000, size=n))
-            trace = Trace.from_records(
-                Record("u", from_local_plane(BASE, xy), int(t))
-                for xy, t in zip(coords, times)
-            )
+            lat, lon = latlon_from_local(BASE, *np.array(coords).T)
+            trace = Trace("u", lat, lon, times)
             got = extract_pois(trace, PARAMS)
             expected = window_extract_pois(trace, PARAMS)
             assert len(got) == len(expected)
@@ -307,8 +303,7 @@ class TestEvaluateRobust:
 
     def trace(self):
         offsets = [(i * 100.0, 0.0) for i in range(20)]
-        return make_trace([(from_local_plane(BASE, xy).lat, from_local_plane(BASE, xy).lon)
-                           for xy in offsets])
+        return make_trace([(p.lat, p.lon) for p in points_at(offsets)])
 
     def test_single_evaluation_passthrough(self):
         stub = _SequenceEvaluator([0.7])

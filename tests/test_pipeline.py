@@ -1,3 +1,4 @@
+import csv
 import io
 from collections import Counter
 from datetime import date
@@ -5,11 +6,11 @@ from datetime import date
 import pytest
 
 from alp.errors import ConfigurationError, DatasetLoadError
-from alp.geo import Dataset, GeoPoint, Record, Trace
+from alp.geo import Dataset, Trace
 from alp.io import load_dataset, parse_timestamp_ms, write_dataset_csv, write_json, write_rows_csv
 from alp.lppm import LppmConfig, apply_lppm
 from alp.metrics import make_evaluator
-from alp.optimizer import AnnealingSchedule, AnnealResult, Objective
+from alp.optimizer import AnnealingSchedule, AnnealResult, Objective, parse_objectives
 from alp.pipeline import (
     RunConfig,
     cdf_points,
@@ -132,6 +133,30 @@ class TestLoadDataset:
         path = self.write(tmp_path, "user,timestamp,lat,lon\nu1,1000,45,5\n,,,\n , ,\t, \n")
         assert load_dataset(path).traces[0].time_ms.tolist() == [1_000_000]
 
+    def test_oversized_field_names_its_line(self, tmp_path):
+        path = self.write(tmp_path, "user,timestamp,lat,lon\nu1,1000,45,5\nu1,2000,95,5\n"
+                                    + "x" * 200_000 + ",3000,45,5\nu1,4000,45,5\n")
+        with pytest.raises(DatasetLoadError) as err:
+            load_dataset(path)
+        limit = csv.field_size_limit()  # read, not changed
+        assert err.value.problems == [(3, "latitude 95.0 outside [-90, 90]"),
+                                      (4, f"field larger than field limit ({limit})")]
+        assert str(err.value) == (f"{path}: 2 malformed row(s): line 3: latitude 95.0 outside "
+                                  f"[-90, 90]; line 4: field larger than field limit ({limit})")
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, bom):
+        # far enough down that the reader's read-ahead decodes it early
+        rows = b"".join(b"u1,%d,45,5\n" % (1000 + i) for i in range(2000))
+        raw = bom + b"user,timestamp,lat,lon\n" + rows + b"caf\xe9,9000,45,5\nu1,9999,45,5\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DatasetLoadError) as err:
+            load_dataset(path)
+        at = raw.index(b"\xe9")
+        assert err.value.problems == [
+            (2002, f"'utf-8' codec can't decode byte 0xe9 in position {at}: invalid continuation byte")]
+
     def test_users_grouped_and_sorted_stably(self, tmp_path):
         path = self.write(tmp_path, "user,timestamp,lat,lon\n"
                                     "b,2000,1,1\na,3000,2,2\nb,1000,3,3\nb,2000,4,4\na,1000,5,5\n")
@@ -173,7 +198,7 @@ class TestLoadDataset:
 
 class TestDailyBatches:
     def trace(self, times_ms, user="u"):
-        return Trace.from_records(Record(user, GeoPoint(45, 5), t) for t in times_ms)
+        return Trace(user, [45.0] * len(times_ms), [5.0] * len(times_ms), times_ms)
 
     def test_two_days(self):
         batches = split_daily_batches(self.trace([0, 1000, DAY_MS + 5]))
@@ -242,6 +267,16 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError) as err:
             RunConfig("promesse", objectives=(Objective("pois", True), Objective("nope", False)))
         assert str(err.value) == "unknown evaluator 'nope'; registered: coverage, distortion, pois"
+
+    @pytest.mark.parametrize("spec, name", [
+        ("min:pois,max:pois", "pois"),
+        ("min:pois,min:pois", "pois"),
+        ("min:distortion,max:coverage,max:distortion:scale=9", "distortion"),
+    ])
+    def test_repeated_evaluator_rejected_on_construction(self, spec, name):
+        with pytest.raises(ConfigurationError) as err:
+            RunConfig("geo-i", objectives=parse_objectives(spec))
+        assert str(err.value) == f"objectives name evaluator {name!r} twice"
 
     def test_empty_objectives_rejected_on_construction(self):
         with pytest.raises(ConfigurationError) as err:
