@@ -25,7 +25,6 @@ from .metrics import (
     PoiClusteringParams,
     bind_evaluators,
     extract_pois,
-    make_evaluator,
     median_of_k,
     poi_retrieval,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "geo_i_obfuscate",
     "geo_i_sample_radius",
     "initial_state",
-    "make_evaluator",
     "median_of_k",
     "neighbour",
     "parse_objective",

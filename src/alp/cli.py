@@ -27,13 +27,11 @@ from .errors import AlpError
 from .geo import CellGrid, Dataset
 from .io import load_dataset, write_dataset_csv, write_json, write_rows_csv
 from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked
-from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, checked_robust_k, median_of_k
+from .metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, checked_robust_k, median_of_k
 from .optimizer import AnnealingSchedule, parse_objectives
 from .pipeline import Report, RunConfig, run_offline, run_online
 from .rng import RandomStream
 from .synth import SynthSpec, generate_synthetic_dataset
-
-COMMANDS = ("synth", "evaluate", "protect", "optimize", "online")
 
 
 class UsageError(Exception):
@@ -208,6 +206,8 @@ def parse_args(argv) -> CliInvocation:
             file_values = _read_config_file(config_file, _config_actions(parser))
         except (OSError, AlpError) as exc:
             parser.error(str(exc))
+        except UnicodeDecodeError as exc:
+            parser.error(f"{config_file}: {exc}")
         for key, value in file_values.items():
             flags.setdefault(key, value)  # explicit flags win
 
@@ -308,7 +308,7 @@ def _cmd_evaluate(inv: CliInvocation) -> int:
 
     lines = [f"{'user':<12} {'pois':>8} {'distortion_m':>14} {'coverage':>10}"]
     for user, trace in dataset.merged_by_user().items():
-        bound = bind_evaluators(EVALUATOR_NAMES, trace, poi_params=poi_params, cell_grid=grid)
+        bound = bind_evaluators(EVALUATORS, trace, poi_params, grid)
         values = median_of_k(bound, config, trace, k, root.child(user))
         lines.append(f"{user:<12} {values['pois']:>8.4f} {values['distortion']:>14.2f} "
                      f"{values['coverage']:>10.4f}")

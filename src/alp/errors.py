@@ -18,3 +18,11 @@ class DatasetLoadError(AlpError, ValueError):
             detail = "; ".join(f"line {ln}: {msg}" for ln, msg in self.problems)
             message = f"{message}: {detail}"
         super().__init__(message)
+
+
+def lookup(table, kind: str, name: str):
+    """``table[name]``; an unknown name raises a ConfigurationError that lists the table."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ConfigurationError(f"unknown {kind} {name!r}; registered: {', '.join(sorted(table))}") from None

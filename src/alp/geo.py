@@ -229,6 +229,11 @@ class CellGrid:
 # Calendar helpers (UTC only)
 # ---------------------------------------------------------------------------
 
+# The instants utc_day can name, in epoch ms: 0001-01-01 to 9999-12-31 UTC.
+TIME_RANGE_MS = ((date.min - _EPOCH_DATE).days * MS_PER_DAY,
+                 ((date.max - _EPOCH_DATE).days + 1) * MS_PER_DAY - 1)
+
+
 def utc_day(time_ms: int) -> date:
     """UTC calendar date containing the instant; midnight belongs to the new day."""
     return _EPOCH_DATE + timedelta(days=int(time_ms) // MS_PER_DAY)

@@ -23,28 +23,28 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetLoadError
-from .geo import Dataset, Trace, coordinate_problems
+from .geo import TIME_RANGE_MS, Dataset, Trace, coordinate_problems
 
 CSV_HEADER = ["user", "timestamp", "lat", "lon"]
 _CHUNK_ROWS = 4096  # rows of text formatted per write
 
 
 def parse_timestamp_ms(text: str) -> int:
-    """Epoch milliseconds from ISO-8601 or integer epoch seconds/millis."""
+    """Epoch milliseconds from ISO-8601 or integer epoch seconds/millis,
+    within ``TIME_RANGE_MS`` (years 1 to 9999 UTC)."""
     text = text.strip()
     try:
         value = int(text)
     except ValueError:
-        pass
+        dt = datetime.fromisoformat(text.replace("Z", "+00:00") if text.endswith("Z") else text)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        value = int(round(dt.timestamp() * 1000))
     else:
-        if abs(value) >= 2**63:
-            raise ValueError(f"timestamp {text!r} out of range")
-        return value * 1000 if abs(value) < 10**11 else value
-    iso = text.replace("Z", "+00:00") if text.endswith("Z") else text
-    dt = datetime.fromisoformat(iso)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(round(dt.timestamp() * 1000))
+        value = value * 1000 if abs(value) < 10**11 else value
+    if not TIME_RANGE_MS[0] <= value <= TIME_RANGE_MS[1]:
+        raise ValueError(f"timestamp {text!r} out of range")
+    return value
 
 
 def load_dataset(path) -> Dataset:
@@ -59,7 +59,9 @@ def load_dataset(path) -> Dataset:
             if header is None or [c.strip().lower() for c in header] != CSV_HEADER:
                 raise DatasetLoadError(f"{path}: expected header {','.join(CSV_HEADER)!r}, "
                                        f"got {header!r}")
-            for line_no, row in enumerate(reader, start=2):
+            first_line = reader.line_num + 1  # a quoted field can span lines
+            for row in reader:
+                line_no, first_line = first_line, reader.line_num + 1
                 user = row[0].strip() if len(row) == 4 else ""
                 if not user:  # a bad field count, an empty user id or a blank row
                     if any(c.strip() for c in row):

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, lookup
 from .geo import EARTH_RADIUS_M, GeoPoint, Trace, _wrap_degrees, latlon_from_local, local_xy
 from .rng import RandomStream
 
@@ -233,12 +233,7 @@ MECHANISMS = {
 
 def mechanism(name: str) -> Mechanism:
     """The table entry of a mechanism name."""
-    try:
-        return MECHANISMS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown mechanism {name!r}; registered: {', '.join(sorted(MECHANISMS))}"
-        ) from None
+    return lookup(MECHANISMS, "mechanism", name)
 
 
 def checked(config: LppmConfig) -> Mechanism:

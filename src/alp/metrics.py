@@ -1,6 +1,9 @@
 """Points-of-interest extraction and the privacy/utility metric evaluators.
 
-Three evaluators compare a raw trace against its protected counterpart:
+``EVALUATORS`` maps each metric name to its table entry, in report order.
+An entry's ``bind(raw, poi_params, grid)`` precomputes what depends on the
+raw trace alone and returns a ``protected -> value`` callable; every
+setting is passed explicitly. The three evaluators:
 
 * ``pois``       - F-score of POIs re-extracted from the protected trace,
                    matched to true POIs within a distance threshold (privacy,
@@ -19,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, lookup
 from .geo import (
     EARTH_RADIUS_M,
     CellGrid,
@@ -190,39 +193,20 @@ def _cell_f_score(cells_raw: set, cells_obf: set) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Trace-level evaluators, looked up by name, bound to the raw trace once
+# The evaluator table: each metric is bound to the raw trace once
 # ---------------------------------------------------------------------------
 
-class Evaluator:
-    """Compares a protected trace against its raw counterpart.
+def _bind_pois(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> Callable[[Trace], float]:
+    pois_raw = extract_pois(raw, poi_params)
 
-    ``bind(raw)`` precomputes whatever depends only on the raw trace and
-    returns a fast ``protected -> value`` callable.
-    """
+    def evaluate(protected: Trace) -> float:
+        pois_obf = extract_pois(protected, poi_params)
+        return poi_retrieval(pois_raw, pois_obf, poi_params.match_threshold_m)
 
-    name: str
-
-    def bind(self, raw: Trace) -> Callable[[Trace], float]:
-        raise NotImplementedError
+    return evaluate
 
 
-class PoiRetrievalEvaluator(Evaluator):
-    name = "pois"
-
-    def __init__(self, params: PoiClusteringParams):
-        self.params = params
-
-    def bind(self, raw: Trace) -> Callable[[Trace], float]:
-        pois_raw = extract_pois(raw, self.params)
-
-        def evaluate(protected: Trace) -> float:
-            pois_obf = extract_pois(protected, self.params)
-            return poi_retrieval(pois_raw, pois_obf, self.params.match_threshold_m)
-
-        return evaluate
-
-
-class SpatialDistortionEvaluator(Evaluator):
+def _bind_distortion(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> Callable[[Trace], float]:
     """Mean distance from protected locations to the nearest raw location.
 
     The kd-tree holds each distinct raw location once: dwell-heavy traces
@@ -230,79 +214,65 @@ class SpatialDistortionEvaluator(Evaluator):
     empty protected trace distorts nothing and scores 0; an empty raw trace
     is a caller error.
     """
+    # Imported here: scipy.spatial takes longer to import than the rest
+    # of the package, and protect and synth never measure distortion.
+    from scipy.spatial import cKDTree
 
-    name = "distortion"
+    if len(raw) == 0:
+        raise ValueError("raw location set must be non-empty")
+    points = np.unique(np.column_stack((raw.lat, raw.lon)), axis=0)
+    raw_lat, raw_lon = points[:, 0], points[:, 1]
+    tree = cKDTree(sphere_xyz(raw_lat, raw_lon))
 
-    def bind(self, raw: Trace) -> Callable[[Trace], float]:
-        # Imported here: scipy.spatial takes longer to import than the rest
-        # of the package, and protect and synth never measure distortion.
-        from scipy.spatial import cKDTree
+    def evaluate(protected: Trace) -> float:
+        if len(protected) == 0:
+            return 0.0
+        # Chord length is monotone in arc length, so the chord nearest
+        # neighbour is also the great-circle nearest neighbour; report
+        # the haversine value.
+        _, idx = tree.query(sphere_xyz(protected.lat, protected.lon))
+        d = haversine_m(protected.lat, protected.lon, raw_lat[idx], raw_lon[idx])
+        return float(np.mean(d))
 
-        if len(raw) == 0:
-            raise ValueError("raw location set must be non-empty")
-        points = np.unique(np.column_stack((raw.lat, raw.lon)), axis=0)
-        raw_lat, raw_lon = points[:, 0], points[:, 1]
-        tree = cKDTree(sphere_xyz(raw_lat, raw_lon))
-
-        def evaluate(protected: Trace) -> float:
-            if len(protected) == 0:
-                return 0.0
-            # Chord length is monotone in arc length, so the chord nearest
-            # neighbour is also the great-circle nearest neighbour; report
-            # the haversine value.
-            _, idx = tree.query(sphere_xyz(protected.lat, protected.lon))
-            d = haversine_m(protected.lat, protected.lon, raw_lat[idx], raw_lon[idx])
-            return float(np.mean(d))
-
-        return evaluate
+    return evaluate
 
 
-class AreaCoverageEvaluator(Evaluator):
-    name = "coverage"
+def _bind_coverage(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> Callable[[Trace], float]:
+    cells_raw = grid.cells_of(raw.lat, raw.lon)
 
-    def __init__(self, grid: CellGrid):
-        self.grid = grid
+    def evaluate(protected: Trace) -> float:
+        if len(protected) == 0:
+            return 0.0
+        return _cell_f_score(cells_raw, grid.cells_of(protected.lat, protected.lon))
 
-    def bind(self, raw: Trace) -> Callable[[Trace], float]:
-        cells_raw = self.grid.cells_of(raw.lat, raw.lon)
-
-        def evaluate(protected: Trace) -> float:
-            if len(protected) == 0:
-                return 0.0
-            return _cell_f_score(cells_raw, self.grid.cells_of(protected.lat, protected.lon))
-
-        return evaluate
+    return evaluate
 
 
-EVALUATOR_NAMES = ("pois", "distortion", "coverage")
+@dataclass(frozen=True)
+class Evaluator:
+    """A named metric; ``prepare(raw, poi_params, grid)`` returns its bound
+    ``protected -> value`` callable. ``bind`` stays a method so that the
+    benchmark's tracer can time each bound callable under ``name``."""
 
-_EVALUATOR_FACTORIES = {
-    "pois": lambda poi_params, cell_grid: PoiRetrievalEvaluator(poi_params or PoiClusteringParams()),
-    "distortion": lambda poi_params, cell_grid: SpatialDistortionEvaluator(),
-    "coverage": lambda poi_params, cell_grid: AreaCoverageEvaluator(cell_grid or CellGrid()),
-}
+    name: str
+    prepare: Callable
 
-
-def make_evaluator(name: str, *, poi_params: PoiClusteringParams | None = None,
-                   cell_grid: CellGrid | None = None) -> Evaluator:
-    """Look up an evaluator by name (one of ``EVALUATOR_NAMES``)."""
-    try:
-        factory = _EVALUATOR_FACTORIES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown evaluator {name!r}; registered: {', '.join(sorted(_EVALUATOR_FACTORIES))}"
-        ) from None
-    return factory(poi_params, cell_grid)
+    def bind(self, raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> Callable[[Trace], float]:
+        return self.prepare(raw, poi_params, grid)
 
 
-def bind_evaluators(names: Sequence[str], raw: Trace, *,
-                    poi_params: PoiClusteringParams | None = None,
-                    cell_grid: CellGrid | None = None) -> dict:
+EVALUATORS = {e.name: e for e in (Evaluator("pois", _bind_pois), Evaluator("distortion", _bind_distortion),
+                                  Evaluator("coverage", _bind_coverage))}
+
+
+def evaluator(name: str) -> Evaluator:
+    """The table entry of an evaluator name."""
+    return lookup(EVALUATORS, "evaluator", name)
+
+
+def bind_evaluators(names: Sequence[str], raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> dict:
     """Bind each named evaluator to the raw trace once (repeated names bind once)."""
-    return {
-        name: make_evaluator(name, poi_params=poi_params, cell_grid=cell_grid).bind(raw)
-        for name in dict.fromkeys(names)
-    }
+    return {name: evaluator(name).bind(raw, poi_params, grid) for name in dict.fromkeys(names)}
 
 
 def checked_robust_k(k: int) -> int:

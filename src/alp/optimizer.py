@@ -32,8 +32,8 @@ class Objective:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ConfigurationError("objective scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ConfigurationError("objective scale must be positive and finite")
 
 
 _OBJECTIVE_RE = re.compile(r"^(min|max):([a-z_][a-z0-9_-]*)(?::scale=([0-9.eE+-]+))?$")

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
 from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism
-from .metrics import EVALUATOR_NAMES, PoiClusteringParams, bind_evaluators, checked_robust_k, make_evaluator
+from .metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, checked_robust_k, evaluator
 from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, default_objectives
 from .rng import RandomStream
 
@@ -79,7 +79,7 @@ class RunConfig:
             raise ConfigurationError("at least one objective is required")
         names = [objective.evaluator_name for objective in objectives]
         for i, name in enumerate(names):
-            make_evaluator(name)  # raises on an unknown name
+            evaluator(name)  # raises on an unknown name
             if name in names[:i]:
                 raise ConfigurationError(f"objectives name evaluator {name!r} twice")
         object.__setattr__(self, "objectives", tuple(objectives))
@@ -146,7 +146,7 @@ class Report:
 def _summaries(rows: Sequence[ReportRow]):
     cdf = {
         name: cdf_points([row.metrics[name] for row in rows])
-        for name in EVALUATOR_NAMES
+        for name in EVALUATORS
     }
     param_names = sorted({name for row in rows for name in row.config.assignment})
     param_cdf = {name: cdf_points([row.config.assignment[name] for row in rows])
@@ -163,14 +163,14 @@ def _summaries(rows: Sequence[ReportRow]):
 def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
     """Tune (or fix) a configuration for one unit, protect it, measure it.
 
-    Each of ``EVALUATOR_NAMES`` is bound to the raw trace once; the search,
+    Each entry of ``EVALUATORS`` is bound to the raw trace once; the search,
     whose objectives name only these, and the row's metrics share them.
     """
     user, day = unit_key
     day_label = day.isoformat() if day is not None else "offline"
     root = RandomStream(config.seed).child(user, day_label)
 
-    bound = bind_evaluators(EVALUATOR_NAMES, raw, poi_params=config.poi_params, cell_grid=grid)
+    bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
     cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k)
     if config.static_assignment is not None:
         chosen = LppmConfig(config.lppm_name, config.static_assignment)
@@ -181,7 +181,7 @@ def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
         chosen, cost = result.chosen(config.use_best)
 
     protected = apply_lppm(chosen, raw, root.child("protect"))
-    metrics = {name: bound[name](protected) for name in EVALUATOR_NAMES}
+    metrics = {name: bound[name](protected) for name in EVALUATORS}
     return ReportRow(user, day, chosen, metrics, cost), protected
 
 

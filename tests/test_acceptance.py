@@ -18,7 +18,7 @@ from alp.geo import GeoPoint, Trace, distance_meters, latlon_from_local, local_x
 from alp.lppm import ParameterDomain, geo_i_sample_radius, promesse_obfuscate
 from alp.metrics import PoiClusteringParams, extract_pois, poi_retrieval
 from alp.geo import CellGrid
-from alp.metrics import bind_evaluators, make_evaluator, median_of_k
+from alp.metrics import EVALUATORS, bind_evaluators, median_of_k
 from alp.lppm import LppmConfig
 from alp.optimizer import AnnealingSchedule, acceptance_probability, anneal, restrict_by_half
 from alp.pipeline import RunConfig, run_online
@@ -121,7 +121,7 @@ def test_criterion_3_metric_oracles():
             check(got == want, f"pois instance {i}: {got} != {want}")
 
             raw, prot = points(int(gen.integers(1, 101))), points(int(gen.integers(0, 101)))
-            got = make_evaluator("distortion").bind(trace_of(raw))(trace_of(prot))
+            got = EVALUATORS["distortion"].bind(trace_of(raw), PoiClusteringParams(), CellGrid())(trace_of(prot))
             want = brute_spatial_distortion(raw, prot)
             check(math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12),
                   f"distortion instance {i}: {got} != {want}")
@@ -129,7 +129,7 @@ def test_criterion_3_metric_oracles():
             cell_size = float(gen.uniform(100, 500))
             raw, prot = points(int(gen.integers(1, 101))), points(int(gen.integers(1, 101)))
             grid = CellGrid(cell_size, BASE.lat)
-            got = make_evaluator("coverage", cell_grid=grid).bind(trace_of(raw))(trace_of(prot))
+            got = EVALUATORS["coverage"].bind(trace_of(raw), PoiClusteringParams(), grid)(trace_of(prot))
             want = brute_area_coverage(raw, prot, cell_size, BASE.lat)
             check(got == want, f"coverage instance {i}: {got} != {want}")
 
@@ -208,7 +208,7 @@ def test_criterion_6_tradeoff_trend(trend_dataset):
         sweep = (0.001, 0.01, 0.1)
         poi_params = PoiClusteringParams()
         root = RandomStream(31)
-        bound = {user: bind_evaluators(["pois", "distortion"], trace, poi_params=poi_params)
+        bound = {user: bind_evaluators(["pois", "distortion"], trace, poi_params, CellGrid())
                  for user, trace in trend_dataset.merged_by_user().items()}
         median_pois, median_dist = [], []
         for eps in sweep:

@@ -39,8 +39,9 @@ def test_no_unused_imports():
     assert [line for path in paths for line in _unused_imports(path)] == []
 
 
-def _private_top_level_names(tree: ast.Module) -> dict:
-    """Name -> line of each private module-level function, class or variable."""
+def _unexported_top_level_names(tree: ast.Module) -> dict:
+    """Name -> line of each module-level function, class or variable that is
+    neither a dunder nor exported by ``alp.__all__``."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -49,12 +50,13 @@ def _private_top_level_names(tree: ast.Module) -> dict:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update({t.id: node.lineno for t in targets if isinstance(t, ast.Name)})
     return {name: line for name, line in names.items()
-            if name.startswith("_") and not name.startswith("__")}
+            if not name.startswith("__") and name not in alp.__all__}
 
 
 def test_every_private_top_level_name_is_read():
-    # A private helper that no module of the package reads is dead code,
-    # typically left behind when its last caller is deleted.
+    # A top-level name that neither the package's users (``alp.__all__``) nor
+    # any module of the package reads is dead code, typically left behind
+    # when its last caller is deleted.
     root = Path(__file__).resolve().parents[1]
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(root.glob("src/alp/*.py"))}
@@ -67,4 +69,4 @@ def test_every_private_top_level_name_is_read():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     assert [f"{file}:{line}: {name}" for file, tree in trees.items()
-            for name, line in _private_top_level_names(tree).items() if name not in read] == []
+            for name, line in _unexported_top_level_names(tree).items() if name not in read] == []

@@ -108,6 +108,14 @@ class TestParsing:
             line_no = len(text.splitlines())
             assert f"{config}:{line_no}: {problem}" in capsys.readouterr().err
 
+    def test_undecodable_config_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"\xff\xfe")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["synth", "--config", str(config)])
+        assert exc.value.code == 2
+        assert f"error: {config}: 'utf-8' codec can't decode byte 0xff in position 0" in capsys.readouterr().err
+
     def test_config_file_param_lines_accumulate(self, tmp_path):
         # like repeated --param flags; an explicit --param still wins
         config = tmp_path / "run.conf"
@@ -241,8 +249,11 @@ class TestSettingsCheckedBeforeInput:
          "at least one objective is required"),
         (["online", "--lppm", "geo-i", "--objectives", "min:pois,max:pois"],
          "objectives name evaluator 'pois' twice"),
+        (["online", "--lppm", "geo-i", "--objectives", "min:pois:scale=1e999"],
+         "objective scale must be positive and finite"),
     ], ids=["protect-epsilon", "evaluate-k", "evaluate-param", "online-k", "optimize-objective",
-            "online-static-param", "online-no-objective", "online-repeated-objective"])
+            "online-static-param", "online-no-objective", "online-repeated-objective",
+            "online-infinite-scale"])
     def test_error_names_the_setting_not_the_missing_file(self, tmp_path, capsys, extra, message):
         command, *flags = extra
         argv = [command, "--input", str(tmp_path / "missing.csv"), *flags]
@@ -270,6 +281,19 @@ class TestUnreadableInput:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {source}: 1 malformed row(s): line 3: {message}\n"
         assert not out.exists()
+
+    def test_online_rejects_timestamps_outside_the_calendar(self, tmp_path, capsys):
+        source = tmp_path / "d.csv"
+        source.write_text("user,timestamp,lat,lon\nu,253402300800000,45,5\n"
+                          "u,9999-12-31T23:59:59-01:00,45,5\nu,-99999999999,45,5\n")
+        out_dir = tmp_path / "out"
+        argv = ["online", "--input", str(source), "--lppm", "promesse", "--out-dir", str(out_dir)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {source}: 3 malformed row(s): line 2: timestamp '253402300800000' out of range; "
+            "line 3: timestamp '9999-12-31T23:59:59-01:00' out of range; "
+            "line 4: timestamp '-99999999999' out of range\n")
+        assert not out_dir.exists()
 
 
 class TestParamItems:

@@ -19,7 +19,7 @@ from alp.lppm import (
     geo_i_sample_radius,
     promesse_obfuscate,
 )
-from alp.metrics import EVALUATOR_NAMES
+from alp.metrics import EVALUATORS
 from alp.optimizer import default_objectives, parse_objectives
 from alp.rng import RandomStream
 
@@ -237,7 +237,7 @@ class TestApplyAndRegistry:
 def test_mechanism_table_is_consistent(name, gen):
     entry = MECHANISMS[name]
     objectives = parse_objectives(entry.objectives)
-    assert objectives and {o.evaluator_name for o in objectives} <= set(EVALUATOR_NAMES)
+    assert objectives and {o.evaluator_name for o in objectives} <= set(EVALUATORS)
     assert default_objectives(name) == objectives
     trace = random_walk_trace(gen, n=40, user="carol")
     config = LppmConfig(name, {d.name: d.values[0] for d in entry.domains})

@@ -5,12 +5,12 @@ from alp.errors import ConfigurationError
 from alp.geo import EARTH_RADIUS_M, CellGrid, GeoPoint, Trace, distance_meters, latlon_from_local
 from alp.lppm import LppmConfig, apply_lppm, geo_i_obfuscate
 from alp.metrics import (
-    Evaluator,
+    EVALUATORS,
     Poi,
     PoiClusteringParams,
     bind_evaluators,
+    evaluator,
     extract_pois,
-    make_evaluator,
     median_of_k,
     poi_retrieval,
 )
@@ -41,13 +41,12 @@ def points_at(offsets_m):
 
 def bound_distortion(raw_points, protected_points):
     """The bound ``distortion`` evaluator on traces through the points."""
-    return make_evaluator("distortion").bind(trace_of(raw_points))(trace_of(protected_points))
+    return EVALUATORS["distortion"].bind(trace_of(raw_points), PARAMS, CellGrid())(trace_of(protected_points))
 
 
 def bound_coverage(raw_points, protected_points, grid):
     """The bound ``coverage`` evaluator on traces through the points."""
-    evaluator = make_evaluator("coverage", cell_grid=grid)
-    return evaluator.bind(trace_of(raw_points))(trace_of(protected_points))
+    return EVALUATORS["coverage"].bind(trace_of(raw_points), PARAMS, grid)(trace_of(protected_points))
 
 
 class TestExtractPois:
@@ -237,10 +236,10 @@ class TestSpatialDistortion:
             offsets = [stops[0]] * 60 + walk + [stops[1]] * 50 + [stops[2]] * 40 + [stops[0]] * 20
         raw = make_trace([(p.lat, p.lon) for p in points_at(offsets)])
         protected = apply_lppm(LppmConfig("geo-i", {"epsilon": 0.01}), raw, RandomStream(5))
-        got = make_evaluator("distortion").bind(raw)(protected)
+        got = EVALUATORS["distortion"].bind(raw, PARAMS, CellGrid())(protected)
         want = brute_spatial_distortion(points_of(raw), points_of(protected))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert make_evaluator("distortion").bind(raw)(raw) == 0.0
+        assert EVALUATORS["distortion"].bind(raw, PARAMS, CellGrid())(raw) == 0.0
 
 
 class TestAreaCoverage:
@@ -278,7 +277,7 @@ class TestAreaCoverage:
                 brute_area_coverage(raw, prot, cell_size, BASE.lat)
 
 
-class _SequenceEvaluator(Evaluator):
+class _SequenceEvaluator:
     """Test stub returning scripted values, one per call."""
 
     name = "scripted"
@@ -320,14 +319,14 @@ class TestEvaluateRobust:
 
     def test_deterministic_mechanism_median_equals_single(self):
         trace = self.trace()
-        bound = bind_evaluators(["distortion"], trace)
+        bound = bind_evaluators(["distortion"], trace, PARAMS, CellGrid())
         v1 = median_of_k(bound, self.CONFIG, trace, 1, RandomStream(1))
         v3 = median_of_k(bound, self.CONFIG, trace, 3, RandomStream(1))
         assert v1 == v3
 
     def test_rejects_even_or_non_positive_k(self):
         trace = self.trace()
-        bound = bind_evaluators(["distortion"], trace)
+        bound = bind_evaluators(["distortion"], trace, PARAMS, CellGrid())
         for k in (0, 2, -1):
             with pytest.raises(ConfigurationError, match="robust_k must be an odd integer >= 1"):
                 median_of_k(bound, self.CONFIG, trace, k, RandomStream(0))
@@ -336,7 +335,7 @@ class TestEvaluateRobust:
 class TestRegistry:
     def test_unknown_evaluator(self):
         with pytest.raises(ConfigurationError, match="unknown evaluator"):
-            make_evaluator("nope")
+            evaluator("nope")
 
     def test_values_stay_in_range(self, gen):
         from conftest import random_walk_trace
@@ -346,9 +345,9 @@ class TestRegistry:
             trace = random_walk_trace(gen, n=80, step_sd_m=30.0)
             protected = apply_lppm(LppmConfig("geo-i", {"epsilon": 0.01}),
                                    trace, RandomStream(seed))
-            pois = make_evaluator("pois").bind(trace)(protected)
-            coverage = make_evaluator("coverage", cell_grid=grid).bind(trace)(protected)
-            distortion = make_evaluator("distortion").bind(trace)(protected)
+            pois = EVALUATORS["pois"].bind(trace, PARAMS, CellGrid())(protected)
+            coverage = EVALUATORS["coverage"].bind(trace, PARAMS, grid)(protected)
+            distortion = EVALUATORS["distortion"].bind(trace, PARAMS, CellGrid())(protected)
             assert 0.0 <= pois <= 1.0
             assert 0.0 <= coverage <= 1.0
             assert distortion >= 0.0

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from alp.errors import ConfigurationError
+from alp.geo import CellGrid
 from alp.lppm import MECHANISMS, LppmConfig, ParameterDomain
-from alp.metrics import bind_evaluators
+from alp.metrics import PoiClusteringParams, bind_evaluators
 from alp.optimizer import (
     AnnealingSchedule,
     Objective,
@@ -35,10 +36,15 @@ class TestObjectiveParsing:
     def test_max_direction(self):
         assert parse_objective("max:coverage") == Objective("coverage", False, 1.0)
 
-    @pytest.mark.parametrize("text", ["pois", "min:", "shrink:pois", "min:pois:scale=x"])
+    @pytest.mark.parametrize("text", ["pois", "min:", "shrink:pois", "min:pois:scale=x", "min:pois:scale=1e999"])
     def test_rejects_bad_specs(self, text):
         with pytest.raises(ConfigurationError):
             parse_objective(text)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ConfigurationError, match="^objective scale must be positive and finite$"):
+            Objective("pois", True, scale)
 
     def test_defaults_per_mechanism(self):
         assert default_objectives("geo-i") == parse_objectives("min:pois,min:distortion:scale=500")
@@ -74,7 +80,7 @@ class TestCost:
     def test_unregistered_evaluator(self):
         # the pipeline binds every objective's evaluator before building the cost
         with pytest.raises(ConfigurationError, match="unknown evaluator"):
-            bind_evaluators(["missing-evaluator"], self.TRACE)
+            bind_evaluators(["missing-evaluator"], self.TRACE, PoiClusteringParams(), CellGrid())
 
     def test_requires_objectives(self):
         with pytest.raises(ConfigurationError):

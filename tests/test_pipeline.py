@@ -6,10 +6,10 @@ from datetime import date
 import pytest
 
 from alp.errors import ConfigurationError, DatasetLoadError
-from alp.geo import Dataset, Trace
+from alp.geo import Dataset, Trace, utc_day
 from alp.io import load_dataset, parse_timestamp_ms, write_dataset_csv, write_json, write_rows_csv
 from alp.lppm import LppmConfig, apply_lppm
-from alp.metrics import make_evaluator
+from alp.metrics import EVALUATORS
 from alp.optimizer import AnnealingSchedule, AnnealResult, Objective, parse_objectives
 from alp.pipeline import (
     RunConfig,
@@ -37,6 +37,25 @@ class TestTimestampParsing:
         assert parse_timestamp_ms("1970-01-02T00:00:00Z") == DAY_MS
         assert parse_timestamp_ms("1970-01-02 00:00:00+00:00") == DAY_MS
         assert parse_timestamp_ms("1970-01-02T01:00:00+01:00") == DAY_MS
+
+    @pytest.mark.parametrize("text", ["253402300800000", "-99999999999", "-62135596800001"])
+    def test_epoch_outside_the_calendar_is_out_of_range(self, text):
+        # past 9999-12-31 UTC, year -1198 in epoch seconds, and 1 ms before 0001-01-01
+        with pytest.raises(ValueError) as err:
+            parse_timestamp_ms(text)
+        assert str(err.value) == f"timestamp '{text}' out of range"
+
+    @pytest.mark.parametrize("text", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"])
+    def test_iso_outside_the_calendar_is_out_of_range(self, text):
+        with pytest.raises(ValueError) as err:
+            parse_timestamp_ms(text)
+        assert str(err.value) == f"timestamp '{text}' out of range"
+
+    def test_calendar_bounds_are_inclusive(self):
+        assert utc_day(parse_timestamp_ms("253402300799999")) == date(9999, 12, 31)
+        assert utc_day(parse_timestamp_ms("9999-12-31T23:59:59.999Z")) == date(9999, 12, 31)
+        assert utc_day(parse_timestamp_ms("0001-01-01T00:00:00Z")) == date(1, 1, 1)
+        assert utc_day(parse_timestamp_ms("-62135596800000")) == date(1, 1, 1)
 
 
 class TestLoadDataset:
@@ -92,6 +111,15 @@ class TestLoadDataset:
         trace = load_dataset(path).traces[0]
         assert trace.lat.tolist() == [90.0, -90.0, 0.0]
         assert trace.lon.tolist() == [180.0, -179.999, 180.0]
+
+    def test_lines_count_the_lines_of_multi_line_records(self, tmp_path):
+        # quoted users span lines 2-3 and 5-6; a record is numbered by its first line
+        path = self.write(tmp_path, 'user,timestamp,lat,lon\n"a\nb",1000,45,5\nc,2000,95,5\n'
+                                    '"d\n",notatime,45,5\ne,3000,45,5\n')
+        with pytest.raises(DatasetLoadError) as err:
+            load_dataset(path)
+        assert err.value.problems == [(4, "latitude 95.0 outside [-90, 90]"),
+                                      (5, "Invalid isoformat string: 'notatime'")]
 
     def test_mixed_problems_reported_in_line_order(self, tmp_path):
         path = self.write(tmp_path, "user,timestamp,lat,lon\n"
@@ -358,20 +386,18 @@ class TestRunOnline:
             rng = RandomStream(config.seed).child(row.user, row.day.isoformat(), "protect")
             protected = apply_lppm(row.config, raw, rng)
             for name in ("pois", "distortion", "coverage"):
-                evaluator = make_evaluator(name, poi_params=config.poi_params, cell_grid=grid)
-                assert evaluator.bind(raw)(protected) == row.metrics[name]
+                bound = EVALUATORS[name].bind(raw, config.poi_params, grid)
+                assert bound(protected) == row.metrics[name]
 
     def test_each_unit_binds_each_evaluator_once(self, three_day_dataset, monkeypatch):
         import alp.metrics
 
         binds = Counter()
-        for cls in (alp.metrics.PoiRetrievalEvaluator, alp.metrics.SpatialDistortionEvaluator,
-                    alp.metrics.AreaCoverageEvaluator):
-            def counted_bind(self, raw, bind=cls.bind):
-                binds[self.name, int(raw.time_ms[0])] += 1
-                return bind(self, raw)
+        def counted_bind(self, raw, poi_params, grid, bind=alp.metrics.Evaluator.bind):
+            binds[self.name, int(raw.time_ms[0])] += 1
+            return bind(self, raw, poi_params, grid)
 
-            monkeypatch.setattr(cls, "bind", counted_bind)
+        monkeypatch.setattr(alp.metrics.Evaluator, "bind", counted_bind)
         config = RunConfig(lppm_name="geo-i", seed=5,
                            schedule=AnnealingSchedule(t_min=0.5))
         report = run_online(three_day_dataset, config)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from alp.geo import CellGrid, GeoPoint, Trace
 from alp.lppm import geo_i_obfuscate
-from alp.metrics import PoiClusteringParams, extract_pois, make_evaluator
+from alp.metrics import EVALUATORS, PoiClusteringParams, extract_pois
 from alp.rng import RandomStream
 
 from conftest import trace_of
@@ -59,12 +59,12 @@ def test_bound_evaluators_match_oracles(case):
     raw, prot, step_ms, cell_size, ref_lat = case
     raw_trace, prot_trace = trace_of(raw, step_ms=step_ms), trace_of(prot, step_ms=step_ms)
 
-    got = make_evaluator("distortion").bind(raw_trace)(prot_trace)
+    got = EVALUATORS["distortion"].bind(raw_trace, PoiClusteringParams(), CellGrid())(prot_trace)
     want = brute_spatial_distortion(raw, prot)
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (got, want)
 
     grid = CellGrid(cell_size, ref_lat)
-    got = make_evaluator("coverage", cell_grid=grid).bind(raw_trace)(prot_trace)
+    got = EVALUATORS["coverage"].bind(raw_trace, PoiClusteringParams(), grid)(prot_trace)
     assert got == brute_area_coverage(raw, prot, cell_size, ref_lat)
 
 
