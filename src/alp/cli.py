@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,8 +27,8 @@ from pathlib import Path
 from .errors import AlpError
 from .geo import CellGrid, Dataset
 from .io import load_dataset, write_dataset_csv, write_json, write_rows_csv
-from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked
-from .metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, checked_robust_k, median_of_k
+from .lppm import MECHANISMS, LppmConfig, apply_lppm
+from .metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, median_of_k
 from .optimizer import AnnealingSchedule, parse_objectives
 from .pipeline import Report, RunConfig, run_offline, run_online
 from .rng import RandomStream
@@ -76,6 +77,7 @@ def _add_common(p: argparse.ArgumentParser, *, needs_input: bool):
     p.add_argument("--seed", type=int, help="random seed (default: ALP_SEED or 42)")
     if needs_input:
         p.add_argument("--input", metavar="CSV", help="input dataset (user,timestamp,lat,lon)")
+        p.add_argument("--lppm", help=f"mechanism name ({'|'.join(sorted(MECHANISMS))})")
 
 
 def _add_metric_flags(p: argparse.ArgumentParser):
@@ -122,26 +124,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="print metrics for a static configuration")
     _add_common(p, needs_input=True)
-    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(sorted(MECHANISMS))})")
     p.add_argument("--param", action="append", default=None, metavar="NAME=VALUE",
                    help="parameter assignment; repeatable")
     _add_metric_flags(p)
 
     p = sub.add_parser("protect", help="write protected traces for a static configuration")
     _add_common(p, needs_input=True)
-    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(sorted(MECHANISMS))})")
     p.add_argument("--param", action="append", default=None, metavar="NAME=VALUE")
     p.add_argument("--out", help="output CSV path (default <input-stem>_protected.csv)")
 
     p = sub.add_parser("optimize", help="offline scenario: tune one configuration per user")
     _add_common(p, needs_input=True)
-    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(sorted(MECHANISMS))})")
     _add_metric_flags(p)
     _add_optimizer_flags(p)
 
     p = sub.add_parser("online", help="online scenario: tune per daily batch")
     _add_common(p, needs_input=True)
-    p.add_argument("--lppm", help=f"mechanism name ({'|'.join(sorted(MECHANISMS))})")
     p.add_argument("--param", action="append", default=None, metavar="NAME=VALUE",
                    help="fix the assignment instead of tuning (static baseline)")
     _add_metric_flags(p)
@@ -171,8 +169,8 @@ def _config_value(action: argparse.Action, raw: str):
 
 def _read_config_file(path: str, actions: dict) -> dict:
     values: dict = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+        line = re.sub(r"(^|\s)#.*", "", line).strip()  # a '#' inside a value is kept
         if not line:
             continue
         if "=" not in line:
@@ -234,31 +232,23 @@ def _given(flags: dict, **fields) -> dict:
     return {field: flags[flag] for field, flag in fields.items() if flag in flags}
 
 
-def _poi_params_from(flags: dict) -> PoiClusteringParams:
-    given = _given(flags, max_diameter_m="poi_diameter", match_threshold_m="match_threshold")
-    if "poi_stay_minutes" in flags:
-        given["min_stay_ms"] = int(flags["poi_stay_minutes"] * 60_000)
-    return PoiClusteringParams(**given)
-
-
-def _static_config(inv: CliInvocation) -> LppmConfig:
-    _require(inv, "lppm", "param")
-    return LppmConfig(inv.flags["lppm"], _parse_param_items(inv.flags["param"]))
-
-
 def _run_config(inv: CliInvocation) -> RunConfig:
-    """The run an ``optimize`` or ``online`` invocation asks for; ``--param``
-    makes ``online`` the static baseline."""
+    """The checked settings of a command that reads an input, before it is read.
+    ``--param`` is the static assignment of all but ``optimize``, which ignores
+    the ``param`` lines of a shared config file."""
     flags = inv.flags
     given = _given(flags, cell_size_m="cell_size", robust_k="robust_k")
     if "objectives" in flags:
         given["objectives"] = parse_objectives(flags["objectives"])
-    if inv.command == "online" and flags.get("param"):
+    if inv.command != "optimize" and flags.get("param"):
         given["static_assignment"] = _parse_param_items(flags["param"])
+    poi = _given(flags, max_diameter_m="poi_diameter", match_threshold_m="match_threshold")
+    if "poi_stay_minutes" in flags:
+        poi["min_stay_ms"] = round(flags["poi_stay_minutes"] * 60_000)
     return RunConfig(
         flags["lppm"],
         schedule=AnnealingSchedule(**_given(flags, t0="t0", t_min="t_min", delta_t="cooling")),
-        poi_params=_poi_params_from(flags),
+        poi_params=PoiClusteringParams(**poi),
         seed=flags["seed"],
         use_best=not flags.get("final_state", False),
         **given,
@@ -299,17 +289,17 @@ def _cmd_synth(inv: CliInvocation) -> int:
 
 def _cmd_evaluate(inv: CliInvocation) -> int:
     _require(inv, "input")
-    config = _static_config(inv)
-    k = checked_robust_k(inv.flags.get("robust_k", checked(config).robust_k))  # before the input is read
+    _require(inv, "lppm", "param")
+    config = _run_config(inv)
+    static = LppmConfig(config.lppm_name, config.static_assignment)
     dataset = load_dataset(inv.flags["input"])
-    poi_params = _poi_params_from(inv.flags)
-    grid = CellGrid(**_given(inv.flags, cell_size_m="cell_size"), ref_lat_deg=dataset.mean_latitude())
-    root = RandomStream(inv.flags["seed"])
+    grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
+    root = RandomStream(config.seed)
 
     lines = [f"{'user':<12} {'pois':>8} {'distortion_m':>14} {'coverage':>10}"]
     for user, trace in dataset.merged_by_user().items():
-        bound = bind_evaluators(EVALUATORS, trace, poi_params, grid)
-        values = median_of_k(bound, config, trace, k, root.child(user))
+        bound = bind_evaluators(EVALUATORS, trace, config.poi_params, grid)
+        values = median_of_k(bound, static, trace, config.robust_k, root.child(user))
         lines.append(f"{user:<12} {values['pois']:>8.4f} {values['distortion']:>14.2f} "
                      f"{values['coverage']:>10.4f}")
     print("\n".join(lines))
@@ -318,12 +308,13 @@ def _cmd_evaluate(inv: CliInvocation) -> int:
 
 def _cmd_protect(inv: CliInvocation) -> int:
     _require(inv, "input")
-    config = _static_config(inv)
-    checked(config)  # before the input is read
+    _require(inv, "lppm", "param")
+    config = _run_config(inv)
+    static = LppmConfig(config.lppm_name, config.static_assignment)
     dataset = load_dataset(inv.flags["input"])
-    root = RandomStream(inv.flags["seed"])
+    root = RandomStream(config.seed)
     protected = Dataset(tuple(
-        apply_lppm(config, trace, root.child("protect", user))
+        apply_lppm(static, trace, root.child("protect", user))
         for user, trace in dataset.merged_by_user().items()
     ))
     source = Path(inv.flags["input"])

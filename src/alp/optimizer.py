@@ -36,7 +36,8 @@ class Objective:
             raise ConfigurationError("objective scale must be positive and finite")
 
 
-_OBJECTIVE_RE = re.compile(r"^(min|max):([a-z_][a-z0-9_-]*)(?::scale=([0-9.eE+-]+))?$")
+_OBJECTIVE_RE = re.compile(r"^(min|max):([a-z_][a-z0-9_-]*)"
+                           r"(?::scale=([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?))?$")
 
 
 def parse_objective(text: str) -> Objective:

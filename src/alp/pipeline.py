@@ -52,7 +52,7 @@ def cdf_points(values) -> list:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs besides the dataset itself.
+    """The settings of every command that reads an input (all but ``synth``).
 
     A ``static_assignment`` fixes the configuration of every unit instead of
     tuning it: the static baseline, which only :func:`run_online` runs.
@@ -85,6 +85,7 @@ class RunConfig:
         object.__setattr__(self, "objectives", tuple(objectives))
         k = entry.robust_k if self.robust_k is None else self.robust_k
         object.__setattr__(self, "robust_k", checked_robust_k(k))
+        CellGrid(self.cell_size_m)  # raises on a cell size that is not positive
 
     def describe(self, mode: str) -> dict:
         """JSON-ready snapshot recorded in every report."""

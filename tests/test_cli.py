@@ -116,6 +116,19 @@ class TestParsing:
         assert exc.value.code == 2
         assert f"error: {config}: 'utf-8' codec can't decode byte 0xff in position 0" in capsys.readouterr().err
 
+    def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("#lppm = geo-i\nname = run#2\nseed = 5  # five\n"
+                          "lppm = promesse\t# tab\n  # indented\n")
+        inv = parse_args(["online", "--config", str(config), "--input", "d.csv"])
+        assert (inv.flags["name"], inv.flags["seed"], inv.flags["lppm"]) == ("run#2", 5, "promesse")
+
+    def test_config_file_may_start_with_a_bom(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"\xef\xbb\xbflppm = promesse\nseed = 5\n")
+        inv = parse_args(["online", "--config", str(config), "--input", "d.csv"])
+        assert (inv.flags["lppm"], inv.flags["seed"]) == ("promesse", 5)
+
     def test_config_file_param_lines_accumulate(self, tmp_path):
         # like repeated --param flags; an explicit --param still wins
         config = tmp_path / "run.conf"
@@ -261,6 +274,43 @@ class TestSettingsCheckedBeforeInput:
             argv += ["--out-dir", str(tmp_path / "out")]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+# Flags whose value 0 is no bad setting: paths, names, the mechanism, its parameters,
+# the objectives (tested above), the seed and the inert --workers.
+_NOT_SETTINGS = {"--seed", "--input", "--lppm", "--param", "--objectives", "--out", "--out-dir",
+                 "--name", "--config", "--workers"}
+_SUB = next(a for a in build_parser()._actions if a.dest == "command")
+# (command, flag) for every other flag that takes a value, over the commands that read
+# an input; a flag added later is walked too.
+_SETTING_FLAGS = [(command, action.option_strings[0])
+                  for command in ("evaluate", "protect", "optimize", "online")
+                  for action in _SUB.choices[command]._actions
+                  if action.option_strings and action.nargs != 0
+                  and action.option_strings[0] not in _NOT_SETTINGS]
+
+
+class TestEverySettingCheckedBeforeInput:
+    """Every setting flag rejects 0, and does so before the input is opened."""
+
+    def test_the_walk_finds_the_setting_flags(self):
+        assert {("evaluate", "--cell-size"), ("evaluate", "--poi-diameter"),
+                ("evaluate", "--poi-stay-minutes"), ("evaluate", "--match-threshold"),
+                ("optimize", "--cell-size"), ("online", "--cell-size"),
+                ("online", "--cooling")} <= set(_SETTING_FLAGS)
+
+    @pytest.mark.parametrize("command, flag", _SETTING_FLAGS,
+                             ids=[f"{command}{flag}" for command, flag in _SETTING_FLAGS])
+    def test_zero_fails_without_reading_the_input(self, tmp_path, capsys, command, flag):
+        argv = [command, "--input", str(tmp_path / "missing.csv"), "--lppm", "geo-i", flag, "0"]
+        if command in ("evaluate", "protect"):
+            argv += ["--param", "epsilon=0.01"]
+        else:
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.csv" not in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -418,6 +468,21 @@ class TestSingleOwner:
         inv = parse_args(["online", "--input", "d.csv", "--lppm", "geo-i",
                           "--param", "epsilon=0.01", "--seed", "5"])
         assert _run_config(inv) == RunConfig("geo-i", static_assignment={"epsilon": 0.01}, seed=5)
+
+    def test_param_is_the_static_assignment_of_all_but_optimize(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("param = epsilon=0.01\n")  # a file shared by every command
+        for command in ("evaluate", "protect", "online", "optimize"):
+            inv = parse_args([command, "--input", "d.csv", "--lppm", "geo-i", "--seed", "5",
+                              "--config", str(config)])
+            static = None if command == "optimize" else {"epsilon": 0.01}
+            assert _run_config(inv) == RunConfig("geo-i", static_assignment=static, seed=5)
+
+    @pytest.mark.parametrize("minutes, ms", [("4.35", 261_000), ("0.00001", 1), ("10", 600_000)])
+    def test_poi_stay_minutes_round_to_the_millisecond(self, minutes, ms):
+        inv = parse_args(["online", "--input", "d.csv", "--lppm", "geo-i",
+                          "--poi-stay-minutes", minutes])
+        assert _run_config(inv).poi_params.min_stay_ms == ms
 
     def test_each_flag_sets_its_field(self):
         inv = parse_args(["optimize", "--input", "d.csv", "--lppm", "geo-i", "--seed", "5",

@@ -36,10 +36,21 @@ class TestObjectiveParsing:
     def test_max_direction(self):
         assert parse_objective("max:coverage") == Objective("coverage", False, 1.0)
 
-    @pytest.mark.parametrize("text", ["pois", "min:", "shrink:pois", "min:pois:scale=x", "min:pois:scale=1e999"])
+    @pytest.mark.parametrize("text", ["pois", "min:", "shrink:pois", "min:pois:scale=x", "min:pois:scale=1e999",
+                                      "min:pois:scale=1e", "min:pois:scale=--"])
     def test_rejects_bad_specs(self, text):
         with pytest.raises(ConfigurationError):
             parse_objective(text)
+
+    @pytest.mark.parametrize("text", ["min:pois:scale=1e", "min:pois:scale=--", "max:coverage:scale=1.2.3"])
+    def test_unconvertible_scale_names_the_spec(self, text):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_objective(text)
+        assert str(exc.value) == f"bad objective spec {text!r} (want min|max:<evaluator>[:scale=<real>])"
+
+    @pytest.mark.parametrize("scale", ["2", "+2.", ".5", "5e-1", "0.5E+0"])
+    def test_decimal_scales_convert(self, scale):
+        assert parse_objective(f"min:pois:scale={scale}").scale == float(scale)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
     def test_scale_must_be_positive_and_finite(self, scale):
