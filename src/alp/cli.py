@@ -283,7 +283,7 @@ def _cmd_synth(inv: CliInvocation) -> int:
         }
         write_json(payload, flags["truth_out"])
     print(f"wrote {synthetic.dataset.total_records()} records for "
-          f"{len(synthetic.dataset.users())} user(s) to {out}")
+          f"{len(synthetic.dataset)} user(s) to {out}")
     return 0
 
 
@@ -297,10 +297,10 @@ def _cmd_evaluate(inv: CliInvocation) -> int:
     root = RandomStream(config.seed)
 
     lines = [f"{'user':<12} {'pois':>8} {'distortion_m':>14} {'coverage':>10}"]
-    for user, trace in dataset.merged_by_user().items():
+    for trace in dataset:
         bound = bind_evaluators(EVALUATORS, trace, config.poi_params, grid)
-        values = median_of_k(bound, static, trace, config.robust_k, root.child(user))
-        lines.append(f"{user:<12} {values['pois']:>8.4f} {values['distortion']:>14.2f} "
+        values = median_of_k(bound, static, trace, config.robust_k, root.child(trace.user))
+        lines.append(f"{trace.user:<12} {values['pois']:>8.4f} {values['distortion']:>14.2f} "
                      f"{values['coverage']:>10.4f}")
     print("\n".join(lines))
     return 0
@@ -313,10 +313,8 @@ def _cmd_protect(inv: CliInvocation) -> int:
     static = LppmConfig(config.lppm_name, config.static_assignment)
     dataset = load_dataset(inv.flags["input"])
     root = RandomStream(config.seed)
-    protected = Dataset(tuple(
-        apply_lppm(static, trace, root.child("protect", user))
-        for user, trace in dataset.merged_by_user().items()
-    ))
+    protected = Dataset(apply_lppm(static, trace, root.child("protect", trace.user))
+                        for trace in dataset)
     source = Path(inv.flags["input"])
     out = inv.flags.get("out") or source.with_name(f"{source.stem}_protected.csv")
     write_dataset_csv(protected, out)

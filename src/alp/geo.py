@@ -83,34 +83,31 @@ class Trace:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A collection of traces; a user may contribute several."""
+    """One time-ordered trace per user, in user order: the constructor, the one
+    place that groups traces by user, merges a user's traces with a stable time
+    sort (equal times keep their given order) and keeps a single one as is."""
 
     traces: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "traces", tuple(self.traces))
+        grouped: dict = {}
+        for trace in self.traces:
+            grouped.setdefault(trace.user, []).append(trace)
+        merged = []
+        for user, traces in sorted(grouped.items()):
+            if len(traces) > 1:
+                time_ms = np.concatenate([t.time_ms for t in traces])
+                order = np.argsort(time_ms, kind="stable")
+                traces = [Trace(user, np.concatenate([t.lat for t in traces])[order],
+                                np.concatenate([t.lon for t in traces])[order], time_ms[order])]
+            merged.append(traces[0])
+        object.__setattr__(self, "traces", tuple(merged))
 
     def __len__(self) -> int:
         return len(self.traces)
 
     def __iter__(self) -> Iterator[Trace]:
         return iter(self.traces)
-
-    def users(self) -> list:
-        return sorted({t.user for t in self.traces})
-
-    def merged_by_user(self) -> dict:
-        """One chronologically sorted trace per user, concatenating duplicates."""
-        grouped: dict = {}
-        for trace in self.traces:
-            grouped.setdefault(trace.user, []).append(trace)
-        merged = {}
-        for user, traces in sorted(grouped.items()):
-            time_ms = np.concatenate([t.time_ms for t in traces])
-            order = np.argsort(time_ms, kind="stable")
-            merged[user] = Trace(user, np.concatenate([t.lat for t in traces])[order],
-                                 np.concatenate([t.lon for t in traces])[order], time_ms[order])
-        return merged
 
     def total_records(self) -> int:
         return sum(len(t) for t in self.traces)
@@ -216,6 +213,9 @@ class CellGrid:
     def __post_init__(self):
         if not self.cell_size_m > 0:
             raise ValueError("cell size must be positive")
+        # cells_of's int64 cell indices reach pi * R / cell_size_m in magnitude
+        if not math.pi * EARTH_RADIUS_M / self.cell_size_m < 2.0**62:
+            raise ValueError(f"cell size must exceed {math.pi * EARTH_RADIUS_M / 2.0**62:.3g} m")
 
     def cells_of(self, lat, lon) -> set:
         """The set of (ix, iy) cells touched by degree coordinate arrays."""

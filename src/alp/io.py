@@ -48,7 +48,7 @@ def parse_timestamp_ms(text: str) -> int:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a trace CSV into one chronologically sorted trace per user."""
+    """Read a trace CSV into a :class:`Dataset`, each user's rows sorted by time."""
     path = Path(path)
     problems = []
     columns: dict = defaultdict(lambda: ([], [], [], []))
@@ -91,7 +91,7 @@ def load_dataset(path) -> Dataset:
         else:
             raise
     traces = []
-    for user, (line_nos, times, lats, lons) in sorted(columns.items()):
+    for user, (line_nos, times, lats, lons) in columns.items():
         lat, lon = np.array(lats), np.array(lons)
         problems += [(line_nos[i], message) for i, message in coordinate_problems(lat, lon)]
         if problems:  # the error below lists them; a Trace would reject them unnumbered

@@ -47,14 +47,9 @@ class ParameterDomain:
         return len(self.values)
 
     def index_of(self, value: float) -> int:
-        try:
-            return self.values.index(value)
-        except ValueError:
-            pass
-        close = [i for i, v in enumerate(self.values) if math.isclose(v, value, rel_tol=1e-12)]
-        if close:
-            return close[0]
-        raise ValueError(f"value {value} not in domain {self.name!r}")
+        if value not in self.values:
+            raise ValueError(f"value {value} not in domain {self.name!r}")
+        return self.values.index(value)
 
     @classmethod
     def linear(cls, name: str, lo: float, hi: float, count: int) -> "ParameterDomain":

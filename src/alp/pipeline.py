@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import AlpError, ConfigurationError
 from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
 from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism
 from .metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, checked_robust_k, evaluator
@@ -161,13 +161,12 @@ def _summaries(rows: Sequence[ReportRow]):
     return cdf, param_cdf, ranges
 
 
-def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
+def _process_unit(user: str, day: date | None, raw: Trace, config: RunConfig, grid: CellGrid):
     """Tune (or fix) a configuration for one unit, protect it, measure it.
 
     Each entry of ``EVALUATORS`` is bound to the raw trace once; the search,
     whose objectives name only these, and the row's metrics share them.
     """
-    user, day = unit_key
     day_label = day.isoformat() if day is not None else "offline"
     root = RandomStream(config.seed).child(user, day_label)
 
@@ -187,12 +186,18 @@ def _process_unit(unit_key, raw: Trace, config: RunConfig, grid: CellGrid):
 
 
 def _run_units(units, config: RunConfig, grid: CellGrid, mode: str) -> Report:
-    """Process units in the given (user, day) order and summarise them."""
-    outcomes = [_process_unit(key, raw, config, grid) for key, raw in units]
-    rows = tuple(row for row, _ in outcomes)
-    protected = Dataset(tuple(trace for _, trace in outcomes))
+    """Process units in the given (user, day) order and summarise them; a unit
+    that fails raises an AlpError naming its user (and day, when online)."""
+    rows, protected = [], []
+    for (user, day), raw in units:
+        try:
+            row, trace = _process_unit(user, day, raw, config, grid)
+        except (AlpError, ValueError) as exc:
+            raise AlpError(f"user {user!r}" + (f", day {day}" if day else "") + f": {exc}") from exc
+        rows.append(row)
+        protected.append(trace)
     cdf, param_cdf, ranges = _summaries(rows)
-    return Report(rows, config.describe(mode), cdf, param_cdf, ranges, protected)
+    return Report(tuple(rows), config.describe(mode), cdf, param_cdf, ranges, Dataset(protected))
 
 
 def run_offline(dataset: Dataset, config: RunConfig) -> Report:
@@ -200,7 +205,7 @@ def run_offline(dataset: Dataset, config: RunConfig) -> Report:
     if config.static_assignment is not None:
         raise ConfigurationError("offline mode searches domains; drop the static assignment")
     grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
-    units = [((user, None), trace) for user, trace in dataset.merged_by_user().items()]
+    units = [((trace.user, None), trace) for trace in dataset]
     return _run_units(units, config, grid, "offline")
 
 
@@ -208,7 +213,7 @@ def run_online(dataset: Dataset, config: RunConfig) -> Report:
     """One configuration per non-empty (user, UTC day) batch: tuned, or the
     static assignment when the config holds one."""
     grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
-    units = [((user, day), batch) for user, trace in dataset.merged_by_user().items()
+    units = [((trace.user, day), batch) for trace in dataset
              for day, batch in split_daily_batches(trace)]
     mode = "online" if config.static_assignment is None else "static-baseline"
     return _run_units(units, config, grid, mode)

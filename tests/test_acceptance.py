@@ -208,14 +208,14 @@ def test_criterion_6_tradeoff_trend(trend_dataset):
         sweep = (0.001, 0.01, 0.1)
         poi_params = PoiClusteringParams()
         root = RandomStream(31)
-        bound = {user: bind_evaluators(["pois", "distortion"], trace, poi_params, CellGrid())
-                 for user, trace in trend_dataset.merged_by_user().items()}
+        bound = {trace.user: bind_evaluators(["pois", "distortion"], trace, poi_params, CellGrid())
+                 for trace in trend_dataset}
         median_pois, median_dist = [], []
         for eps in sweep:
             config = LppmConfig("geo-i", {"epsilon": eps})
             pois_vals, dist_vals = [], []
-            for user, trace in trend_dataset.merged_by_user().items():
-                values = median_of_k(bound[user], config, trace, 3, root.child(user, eps))
+            for trace in trend_dataset:
+                values = median_of_k(bound[trace.user], config, trace, 3, root.child(trace.user, eps))
                 pois_vals.append(values["pois"])
                 dist_vals.append(values["distortion"])
             median_pois.append(float(np.median(pois_vals)))

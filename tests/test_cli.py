@@ -264,9 +264,11 @@ class TestSettingsCheckedBeforeInput:
          "objectives name evaluator 'pois' twice"),
         (["online", "--lppm", "geo-i", "--objectives", "min:pois:scale=1e999"],
          "objective scale must be positive and finite"),
+        (["evaluate", "--lppm", "geo-i", "--param", "epsilon=0.01", "--cell-size", "1e-13"],
+         "cell size must exceed 4.34e-12 m"),
     ], ids=["protect-epsilon", "evaluate-k", "evaluate-param", "online-k", "optimize-objective",
             "online-static-param", "online-no-objective", "online-repeated-objective",
-            "online-infinite-scale"])
+            "online-infinite-scale", "evaluate-tiny-cell"])
     def test_error_names_the_setting_not_the_missing_file(self, tmp_path, capsys, extra, message):
         command, *flags = extra
         argv = [command, "--input", str(tmp_path / "missing.csv"), *flags]
@@ -423,6 +425,17 @@ class TestPipelineCommands:
         assert captured.err == ("error: unknown evaluator 'nope'; "
                                 "registered: coverage, distortion, pois\n")
         assert list(tmp_path.glob("run*")) == []
+
+    def test_failing_unit_is_named_without_output(self, tiny_input, tmp_path, capsys):
+        out_dir = tmp_path / "rep"
+        code = main(["online", "--input", str(tiny_input), "--lppm", "promesse",
+                     "--param", "alpha=1e-300", "--out-dir", str(out_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: user 'u000', day 2024-01-01: "
+                                "Maximum allowed size exceeded\n")
+        assert not out_dir.exists()
 
     def test_online_adaptive_runs_identically(self, tiny_input, tmp_path):
         names = []

@@ -154,11 +154,25 @@ class TestTraceInvariants:
         assert t != Trace("a", [1.0], [3.0], [0])
 
     def test_dataset_merges_per_user(self):
-        t1 = Trace("a", [0.0], [0.0], [10])
-        t2 = Trace("a", [0.0], [1.0], [5])
-        merged = Dataset((t1, t2)).merged_by_user()
-        assert list(merged) == ["a"]
-        assert len(merged["a"]) == 2
+        # at the shared time 10, the record of the trace given first comes first
+        t1 = Trace("a", [1.0, 2.0], [0.0, 0.0], [10, 20])
+        t2 = Trace("a", [3.0, 4.0], [1.0, 1.0], [5, 10])
+        (merged,) = Dataset((t1, t2))
+        assert merged == Trace("a", [3.0, 1.0, 4.0, 2.0], [1.0, 0.0, 1.0, 0.0], [5, 10, 10, 20])
+
+    def test_dataset_orders_users(self):
+        traces = [Trace(user, [0.0], [0.0], [0]) for user in ("b", "c", "a")]
+        assert [trace.user for trace in Dataset(traces)] == ["a", "b", "c"]
+
+    def test_dataset_reuses_a_single_trace(self):
+        b, a = Trace("b", [0.0], [0.0], [0]), Trace("a", [1.0], [1.0], [1])
+        dataset = Dataset((b, a))
+        assert dataset.traces[0] is a and dataset.traces[1] is b
+
+    def test_empty_dataset(self):
+        dataset = Dataset()
+        assert dataset == Dataset([]) and list(dataset) == [] and len(dataset) == 0
+        assert dataset.total_records() == 0 and dataset.mean_latitude() == 0.0
 
 
 NAN, INF = float("nan"), float("inf")
@@ -235,6 +249,18 @@ class TestCells:
             CellGrid(0)
         with pytest.raises(ValueError):
             CellGrid(-5)
+
+    @pytest.mark.parametrize("size", [4.3e-12, 1e-13, 1e-300])
+    def test_rejects_sizes_whose_cell_indices_overflow(self, size):
+        with pytest.raises(ValueError) as err:
+            CellGrid(size)
+        assert str(err.value) == "cell size must exceed 4.34e-12 m"
+
+    def test_smallest_sizes_give_in_range_cells(self):
+        # the extreme coordinates still land in int64 cells on the right side of 0
+        cells = CellGrid(4.4e-12).cells_of([90.0, -90.0], [180.0, -179.9])
+        assert all(0 < abs(i) < 2**62 for cell in cells for i in cell)
+        assert sorted((ix > 0, iy > 0) for ix, iy in cells) == [(False, False), (True, True)]
 
     def test_partition_every_point_in_exactly_one_cell(self, gen):
         # deterministic assignment, and the cell's nominal bounds contain the

@@ -185,6 +185,11 @@ class TestRestrictByHalf:
         with pytest.raises(ValueError):
             restrict_by_half(DOMAIN_1_5, 2.5)
 
+    def test_a_value_two_ulps_off_the_grid_is_not_in_domain(self):
+        with pytest.raises(ValueError) as err:
+            restrict_by_half(DOMAIN_1_5, 2.0 + 1e-15)
+        assert str(err.value) == "value 2.000000000000001 not in domain 'a'"
+
     def test_window_properties(self, gen):
         h = max(1, len(DOMAIN_101) // 4)
         for _ in range(200):

@@ -5,7 +5,7 @@ from datetime import date
 
 import pytest
 
-from alp.errors import ConfigurationError, DatasetLoadError
+from alp.errors import AlpError, ConfigurationError, DatasetLoadError
 from alp.geo import Dataset, Trace, utc_day
 from alp.io import load_dataset, parse_timestamp_ms, write_dataset_csv, write_json, write_rows_csv
 from alp.lppm import LppmConfig, apply_lppm
@@ -366,7 +366,7 @@ class TestRunOnline:
     def test_rows_match_non_empty_batches(self, three_day_dataset):
         config = RunConfig(lppm_name="promesse", seed=5)
         report = run_online(three_day_dataset, config)
-        keys = [(user, day) for user, trace in three_day_dataset.merged_by_user().items()
+        keys = [(trace.user, day) for trace in three_day_dataset
                 for day, _ in split_daily_batches(trace)]
         assert len(report.rows) == len(keys)
         assert [(r.user, r.day) for r in report.rows] == keys
@@ -378,8 +378,8 @@ class TestRunOnline:
         from alp.geo import CellGrid
 
         grid = CellGrid(config.cell_size_m, three_day_dataset.mean_latitude())
-        batches = {(user, day): batch
-                   for user, trace in three_day_dataset.merged_by_user().items()
+        batches = {(trace.user, day): batch
+                   for trace in three_day_dataset
                    for day, batch in split_daily_batches(trace)}
         for row in report.rows:
             raw = batches[(row.user, row.day)]
@@ -403,3 +403,40 @@ class TestRunOnline:
         report = run_online(three_day_dataset, config)
         assert len(binds) == 3 * len(report.rows) == 9
         assert set(binds.values()) == {1}
+
+    @pytest.mark.parametrize("lppm, assignment", [("geo-i", {"epsilon": 0.01}),
+                                                  ("promesse", {"alpha": 200.0})])
+    def test_protected_is_one_trace_per_user(self, tmp_path, lppm, assignment):
+        dataset = generate_synthetic_dataset(SynthSpec(users=2, days=2, pad_to_day_end=False,
+                                                       sample_period_s=300.0, seed=23)).dataset
+        report = run_online(dataset, RunConfig(lppm, static_assignment=assignment, seed=5))
+        assert [trace.user for trace in report.protected] == ["u000", "u001"]
+        batches = [batch for trace in dataset for _, batch in split_daily_batches(trace)]
+        units = [apply_lppm(row.config, batch,
+                            RandomStream(5).child(row.user, row.day.isoformat(), "protect"))
+                 for row, batch in zip(report.rows, batches, strict=True)]
+        assert len(units) == 4
+        expected = io.StringIO(newline="")
+        csv_write_dataset(units, expected)
+        path = write_dataset_csv(report.protected, tmp_path / "protected.csv")
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+class TestFailingUnit:
+    def test_online_names_the_user_and_day(self, three_day_dataset):
+        config = RunConfig("promesse", static_assignment={"alpha": 1e-300})
+        with pytest.raises(AlpError) as err:
+            run_online(three_day_dataset, config)
+        assert str(err.value) == "user 'u000', day 2024-01-01: Maximum allowed size exceeded"
+        assert isinstance(err.value.__cause__, ValueError)
+
+    def test_offline_names_the_user(self, trip_dataset, monkeypatch):
+        import alp.pipeline
+
+        def failing(*args):
+            raise ConfigurationError("no bind")
+
+        monkeypatch.setattr(alp.pipeline, "bind_evaluators", failing)
+        with pytest.raises(AlpError) as err:
+            run_offline(trip_dataset, RunConfig("geo-i"))
+        assert str(err.value) == "user 'u000': no bind"
