@@ -45,6 +45,8 @@ from .pipeline import (
     ReportRow,
     RunConfig,
     cdf_points,
+    evaluate,
+    protect,
     run_offline,
     run_online,
     split_daily_batches,
@@ -78,6 +80,7 @@ __all__ = [
     "bind_evaluators",
     "cdf_points",
     "distance_meters",
+    "evaluate",
     "extract_pois",
     "generate_synthetic_dataset",
     "geo_i_obfuscate",
@@ -89,6 +92,7 @@ __all__ = [
     "parse_objectives",
     "poi_retrieval",
     "promesse_obfuscate",
+    "protect",
     "restrict_by_half",
     "run_offline",
     "run_online",

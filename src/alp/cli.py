@@ -25,13 +25,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import AlpError
-from .geo import CellGrid, Dataset
 from .io import load_dataset, write_dataset_csv, write_json, write_rows_csv
-from .lppm import MECHANISMS, LppmConfig, apply_lppm
-from .metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, median_of_k
+from .lppm import MECHANISMS
+from .metrics import PoiClusteringParams
 from .optimizer import AnnealingSchedule, parse_objectives
-from .pipeline import Report, RunConfig, run_offline, run_online
-from .rng import RandomStream
+from .pipeline import Report, RunConfig, evaluate, protect, run_offline, run_online
 from .synth import SynthSpec, generate_synthetic_dataset
 
 
@@ -291,17 +289,10 @@ def _cmd_evaluate(inv: CliInvocation) -> int:
     _require(inv, "input")
     _require(inv, "lppm", "param")
     config = _run_config(inv)
-    static = LppmConfig(config.lppm_name, config.static_assignment)
-    dataset = load_dataset(inv.flags["input"])
-    grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
-    root = RandomStream(config.seed)
-
     lines = [f"{'user':<12} {'pois':>8} {'distortion_m':>14} {'coverage':>10}"]
-    for trace in dataset:
-        bound = bind_evaluators(EVALUATORS, trace, config.poi_params, grid)
-        values = median_of_k(bound, static, trace, config.robust_k, root.child(trace.user))
-        lines.append(f"{trace.user:<12} {values['pois']:>8.4f} {values['distortion']:>14.2f} "
-                     f"{values['coverage']:>10.4f}")
+    lines += [f"{user:<12} {values['pois']:>8.4f} {values['distortion']:>14.2f} "
+              f"{values['coverage']:>10.4f}"
+              for user, values in evaluate(load_dataset(inv.flags["input"]), config)]
     print("\n".join(lines))
     return 0
 
@@ -310,11 +301,7 @@ def _cmd_protect(inv: CliInvocation) -> int:
     _require(inv, "input")
     _require(inv, "lppm", "param")
     config = _run_config(inv)
-    static = LppmConfig(config.lppm_name, config.static_assignment)
-    dataset = load_dataset(inv.flags["input"])
-    root = RandomStream(config.seed)
-    protected = Dataset(apply_lppm(static, trace, root.child("protect", trace.user))
-                        for trace in dataset)
+    protected = protect(load_dataset(inv.flags["input"]), config)
     source = Path(inv.flags["input"])
     out = inv.flags.get("out") or source.with_name(f"{source.stem}_protected.csv")
     write_dataset_csv(protected, out)

@@ -1,27 +1,26 @@
-"""Run orchestration: offline per-user tuning, online per-day tuning, reports.
+"""Run orchestration: the one unit loop, the four jobs run on it, and reports.
 
-The offline scenario (:func:`run_offline`) tunes one configuration per user
-on their concatenated trace. The online scenario (:func:`run_online`) splits
-each user's records into UTC daily batches and tunes a configuration per
-batch, or fixes the one in ``RunConfig.static_assignment`` (the static
-baseline). Both produce a :class:`Report` of per-unit rows plus CDF summaries,
-and both are deterministic functions of (dataset, config): units run one
-at a time, in (user, day) order, on the calling thread, and each derives its
-randomness from (seed, user, day).
+:func:`_run_units` alone cuts a run into units (each user's trace, or its
+UTC-day batches) and runs a job on them one at a time, in (user, day) order,
+on the calling thread; it names the user (and day) of a unit that fails. Its
+callers are the code paths of the four input commands: :func:`evaluate`,
+:func:`protect`, :func:`run_offline` and :func:`run_online`. Each unit draws
+from streams named by the seed and its own identity, so every result is a
+deterministic function of (dataset, config).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from datetime import date
-from typing import Sequence
 
 import numpy as np
 
 from .errors import AlpError, ConfigurationError
 from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
 from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism
-from .metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, checked_robust_k, evaluator
+from .metrics import (EVALUATORS, PoiClusteringParams, bind_evaluators, checked_robust_k, evaluator,
+                      median_of_k)
 from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, default_objectives
 from .rng import RandomStream
 
@@ -41,13 +40,7 @@ def cdf_points(values) -> list:
     """Empirical CDF as (value, fraction of inputs <= value) over unique values."""
     values = sorted(values)
     n = len(values)
-    if n == 0:
-        return []
-    points = []
-    for i, v in enumerate(values):
-        if i + 1 == n or values[i + 1] != v:
-            points.append((v, (i + 1) / n))
-    return points
+    return [(v, (i + 1) / n) for i, v in enumerate(values) if i + 1 == n or values[i + 1] != v]
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,8 @@ class RunConfig:
     """The settings of every command that reads an input (all but ``synth``).
 
     A ``static_assignment`` fixes the configuration of every unit instead of
-    tuning it: the static baseline, which only :func:`run_online` runs.
+    tuning it: :func:`evaluate` and :func:`protect` need one, :func:`run_online`
+    then runs the static baseline, and :func:`run_offline` rejects one.
     ``objectives`` and ``robust_k`` left at None take the mechanism's
     defaults from ``MECHANISMS``, and every setting is checked here.
     """
@@ -73,7 +67,7 @@ class RunConfig:
     def __post_init__(self):
         entry = mechanism(self.lppm_name)
         if self.static_assignment is not None:
-            checked(LppmConfig(self.lppm_name, self.static_assignment))
+            checked(self.static_config)
         objectives = default_objectives(self.lppm_name) if self.objectives is None else self.objectives
         if not objectives:
             raise ConfigurationError("at least one objective is required")
@@ -86,6 +80,13 @@ class RunConfig:
         k = entry.robust_k if self.robust_k is None else self.robust_k
         object.__setattr__(self, "robust_k", checked_robust_k(k))
         CellGrid(self.cell_size_m)  # raises on a cell size that is not positive
+
+    @property
+    def static_config(self) -> LppmConfig:
+        """The fixed configuration of every unit; a run that tunes has none."""
+        if self.static_assignment is None:
+            raise ConfigurationError("this job runs a fixed configuration; give a static assignment")
+        return LppmConfig(self.lppm_name, self.static_assignment)
 
     def describe(self, mode: str) -> dict:
         """JSON-ready snapshot recorded in every report."""
@@ -144,7 +145,47 @@ class Report:
         }
 
 
-def _summaries(rows: Sequence[ReportRow]):
+def _process_unit(user: str, day: date | None, raw: Trace, config: RunConfig, grid: CellGrid):
+    """Tune (or fix) a configuration for one unit, protect it, measure it.
+
+    Each entry of ``EVALUATORS`` is bound to the raw trace once; the search,
+    whose objectives name only these, and the row's metrics share them.
+    """
+    day_label = day.isoformat() if day is not None else "offline"
+    root = RandomStream(config.seed).child(user, day_label)
+
+    bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
+    cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k)
+    if config.static_assignment is not None:
+        chosen = config.static_config
+        cost = cost_fn(chosen, root.child("cost"))
+    else:
+        result = anneal(config.lppm_name, MECHANISMS[config.lppm_name].domains, cost_fn,
+                        config.schedule, root.child("anneal"), n_objectives=len(config.objectives))
+        chosen, cost = result.chosen(config.use_best)
+
+    protected = apply_lppm(chosen, raw, root.child("protect"))
+    metrics = {name: bound[name](protected) for name in EVALUATORS}
+    return ReportRow(user, day, chosen, metrics, cost), protected
+
+
+def _run_units(dataset: Dataset, job, daily: bool = False):
+    """Yield ``job(user, day, trace)`` for each user's whole trace (day None)
+    or, when ``daily``, for each of its UTC-day batches, in (user, day) order;
+    a unit that fails raises an AlpError naming its user (and day, if any)."""
+    for trace in dataset:
+        user = trace.user
+        for day, unit in split_daily_batches(trace) if daily else [(None, trace)]:
+            try:
+                yield job(user, day, unit)
+            except (AlpError, ValueError) as exc:
+                raise AlpError(f"user {user!r}" + (f", day {day}" if day else "") + f": {exc}") from exc
+
+
+def _tuned_report(dataset: Dataset, config: RunConfig, mode: str, daily: bool) -> Report:
+    grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
+    outcomes = list(_run_units(dataset, lambda *unit: _process_unit(*unit, config, grid), daily))
+    rows = [row for row, _ in outcomes]
     cdf = {
         name: cdf_points([row.metrics[name] for row in rows])
         for name in EVALUATORS
@@ -158,62 +199,42 @@ def _summaries(rows: Sequence[ReportRow]):
         for row in rows:
             per_user.setdefault(row.user, []).append(row.config.assignment[name])
         ranges[name] = {user: max(vs) - min(vs) for user, vs in sorted(per_user.items())}
-    return cdf, param_cdf, ranges
-
-
-def _process_unit(user: str, day: date | None, raw: Trace, config: RunConfig, grid: CellGrid):
-    """Tune (or fix) a configuration for one unit, protect it, measure it.
-
-    Each entry of ``EVALUATORS`` is bound to the raw trace once; the search,
-    whose objectives name only these, and the row's metrics share them.
-    """
-    day_label = day.isoformat() if day is not None else "offline"
-    root = RandomStream(config.seed).child(user, day_label)
-
-    bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
-    cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k)
-    if config.static_assignment is not None:
-        chosen = LppmConfig(config.lppm_name, config.static_assignment)
-        cost = cost_fn(chosen, root.child("cost"))
-    else:
-        result = anneal(config.lppm_name, MECHANISMS[config.lppm_name].domains, cost_fn,
-                        config.schedule, root.child("anneal"), n_objectives=len(config.objectives))
-        chosen, cost = result.chosen(config.use_best)
-
-    protected = apply_lppm(chosen, raw, root.child("protect"))
-    metrics = {name: bound[name](protected) for name in EVALUATORS}
-    return ReportRow(user, day, chosen, metrics, cost), protected
-
-
-def _run_units(units, config: RunConfig, grid: CellGrid, mode: str) -> Report:
-    """Process units in the given (user, day) order and summarise them; a unit
-    that fails raises an AlpError naming its user (and day, when online)."""
-    rows, protected = [], []
-    for (user, day), raw in units:
-        try:
-            row, trace = _process_unit(user, day, raw, config, grid)
-        except (AlpError, ValueError) as exc:
-            raise AlpError(f"user {user!r}" + (f", day {day}" if day else "") + f": {exc}") from exc
-        rows.append(row)
-        protected.append(trace)
-    cdf, param_cdf, ranges = _summaries(rows)
-    return Report(tuple(rows), config.describe(mode), cdf, param_cdf, ranges, Dataset(protected))
+    return Report(tuple(rows), config.describe(mode), cdf, param_cdf, ranges,
+                  Dataset(trace for _, trace in outcomes))
 
 
 def run_offline(dataset: Dataset, config: RunConfig) -> Report:
     """One tuned configuration per user, fitted on the concatenated trace."""
     if config.static_assignment is not None:
         raise ConfigurationError("offline mode searches domains; drop the static assignment")
-    grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
-    units = [((trace.user, None), trace) for trace in dataset]
-    return _run_units(units, config, grid, "offline")
+    return _tuned_report(dataset, config, "offline", daily=False)
 
 
 def run_online(dataset: Dataset, config: RunConfig) -> Report:
     """One configuration per non-empty (user, UTC day) batch: tuned, or the
     static assignment when the config holds one."""
-    grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
-    units = [((trace.user, day), batch) for trace in dataset
-             for day, batch in split_daily_batches(trace)]
     mode = "online" if config.static_assignment is None else "static-baseline"
-    return _run_units(units, config, grid, mode)
+    return _tuned_report(dataset, config, mode, daily=True)
+
+
+def evaluate(dataset: Dataset, config: RunConfig) -> list:
+    """``(user, {metric: median})`` per user: the static configuration scored on
+    ``robust_k`` replicates, replicate i drawn from stream ``(seed, user, "rep", i)``."""
+    static = config.static_config
+    grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
+    root = RandomStream(config.seed)
+
+    def job(user, day, trace):
+        bound = bind_evaluators(EVALUATORS, trace, config.poi_params, grid)
+        return user, median_of_k(bound, static, trace, config.robust_k, root.child(user))
+
+    return list(_run_units(dataset, job))
+
+
+def protect(dataset: Dataset, config: RunConfig) -> Dataset:
+    """Each user's trace under the static configuration, drawn from the stream
+    ``(seed, "protect", user)``."""
+    static = config.static_config
+    root = RandomStream(config.seed)
+    return Dataset(_run_units(
+        dataset, lambda user, day, trace: apply_lppm(static, trace, root.child("protect", user))))

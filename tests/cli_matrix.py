@@ -2,26 +2,48 @@
 
 Usage: ``python tests/cli_matrix.py --src DIR``
 
-Each invocation runs ``python -m alp.cli`` with DIR (a checkout's ``src``)
-on ``PYTHONPATH``, ``ALP_SEED`` unset, in one fresh temporary directory and
-with relative paths, so that stdout compares across checkouts. The first two
-synthesize the inputs: 2 users x 2 full days, and a ``--trip`` one. For each
-invocation the script prints a header line with its arguments, then one line
-each for its exit code, its stdout, its stderr and every file it created or
-changed, with the sha256 of the bytes. To check that a change keeps the
-command line's output, diff the output for the parent's ``src`` against the
-output for the change's. Pytest does not collect this file.
+The script imports ``alp`` from DIR (a checkout's ``src``) and runs each
+invocation in this process through ``alp.cli.main``: with ``ALP_SEED`` unset,
+``COLUMNS`` at 80 (the width of ``--help``), in one fresh temporary directory
+and with relative paths, so that the output compares across checkouts. It
+captures stdout and stderr as UTF-8 bytes, shows each warning once per
+invocation on stderr, as a fresh interpreter would, and takes the code of a
+``SystemExit`` (``--help`` and usage errors) as the exit code. The first two
+invocations synthesize the inputs: 2 users x 2 full days, and a ``--trip``
+one.
+
+The first output line names the numpy version, because geo-i hashes depend
+on its float kernels. For each invocation the script then prints a header
+line with its arguments, and one line each for its exit code, its stdout,
+its stderr and every file it created or changed, with the sha256 of the
+bytes.
+
+The output for this checkout is committed as ``tests/cli_matrix.golden``,
+and ``tests/test_cli_matrix.py`` regenerates and compares it. A change that
+moves bytes on purpose regenerates the file, from the repository root, with
+
+    python tests/cli_matrix.py --src src > tests/cli_matrix.golden
+
+so that its diff shows which invocations moved. To compare two checkouts,
+run the script once for each ``src`` and diff the outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import importlib
+import io
 import os
-import subprocess
 import sys
 import tempfile
+import traceback
+import warnings
 from pathlib import Path
+from unittest import mock
+
+import numpy
 
 STATIC = {"geo-i": "epsilon=0.01", "promesse": "alpha=200"}
 METRIC_FLAGS = ("--cell-size", "100", "--poi-diameter", "150", "--poi-stay-minutes", "10",
@@ -64,6 +86,9 @@ def invocations() -> list:
         # a unit that fails inside the run
         ["online", "--input", "trip.csv", "--lppm", "promesse", "--param", "alpha=1e-300",
          "--out-dir", "reports", "--name", "failing-unit"],
+        ["evaluate", "--input", "trip.csv", "--lppm", "promesse", "--param", "alpha=1e-300"],
+        ["protect", "--input", "trip.csv", "--lppm", "promesse", "--param", "alpha=1e-300",
+         "--out", "failing-unit.csv"],
     ]
     return runs
 
@@ -77,26 +102,62 @@ def snapshot(root: Path) -> dict:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def _write_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run(cli, args: list) -> tuple:
+    """Exit code, stdout bytes and stderr bytes of ``cli.main(args)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("default")  # resets the once-per-location registries
+        warnings.showwarning = _write_warning
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        except Exception:  # an escaped error, reported as the interpreter would
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def matrix(src: Path) -> str:
+    """The script's output for the ``alp`` package in ``src``."""
+    src = src.resolve()
+    if str(src) not in sys.path:
+        sys.path.insert(0, str(src))
+    cli = importlib.import_module("alp.cli")
+    if Path(cli.__file__).resolve().parent != src / "alp":
+        raise RuntimeError(f"alp is already imported from {cli.__file__}, not from {src}")
+    lines = [f"# numpy {numpy.__version__}"]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        os.environ.pop("ALP_SEED", None)
+        os.chdir(tmp)
+        try:
+            root, before = Path(tmp), {}
+            for number, cli_args in enumerate(invocations(), 1):
+                code, stdout, stderr = run(cli, cli_args)
+                after = snapshot(root)
+                lines += [f"## {number:02d} alp {' '.join(cli_args)}",
+                          f"{number:02d} exit {code}",
+                          f"{number:02d} stdout {sha256(stdout)}",
+                          f"{number:02d} stderr {sha256(stderr)}"]
+                lines += [f"{number:02d} file {name} {digest}"
+                          for name, digest in after.items() if before.get(name) != digest]
+                before = after
+        finally:
+            os.chdir(cwd)
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, type=Path, help="the src directory to run")
     args = parser.parse_args(argv)
-    env = {k: v for k, v in os.environ.items() if k != "ALP_SEED"}
-    env["PYTHONPATH"] = str(args.src.resolve())
-    with tempfile.TemporaryDirectory() as tmp:
-        root, before = Path(tmp), {}
-        for number, cli_args in enumerate(invocations(), 1):
-            done = subprocess.run([sys.executable, "-m", "alp.cli", *cli_args], cwd=root, env=env,
-                                  capture_output=True, check=False)
-            after = snapshot(root)
-            print(f"## {number:02d} alp {' '.join(cli_args)}")
-            print(f"{number:02d} exit {done.returncode}")
-            print(f"{number:02d} stdout {sha256(done.stdout)}")
-            print(f"{number:02d} stderr {sha256(done.stderr)}")
-            for name, digest in after.items():
-                if before.get(name) != digest:
-                    print(f"{number:02d} file {name} {digest}")
-            before = after
+    sys.stdout.write(matrix(args.src))
     return 0
 
 

@@ -193,6 +193,16 @@ class TestStaticCommands:
                      "--param", "alpha=200"]) == 0
         assert tiny_input.with_name("tiny_protected.csv").exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "protect"])
+    def test_failing_user_is_named_without_output(self, tiny_input, capsys, command):
+        code = main([command, "--input", str(tiny_input), "--lppm", "promesse",
+                     "--param", "alpha=1e-300"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: user 'u000': Maximum allowed size exceeded\n"
+        assert [p.name for p in tiny_input.parent.iterdir()] == ["tiny.csv"]  # protect wrote nothing
+
     def test_protect_missing_param_is_usage_error(self, tiny_input, capsys):
         code = main(["protect", "--input", str(tiny_input), "--lppm", "promesse"])
         assert code == 2

@@ -6,14 +6,16 @@ from datetime import date
 import pytest
 
 from alp.errors import AlpError, ConfigurationError, DatasetLoadError
-from alp.geo import Dataset, Trace, utc_day
+from alp.geo import CellGrid, Dataset, Trace, utc_day
 from alp.io import load_dataset, parse_timestamp_ms, write_dataset_csv, write_json, write_rows_csv
 from alp.lppm import LppmConfig, apply_lppm
-from alp.metrics import EVALUATORS
+from alp.metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, median_of_k
 from alp.optimizer import AnnealingSchedule, AnnealResult, Objective, parse_objectives
 from alp.pipeline import (
     RunConfig,
     cdf_points,
+    evaluate,
+    protect,
     run_offline,
     run_online,
     split_daily_batches,
@@ -310,6 +312,43 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError) as err:
             RunConfig("geo-i", objectives=())
         assert str(err.value) == "at least one objective is required"
+
+    @pytest.mark.parametrize("job", [evaluate, protect], ids=["evaluate", "protect"])
+    def test_static_jobs_reject_a_config_without_assignment(self, trip_dataset, job):
+        # the mirror of run_offline's check: these jobs run a fixed configuration
+        with pytest.raises(ConfigurationError) as err:
+            job(trip_dataset, RunConfig("geo-i"))
+        assert str(err.value) == "this job runs a fixed configuration; give a static assignment"
+
+
+class TestStaticJobs:
+    """evaluate and protect keep the streams of the per-user loops they replace."""
+
+    @pytest.fixture(scope="class")
+    def two_users(self):
+        return generate_synthetic_dataset(SynthSpec(users=2, days=1, pois_per_user=2,
+                                                    sample_period_s=120.0, pad_to_day_end=False,
+                                                    seed=23)).dataset
+
+    def test_protect_draws_each_user_from_seed_protect_user(self, two_users):
+        static = LppmConfig("geo-i", {"epsilon": 0.01})
+        expected = Dataset(apply_lppm(static, t, RandomStream(4).child("protect", t.user))
+                           for t in two_users)
+        protected = protect(two_users, RunConfig("geo-i", static_assignment=static.assignment, seed=4))
+        assert [t.user for t in protected] == ["u000", "u001"]
+        assert protected == expected
+
+    def test_evaluate_is_median_of_k_on_seed_user(self, two_users):
+        static = LppmConfig("geo-i", {"epsilon": 0.01})
+        poi_params = PoiClusteringParams(max_diameter_m=150.0)
+        config = RunConfig("geo-i", static_assignment=static.assignment, seed=4, robust_k=5,
+                           cell_size_m=100.0, poi_params=poi_params)
+        grid = CellGrid(100.0, two_users.mean_latitude())
+        expected = [(t.user, median_of_k(bind_evaluators(EVALUATORS, t, poi_params, grid), static, t,
+                                         5, RandomStream(4).child(t.user)))
+                    for t in two_users]
+        assert [user for user, _ in expected] == ["u000", "u001"]
+        assert evaluate(two_users, config) == expected
 
 
 class TestRunOffline:
