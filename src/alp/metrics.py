@@ -209,20 +209,16 @@ def _bind_pois(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> C
 def _bind_distortion(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> Callable[[Trace], float]:
     """Mean distance from protected locations to the nearest raw location.
 
-    The kd-tree holds each distinct raw location once: dwell-heavy traces
-    repeat a few points many times, and duplicates only slow the query. An
-    empty protected trace distorts nothing and scores 0; an empty raw trace
-    is a caller error.
+    The search runs over each distinct raw location once: dwell-heavy traces
+    repeat a few points many times, and duplicates only slow it. An empty
+    protected trace distorts nothing and scores 0; an empty raw trace is a
+    caller error.
     """
-    # Imported here: scipy.spatial takes longer to import than the rest
-    # of the package, and protect and synth never measure distortion.
-    from scipy.spatial import cKDTree
-
     if len(raw) == 0:
         raise ValueError("raw location set must be non-empty")
     points = np.unique(np.column_stack((raw.lat, raw.lon)), axis=0)
     raw_lat, raw_lon = points[:, 0], points[:, 1]
-    tree = cKDTree(sphere_xyz(raw_lat, raw_lon))
+    nearest = _nearest_finder(sphere_xyz(raw_lat, raw_lon))
 
     def evaluate(protected: Trace) -> float:
         if len(protected) == 0:
@@ -230,11 +226,43 @@ def _bind_distortion(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid
         # Chord length is monotone in arc length, so the chord nearest
         # neighbour is also the great-circle nearest neighbour; report
         # the haversine value.
-        _, idx = tree.query(sphere_xyz(protected.lat, protected.lon))
+        idx = nearest(sphere_xyz(protected.lat, protected.lon))
         d = haversine_m(protected.lat, protected.lon, raw_lat[idx], raw_lon[idx])
         return float(np.mean(d))
 
     return evaluate
+
+
+# Most distinct raw points that _nearest_finder scans instead of putting in a
+# kd-tree. At 2,880 and 20,160 query points the scan is no slower than a
+# kd-tree query up to about 32 raw points, and it spares the scipy import.
+_SCAN_MAX_RAW_POINTS = 32
+
+
+def _nearest_finder(points_xyz: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A function from query points to the index of their chord-nearest row
+    of ``points_xyz`` (the first index on a tie when it scans)."""
+    if len(points_xyz) > _SCAN_MAX_RAW_POINTS:
+        # Imported here: scipy.spatial takes longer to import than the rest
+        # of the package, and only large raw sets need it.
+        from scipy.spatial import cKDTree
+
+        query = cKDTree(points_xyz).query
+        return lambda query_xyz: query(query_xyz)[1]
+
+    def scan(query_xyz: np.ndarray) -> np.ndarray:
+        # Squared chords as differences, not dot products: those lose about
+        # 0.1 m of resolution near zero distance.
+        qx, qy, qz = (np.ascontiguousarray(c) for c in query_xyz.T)
+        best = np.zeros(len(query_xyz), dtype=np.intp)
+        best_d2 = np.full(len(query_xyz), np.inf)
+        for i, (px, py, pz) in enumerate(points_xyz):
+            d2 = (qx - px) ** 2 + (qy - py) ** 2 + (qz - pz) ** 2
+            best[d2 < best_d2] = i
+            np.minimum(best_d2, d2, out=best_d2)
+        return best
+
+    return scan
 
 
 def _bind_coverage(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> Callable[[Trace], float]:

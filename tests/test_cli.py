@@ -5,13 +5,14 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from alp.cli import _run_config, build_parser, main, parse_args
-from alp.geo import CellGrid
+from alp.geo import CellGrid, Dataset, Trace
 from alp.io import write_dataset_csv
 from alp.lppm import MECHANISMS
-from alp.metrics import PoiClusteringParams
+from alp.metrics import _SCAN_MAX_RAW_POINTS, PoiClusteringParams
 from alp.optimizer import AnnealingSchedule, Objective
 from alp.pipeline import RunConfig
 from alp.synth import SynthSpec, generate_synthetic_dataset
@@ -383,8 +384,8 @@ class TestParamItems:
 
 class TestLightCommandsSkipScipy:
     def test_protect_and_synth_never_import_scipy(self, tmp_path):
-        # The distortion kd-tree imports scipy lazily and the radius sampler
-        # uses numpy alone, so neither command should pay for scipy.
+        # Only the distortion evaluator can import scipy, and the radius
+        # sampler uses numpy alone, so neither command should pay for scipy.
         data = tmp_path / "d.csv"
         script = (
             "import sys\n"
@@ -400,6 +401,38 @@ class TestLightCommandsSkipScipy:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "d_protected.csv").exists()
+
+
+class TestDwellHeavyCommandsSkipScipy:
+    def test_scipy_is_imported_only_for_a_large_raw_set(self, tmp_path):
+        # A dwell-heavy day repeats a few distinct points, which the distortion
+        # evaluator scans without a kd-tree; a raw trace with more distinct
+        # points than it scans still takes the kd-tree from scipy.spatial.
+        data, walk = tmp_path / "d.csv", tmp_path / "walk.csv"
+        m = _SCAN_MAX_RAW_POINTS + 1
+        write_dataset_csv(Dataset([Trace("w", 45.0 + 0.001 * np.arange(m), [5.0] * m,
+                                         600_000 * np.arange(m))]), walk)
+        script = (
+            "import sys\n"
+            "from alp.cli import main\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            f"assert main(['synth', '--users', '1', '--pois', '3', '--sample-period', '600',"
+            f" '--out', {str(data)!r}]) == 0\n"
+            f"assert main(['evaluate', '--input', {str(data)!r}, '--lppm', 'geo-i',"
+            " '--param', 'epsilon=0.01']) == 0\n"
+            f"assert main(['online', '--input', {str(data)!r}, '--lppm', 'geo-i', '--t-min', '0.2',"
+            f" '--out-dir', {str(tmp_path / 'rep')!r}]) == 0\n"
+            "dwell_heavy = scipy_modules()\n"
+            f"assert main(['evaluate', '--input', {str(walk)!r}, '--lppm', 'geo-i',"
+            " '--param', 'epsilon=0.01']) == 0\n"
+            "print(dwell_heavy, 'scipy.spatial' in scipy_modules())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds this alp
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[] True"
 
 
 class TestPipelineCommands:

@@ -2,12 +2,23 @@ import numpy as np
 import pytest
 
 from alp.errors import ConfigurationError
-from alp.geo import EARTH_RADIUS_M, CellGrid, GeoPoint, Trace, distance_meters, latlon_from_local
+from alp.geo import (
+    EARTH_RADIUS_M,
+    CellGrid,
+    GeoPoint,
+    Trace,
+    distance_meters,
+    haversine_m,
+    latlon_from_local,
+    sphere_xyz,
+)
 from alp.lppm import LppmConfig, apply_lppm, geo_i_obfuscate
 from alp.metrics import (
+    _SCAN_MAX_RAW_POINTS,
     EVALUATORS,
     Poi,
     PoiClusteringParams,
+    _nearest_finder,
     bind_evaluators,
     evaluator,
     extract_pois,
@@ -227,7 +238,7 @@ class TestSpatialDistortion:
 
     @pytest.mark.parametrize("shape", ["all-duplicate", "dwell-heavy"])
     def test_bound_evaluator_matches_brute_force_on_repeated_points(self, shape):
-        # the evaluator's kd-tree holds each distinct raw point once
+        # the evaluator searches each distinct raw point once
         if shape == "all-duplicate":
             offsets = [(120.0, -40.0)] * 150
         else:
@@ -240,6 +251,68 @@ class TestSpatialDistortion:
         want = brute_spatial_distortion(points_of(raw), points_of(protected))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert EVALUATORS["distortion"].bind(raw, PARAMS, CellGrid())(raw) == 0.0
+
+
+def kd_tree_distortion(raw, protected):
+    """Mean haversine distance to the kd-tree nearest of the distinct raw points."""
+    from scipy.spatial import cKDTree
+
+    points = np.unique(np.column_stack((raw.lat, raw.lon)), axis=0)
+    _, idx = cKDTree(sphere_xyz(points[:, 0], points[:, 1])).query(sphere_xyz(protected.lat, protected.lon))
+    return float(np.mean(haversine_m(protected.lat, protected.lon, points[idx, 0], points[idx, 1])))
+
+
+class TestNearestRawPointIsExact:
+    """The bound distortion equals a direct kd-tree computation, on both sides
+    of the distinct-point count at which the evaluator stops scanning."""
+
+    @staticmethod
+    def assert_matches_kd_tree(raw_coords, protected_coords):
+        raw, protected = make_trace(raw_coords), make_trace(protected_coords)
+        got = EVALUATORS["distortion"].bind(raw, PARAMS, CellGrid())(protected)
+        assert got == kd_tree_distortion(raw, protected)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_random_sets_at_the_scan_limit(self, gen, extra):
+        m = _SCAN_MAX_RAW_POINTS + extra
+        for _ in range(20):
+            raw = points_at([(float(gen.uniform(-3000, 3000)), float(gen.uniform(-3000, 3000)))
+                             for _ in range(m)])
+            raw_trace = trace_of(raw)
+            protected = apply_lppm(LppmConfig("geo-i", {"epsilon": 0.005}), trace_of(raw * 20),
+                                   RandomStream(int(gen.integers(1 << 30))))
+            assert len(np.unique(np.column_stack((raw_trace.lat, raw_trace.lon)), axis=0)) == m
+            got = EVALUATORS["distortion"].bind(raw_trace, PARAMS, CellGrid())(protected)
+            assert got == kd_tree_distortion(raw_trace, protected)
+
+    def test_exact_chord_tie_takes_the_first_point(self):
+        # Mirror images about lon 0 and about lat 0 have squared chords equal
+        # to the last bit from the points on the mirror line.
+        raw = [(0.0, 0.001), (0.0, -0.001), (0.001, 5.0), (-0.001, 5.0)]
+        queries = [(0.0, 0.0), (0.0, 5.0)]
+        self.assert_matches_kd_tree(raw, queries + [(0.0, 0.0005), (0.0005, 5.0)])
+        for order, want in ((raw, [0, 2]), (raw[::-1], [2, 0])):
+            nearest = _nearest_finder(sphere_xyz(*np.array(order).T))
+            assert nearest(sphere_xyz(*np.array(queries).T)).tolist() == want
+
+    def test_poles(self):
+        raw = [(90.0, 0.0), (90.0, 120.0), (-90.0, -45.0), (89.9999, 10.0), (-89.999, 170.0)]
+        protected = [(90.0, 45.0), (90.0, 180.0), (-90.0, 180.0), (89.99995, -100.0), (-89.9995, 0.0),
+                     (89.0, 30.0)]
+        self.assert_matches_kd_tree(raw, protected)
+
+    def test_antimeridian(self):
+        raw = [(10.0, 179.9995), (10.0, -179.9995), (10.001, 180.0), (-10.0, -179.99999)]
+        protected = [(10.0, 180.0), (10.0, -179.99999), (10.0, 179.9999), (10.0, -179.9991),
+                     (10.0005, -179.9999), (-10.0, 179.9999)]
+        self.assert_matches_kd_tree(raw, protected)
+
+    def test_single_raw_point(self):
+        self.assert_matches_kd_tree([(45.0, 5.0)], [(45.0, 5.0), (45.001, 5.002), (-45.0, -175.0)])
+
+    def test_all_duplicate_raw_trace(self, gen):
+        protected = [(45.0 + float(gen.normal(0, 0.01)), 5.0 + float(gen.normal(0, 0.01))) for _ in range(50)]
+        self.assert_matches_kd_tree([(45.0, 5.0)] * 150, protected)
 
 
 class TestAreaCoverage:
