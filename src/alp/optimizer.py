@@ -150,7 +150,7 @@ def neighbour(state: LppmConfig, domains: Sequence[ParameterDomain], gen: np.ran
     return LppmConfig(state.lppm_name, assignment)
 
 
-CostFn = Callable[[LppmConfig, RandomStream], float]
+CostFn = Callable[[LppmConfig], float]
 
 
 def anneal(lppm_name: str, domains: Sequence[ParameterDomain], cost_fn: CostFn,
@@ -159,20 +159,19 @@ def anneal(lppm_name: str, domains: Sequence[ParameterDomain], cost_fn: CostFn,
 
     The chain (initial draw, neighbour picks, acceptance uniforms) is one
     generator from ``rng/chain``, shared by :func:`initial_state` and
-    :func:`neighbour`; cost evaluation j gets the sub-stream ``rng/eval/j``,
-    so results are independent of how the cost function uses randomness.
+    :func:`neighbour`. The cost is a function of the state alone.
     """
     chain = rng.child("chain").generator()
 
     state = initial_state(lppm_name, domains, chain)
-    cost = cost_fn(state, rng.child("eval", 0))
+    cost = cost_fn(state)
     best_state, best_cost = state, cost
 
     trace = []
     iterations = 0
     for t in schedule.temperatures():
         candidate = neighbour(state, domains, chain)
-        candidate_cost = cost_fn(candidate, rng.child("eval", iterations + 1))
+        candidate_cost = cost_fn(candidate)
         if candidate_cost < best_cost:
             best_state, best_cost = candidate, candidate_cost
         if acceptance_probability(cost, candidate_cost, t, n_objectives) >= chain.uniform():
@@ -188,21 +187,22 @@ class ObjectiveCost:
 
     ``bound`` maps evaluator names to closures bound to the reference (see
     :func:`~alp.metrics.bind_evaluators`); it must cover every objective and
-    may hold more. Each call takes the median-of-k value of every objective's
-    evaluator over the same k replicates and sums the normalized
-    contributions; repeated states are re-evaluated rather than cached.
+    may hold more. Each call sums the normalized median-of-k values of the
+    objectives' evaluators, all scored on the k replicates ``rng/rep/i`` that
+    every state shares, so a repeated state is re-scored to the identical cost.
     """
 
-    def __init__(self, objectives: Sequence[Objective], ref: Trace, bound: dict, robust_k: int = 1):
+    def __init__(self, objectives: Sequence[Objective], ref: Trace, bound: dict, robust_k: int, rng: RandomStream):
         if not objectives:
             raise ConfigurationError("at least one objective is required")
         self.objectives = tuple(objectives)
         self.ref = ref
         self.robust_k = robust_k
+        self.rng = rng
         self._bound = {o.evaluator_name: bound[o.evaluator_name] for o in self.objectives}
 
-    def __call__(self, state: LppmConfig, rng: RandomStream) -> float:
-        medians = median_of_k(self._bound, state, self.ref, self.robust_k, rng)
+    def __call__(self, state: LppmConfig) -> float:
+        medians = median_of_k(self._bound, state, self.ref, self.robust_k, self.rng)
         total = 0.0
         for o in self.objectives:
             n = min(medians[o.evaluator_name], o.scale) / o.scale

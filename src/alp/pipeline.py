@@ -4,9 +4,10 @@
 UTC-day batches) and runs a job on them one at a time, in (user, day) order,
 on the calling thread; it names the user (and day) of a unit that fails. Its
 callers are the code paths of the four input commands: :func:`evaluate`,
-:func:`protect`, :func:`run_offline` and :func:`run_online`. Each unit draws
-from streams named by the seed and its own identity, so every result is a
-deterministic function of (dataset, config).
+:func:`protect`, :func:`run_offline` and :func:`run_online`. It alone lays out the
+streams: a unit's root ``(seed, user, day or "offline")`` has the children ``cost``
+(replicate i of every state scored on ``cost/rep/i``), ``anneal`` (the search chain)
+and ``protect``, so every result is a deterministic function of (dataset, config).
 """
 
 from __future__ import annotations
@@ -145,46 +146,44 @@ class Report:
         }
 
 
-def _process_unit(user: str, day: date | None, raw: Trace, config: RunConfig, grid: CellGrid):
+def _process_unit(user: str, day: date | None, raw: Trace, rng: RandomStream, config: RunConfig, grid: CellGrid):
     """Tune (or fix) a configuration for one unit, protect it, measure it.
 
     Each entry of ``EVALUATORS`` is bound to the raw trace once; the search,
     whose objectives name only these, and the row's metrics share them.
     """
-    day_label = day.isoformat() if day is not None else "offline"
-    root = RandomStream(config.seed).child(user, day_label)
-
     bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
-    cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k)
+    cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k, rng.child("cost"))
     if config.static_assignment is not None:
         chosen = config.static_config
-        cost = cost_fn(chosen, root.child("cost"))
+        cost = cost_fn(chosen)
     else:
         result = anneal(config.lppm_name, MECHANISMS[config.lppm_name].domains, cost_fn,
-                        config.schedule, root.child("anneal"), n_objectives=len(config.objectives))
+                        config.schedule, rng.child("anneal"), n_objectives=len(config.objectives))
         chosen, cost = result.chosen(config.use_best)
 
-    protected = apply_lppm(chosen, raw, root.child("protect"))
+    protected = apply_lppm(chosen, raw, rng.child("protect"))
     metrics = {name: bound[name](protected) for name in EVALUATORS}
     return ReportRow(user, day, chosen, metrics, cost), protected
 
 
-def _run_units(dataset: Dataset, job, daily: bool = False):
-    """Yield ``job(user, day, trace)`` for each user's whole trace (day None)
-    or, when ``daily``, for each of its UTC-day batches, in (user, day) order;
-    a unit that fails raises an AlpError naming its user (and day, if any)."""
+def _run_units(dataset: Dataset, seed: int, job, daily: bool = False):
+    """Yield ``job(user, day, trace, rng)`` for each user's whole trace (day None) or, when ``daily``,
+    for each of its UTC-day batches, in (user, day) order; ``rng`` is the unit's root stream. A unit
+    that fails or runs out of memory raises an AlpError naming its user (and day, if any)."""
     for trace in dataset:
         user = trace.user
         for day, unit in split_daily_batches(trace) if daily else [(None, trace)]:
             try:
-                yield job(user, day, unit)
-            except (AlpError, ValueError) as exc:
-                raise AlpError(f"user {user!r}" + (f", day {day}" if day else "") + f": {exc}") from exc
+                yield job(user, day, unit, RandomStream(seed).child(user, day or "offline"))
+            except (AlpError, ValueError, MemoryError) as exc:
+                reason = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+                raise AlpError(f"user {user!r}" + (f", day {day}" if day else "") + f": {reason}") from exc
 
 
 def _tuned_report(dataset: Dataset, config: RunConfig, mode: str, daily: bool) -> Report:
     grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
-    outcomes = list(_run_units(dataset, lambda *unit: _process_unit(*unit, config, grid), daily))
+    outcomes = list(_run_units(dataset, config.seed, lambda *unit: _process_unit(*unit, config, grid), daily))
     rows = [row for row, _ in outcomes]
     cdf = {
         name: cdf_points([row.metrics[name] for row in rows])
@@ -219,22 +218,20 @@ def run_online(dataset: Dataset, config: RunConfig) -> Report:
 
 def evaluate(dataset: Dataset, config: RunConfig) -> list:
     """``(user, {metric: median})`` per user: the static configuration scored on
-    ``robust_k`` replicates, replicate i drawn from stream ``(seed, user, "rep", i)``."""
+    the ``robust_k`` replicates that the offline search scores it on."""
     static = config.static_config
     grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
-    root = RandomStream(config.seed)
 
-    def job(user, day, trace):
+    def job(user, day, trace, rng):
         bound = bind_evaluators(EVALUATORS, trace, config.poi_params, grid)
-        return user, median_of_k(bound, static, trace, config.robust_k, root.child(user))
+        return user, median_of_k(bound, static, trace, config.robust_k, rng.child("cost"))
 
-    return list(_run_units(dataset, job))
+    return list(_run_units(dataset, config.seed, job))
 
 
 def protect(dataset: Dataset, config: RunConfig) -> Dataset:
     """Each user's trace under the static configuration, drawn from the stream
-    ``(seed, "protect", user)``."""
+    the offline search publishes it on."""
     static = config.static_config
-    root = RandomStream(config.seed)
-    return Dataset(_run_units(
-        dataset, lambda user, day, trace: apply_lppm(static, trace, root.child("protect", user))))
+    return Dataset(_run_units(dataset, config.seed,
+                              lambda user, day, trace, rng: apply_lppm(static, trace, rng.child("protect"))))

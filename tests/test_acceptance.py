@@ -165,7 +165,7 @@ def test_criterion_4_annealing_mechanics():
 
         domain = ParameterDomain("x", tuple(float(v) for v in range(101)))
         result = anneal("geo-i", [domain],
-                        lambda s, r: s.assignment["x"] / 101.0,
+                        lambda s: s.assignment["x"] / 101.0,
                         schedule, RandomStream(0, "mech"))
         check(result.iterations == 110, f"anneal executed {result.iterations} != 110")
 
@@ -183,7 +183,7 @@ def test_criterion_5_annealing_convergence():
         domain = ParameterDomain("x", tuple(float(v) for v in range(101)))
         x_star = 73.0
 
-        def cost_fn(state, rng):
+        def cost_fn(state):
             return abs(state.assignment["x"] - x_star) / len(domain)
 
         exhaustive = min(domain.values, key=lambda v: abs(v - x_star))

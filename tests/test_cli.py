@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -479,6 +480,23 @@ class TestPipelineCommands:
         assert captured.err == ("error: user 'u000', day 2024-01-01: "
                                 "Maximum allowed size exceeded\n")
         assert not out_dir.exists()
+
+    def test_unit_out_of_memory_is_named_without_output(self, tiny_input, tmp_path, capsys,
+                                                         monkeypatch):
+        def exhausted(trace, assignment, rng):
+            raise MemoryError
+
+        monkeypatch.setitem(MECHANISMS, "promesse", dataclasses.replace(MECHANISMS["promesse"],
+                                                                         transform=exhausted))
+        out_dir = tmp_path / "rep"
+        code = main(["online", "--input", str(tiny_input), "--lppm", "promesse",
+                     "--param", "alpha=200", "--out-dir", str(out_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: user 'u000', day 2024-01-01: out of memory\n"
+        assert not out_dir.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["tiny.csv"]
 
     def test_online_adaptive_runs_identically(self, tiny_input, tmp_path):
         names = []

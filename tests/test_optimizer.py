@@ -69,7 +69,7 @@ class TestCost:
     def cost(self, objectives, values):
         """One ObjectiveCost call over fake bound evaluators with fixed values."""
         bound = {name: lambda protected, value=value: value for name, value in values.items()}
-        return ObjectiveCost(objectives, self.TRACE, bound, robust_k=1)(self.STATE, RandomStream(0))
+        return ObjectiveCost(objectives, self.TRACE, bound, 1, RandomStream(0))(self.STATE)
 
     def test_minimise_branch(self):
         value = self.cost([Objective("a", True, 1.0)], {"a": 0.2})
@@ -95,7 +95,7 @@ class TestCost:
 
     def test_requires_objectives(self):
         with pytest.raises(ConfigurationError):
-            ObjectiveCost([], self.TRACE, {}, robust_k=1)
+            ObjectiveCost([], self.TRACE, {}, 1, RandomStream(0))
 
     def test_objectives_share_replicates(self, monkeypatch):
         import alp.metrics
@@ -113,7 +113,7 @@ class TestCost:
                  for name, log in seen.items()}
         objectives = [Objective("a", True), Objective("b", False)]
         state = LppmConfig("geo-i", {"epsilon": 0.01})
-        ObjectiveCost(objectives, self.TRACE, bound, robust_k=3)(state, RandomStream(0))
+        ObjectiveCost(objectives, self.TRACE, bound, 3, RandomStream(0))(state)
         assert len(applied) == 3
         assert len(seen["a"]) == len(seen["b"]) == 3
         assert all(a is b for a, b in zip(seen["a"], seen["b"]))
@@ -222,7 +222,7 @@ class TestNeighbour:
 
 
 def surrogate_cost(x_star):
-    def cost_fn(state, rng):
+    def cost_fn(state):
         return abs(state.assignment["x"] - x_star) / len(DOMAIN_101)
     return cost_fn
 

@@ -8,9 +8,10 @@ import pytest
 from alp.errors import AlpError, ConfigurationError, DatasetLoadError
 from alp.geo import CellGrid, Dataset, Trace, utc_day
 from alp.io import load_dataset, parse_timestamp_ms, write_dataset_csv, write_json, write_rows_csv
-from alp.lppm import LppmConfig, apply_lppm
+from alp.lppm import MECHANISMS, LppmConfig, apply_lppm
 from alp.metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, median_of_k
-from alp.optimizer import AnnealingSchedule, AnnealResult, Objective, parse_objectives
+from alp.optimizer import (AnnealingSchedule, AnnealResult, Objective, ObjectiveCost, anneal,
+                           parse_objectives)
 from alp.pipeline import (
     RunConfig,
     cdf_points,
@@ -322,7 +323,8 @@ class TestRunConfig:
 
 
 class TestStaticJobs:
-    """evaluate and protect keep the streams of the per-user loops they replace."""
+    """evaluate and protect draw from each user's offline root ``(seed, user, "offline")``,
+    the streams the offline search scores and publishes that user on."""
 
     @pytest.fixture(scope="class")
     def two_users(self):
@@ -330,25 +332,87 @@ class TestStaticJobs:
                                                     sample_period_s=120.0, pad_to_day_end=False,
                                                     seed=23)).dataset
 
-    def test_protect_draws_each_user_from_seed_protect_user(self, two_users):
+    def test_protect_draws_each_user_from_the_offline_protect_stream(self, two_users):
         static = LppmConfig("geo-i", {"epsilon": 0.01})
-        expected = Dataset(apply_lppm(static, t, RandomStream(4).child("protect", t.user))
+        expected = Dataset(apply_lppm(static, t, RandomStream(4).child(t.user, "offline", "protect"))
                            for t in two_users)
         protected = protect(two_users, RunConfig("geo-i", static_assignment=static.assignment, seed=4))
         assert [t.user for t in protected] == ["u000", "u001"]
         assert protected == expected
 
-    def test_evaluate_is_median_of_k_on_seed_user(self, two_users):
+    def test_evaluate_is_median_of_k_on_the_offline_cost_stream(self, two_users):
         static = LppmConfig("geo-i", {"epsilon": 0.01})
         poi_params = PoiClusteringParams(max_diameter_m=150.0)
         config = RunConfig("geo-i", static_assignment=static.assignment, seed=4, robust_k=5,
                            cell_size_m=100.0, poi_params=poi_params)
         grid = CellGrid(100.0, two_users.mean_latitude())
         expected = [(t.user, median_of_k(bind_evaluators(EVALUATORS, t, poi_params, grid), static, t,
-                                         5, RandomStream(4).child(t.user)))
+                                         5, RandomStream(4).child(t.user, "offline", "cost")))
                     for t in two_users]
         assert [user for user, _ in expected] == ["u000", "u001"]
         assert evaluate(two_users, config) == expected
+
+
+class TestOneScorePerState:
+    """Every state of a unit is scored on the same replicates, whichever command scores it."""
+
+    @pytest.fixture(scope="class")
+    def two_users(self):
+        return generate_synthetic_dataset(SynthSpec(users=2, days=2, pois_per_user=3,
+                                                    sample_period_s=600.0, seed=61)).dataset
+
+    @pytest.fixture(scope="class")
+    def offline(self, two_users):
+        return run_offline(two_users, RunConfig("geo-i", seed=7))
+
+    def test_static_baseline_rescores_each_tuned_row_exactly(self, two_users):
+        tuned = run_online(two_users, RunConfig("geo-i", seed=7))
+        assert len(tuned.rows) == 4
+        for row in tuned.rows:
+            static = run_online(two_users, RunConfig("geo-i", static_assignment=row.config.assignment,
+                                                     seed=7))
+            (again,) = [r for r in static.rows if (r.user, r.day) == (row.user, row.day)]
+            assert again.config == row.config
+            assert again.cost == row.cost
+            assert again.metrics == row.metrics
+
+    def test_evaluate_gives_the_medians_the_offline_search_scored(self, two_users, offline):
+        objectives = offline.run_config["objectives"]
+        assert len(offline.rows) == 2
+        for row in offline.rows:
+            config = RunConfig("geo-i", static_assignment=row.config.assignment, seed=7)
+            medians = dict(evaluate(two_users, config))[row.user]
+            cost = 0.0
+            for o in objectives:
+                n = min(medians[o["evaluator"]], o["scale"]) / o["scale"]
+                cost += n if o["direction"] == "min" else 1.0 - n
+            assert cost == row.cost
+
+    def test_protect_publishes_the_offline_trace(self, two_users, offline):
+        for row, published in zip(offline.rows, offline.protected):
+            config = RunConfig("geo-i", static_assignment=row.config.assignment, seed=7)
+            (trace,) = [t for t in protect(two_users, config) if t.user == row.user]
+            assert trace == published
+
+    def test_a_repeated_state_gets_the_identical_cost(self, two_users):
+        day, raw = split_daily_batches(next(iter(two_users)))[0]
+        config = RunConfig("geo-i", seed=7)
+        grid = CellGrid(config.cell_size_m, two_users.mean_latitude())
+        bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
+        root = RandomStream(7).child(raw.user, day)
+        cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k, root.child("cost"))
+        calls = []
+
+        def recorded(state):
+            calls.append((tuple(sorted(state.assignment.items())), cost_fn(state)))
+            return calls[-1][1]
+
+        anneal("geo-i", MECHANISMS["geo-i"].domains, recorded, config.schedule, root.child("anneal"),
+               n_objectives=len(config.objectives))
+        assert len(calls) == 111
+        states = {state for state, _ in calls}
+        assert len(states) < len(calls)  # some state is visited more than once
+        assert len(set(calls)) == len(states)
 
 
 class TestRunOffline:
