@@ -28,9 +28,8 @@ from .geo import (
     CellGrid,
     GeoPoint,
     Trace,
+    _wrap_degrees,
     haversine_m,
-    latlon_from_local,
-    local_xy,
     sphere_xyz,
 )
 from .lppm import LppmConfig, apply_lppm
@@ -74,15 +73,21 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     breaks the diameter, the cluster becomes a POI if its time span reaches
     the minimum stay, and the scan restarts at the breaking record.
 
+    A step d(j-1, j) above ``max_d + _MARGIN_M`` breaks whatever cluster is
+    open, since j-1 is a member. These steps, computed for every j in one
+    vectorized call, cut the trace into segments that the scan handles
+    independently. No cluster outlasts its segment, so a segment whose time
+    span is below the minimum stay holds no POI and is skipped unscanned:
+    the duration threshold of stay-point detection (Li et al., "Mining user
+    similarity based on location history", ACM GIS 2008).
+
     The reach is an O(cluster) numpy scan, so cheap bounds decide most
-    records without it. They use the step d(j-1, j), computed for every j in
-    one vectorized call, and the anchor distance d(start, j) and the
+    records without it. They use the anchor distance d(start, j) and the
     cluster's bounding box, both taken from the points' 3-D coordinates on
     the sphere. R is the largest anchor distance in the open cluster.
 
-    * Break: j-1 and start are members, so the reach is at least the step
-      and at least d(start, j). Either one above ``max_d + _MARGIN_M``
-      breaks the cluster.
+    * Break: start is a member, so the reach is at least d(start, j). If it
+      is above ``max_d + _MARGIN_M``, j breaks the cluster.
     * Join: by the triangle inequality, every member m has
       d(m, j) <= d(m, start) + d(start, j) <= R + d(start, j). Every member
       also lies in the bounding box, so d(m, j) is at most the arc to the
@@ -101,12 +106,19 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
         return []
 
     lat, lon, times = trace.lat, trace.lon, trace.time_ms
+    max_d = params.max_diameter_m
+    join_below, break_above = max_d - _MARGIN_M, max_d + _MARGIN_M
+    # Segment s is the records firsts[s]..lasts[s].
+    cuts = np.flatnonzero(haversine_m(lat[:-1], lon[:-1], lat[1:], lon[1:]) > break_above) + 1
+    firsts, lasts = np.append(0, cuts), np.append(cuts - 1, n - 1)
+    kept = times[lasts] - times[firsts] >= params.min_stay_ms
+    if not kept.any():
+        return []
+
     phi = np.radians(lat)
     lam = np.radians(lon)
     cos_phi = np.cos(phi)
     radius2 = 2.0 * EARTH_RADIUS_M
-    max_d = params.max_diameter_m
-    join_below, break_above = max_d - _MARGIN_M, max_d + _MARGIN_M
 
     def reach(start: int, j: int) -> float:
         sl = slice(start, j)
@@ -117,41 +129,62 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
         """Great-circle distance of a squared chord."""
         return radius2 * math.asin(min(math.sqrt(chord2) / radius2, 1.0))
 
-    pois = []
-
-    def close_cluster(start: int, end: int):
-        if times[end] - times[start] < params.min_stay_ms:
-            return
-        origin = GeoPoint(float(lat[start]), float(lon[start]))
-        xs, ys = local_xy(origin, lat[start:end + 1], lon[start:end + 1])
-        centroid = GeoPoint(*map(float, latlon_from_local(origin, np.mean(xs), np.mean(ys))))
-        pois.append(Poi(trace.user, centroid, int(times[start]), int(times[end]), end - start + 1))
-
-    steps = haversine_m(lat[:-1], lon[:-1], lat[1:], lon[1:]).tolist()  # steps[j - 1] = d(j-1, j)
-    xyz = sphere_xyz(lat, lon).tolist()
-    start = 0
-    anchor_max = 0.0  # R
-    # The start's 3-D point and the low and high corners of the bounding box.
-    (sx, sy, sz) = (x0, y0, z0) = (x1, y1, z1) = xyz[0]
-    for j in range(1, n):
-        x, y, z = xyz[j]
-        breaks = steps[j - 1] > break_above
-        if not breaks:
+    xyz = sphere_xyz(lat, lon)
+    clusters = []  # (start, end) of every cluster of a kept segment
+    for first, last in zip(firsts[kept].tolist(), lasts[kept].tolist()):
+        start = first
+        anchor_max = 0.0  # R
+        # The start's 3-D point and the low and high corners of the bounding box.
+        points = xyz[first:last + 1].tolist()
+        (sx, sy, sz) = (x0, y0, z0) = (x1, y1, z1) = points[0]
+        for j, (x, y, z) in enumerate(points[1:], first + 1):
             anchor = arc((x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2)
             if anchor + anchor_max > join_below:
                 corner = arc(max(x - x0, x1 - x) ** 2 + max(y - y0, y1 - y) ** 2 + max(z - z0, z1 - z) ** 2)
-                breaks = anchor > break_above or (corner > join_below and reach(start, j) > max_d)
-        if breaks:
-            close_cluster(start, j - 1)
-            start, anchor_max = j, 0.0
-            sx, sy, sz = x0, y0, z0 = x1, y1, z1 = x, y, z
-            continue
-        if anchor > anchor_max:
-            anchor_max = anchor
-        x0, y0, z0 = min(x0, x), min(y0, y), min(z0, z)
-        x1, y1, z1 = max(x1, x), max(y1, y), max(z1, z)
-    close_cluster(start, n - 1)
-    return pois
+                if anchor > break_above or (corner > join_below and reach(start, j) > max_d):
+                    clusters.append((start, j - 1))
+                    start, anchor_max = j, 0.0
+                    sx, sy, sz = x0, y0, z0 = x1, y1, z1 = x, y, z
+                    continue
+            if anchor > anchor_max:
+                anchor_max = anchor
+            x0, y0, z0 = min(x0, x), min(y0, y), min(z0, z)
+            x1, y1, z1 = max(x1, x), max(y1, y), max(z1, z)
+        clusters.append((start, last))
+    return _stay_pois(trace, clusters, params.min_stay_ms)
+
+
+def _stay_pois(trace: Trace, clusters: list, min_stay_ms: int) -> list:
+    """The POIs of the clusters (start, end) that last ``min_stay_ms``, in order.
+
+    A centroid is the members' mean in the local plane at the cluster's first
+    record. All are built in one pass with the arithmetic of
+    :func:`~alp.geo.local_xy` and :func:`~alp.geo.latlon_from_local`, origin
+    cosines from ``math.cos`` included (``np.cos`` may round otherwise).
+    """
+    lat, lon, times = trace.lat, trace.lon, trace.time_ms
+    starts, ends = np.array(clusters).T
+    stays = times[ends] - times[starts] >= min_stay_ms
+    starts, ends = starts[stays], ends[stays]
+    if len(starts) == 0:
+        return []
+    sizes = ends - starts + 1
+    stops = np.cumsum(sizes)
+    begins = stops - sizes  # cluster c's members are members[begins[c]:stops[c]]
+    members = np.arange(stops[-1]) + np.repeat(starts - begins, sizes)
+    lat0, lon0 = lat[starts], lon[starts]
+    cos0 = np.array([math.cos(math.radians(v)) for v in lat0.tolist()])
+    xs = EARTH_RADIUS_M * np.radians(_wrap_degrees(lon[members] - np.repeat(lon0, sizes))) * np.repeat(cos0, sizes)
+    ys = EARTH_RADIUS_M * np.radians(lat[members] - np.repeat(lat0, sizes))
+    # np.mean's pairwise sum and division, without its per-call overhead.
+    bounds = list(zip(begins.tolist(), stops.tolist()))
+    mean_x = np.array([np.add.reduce(xs[a:b]) for a, b in bounds]) / sizes
+    mean_y = np.array([np.add.reduce(ys[a:b]) for a, b in bounds]) / sizes
+    centroid_lat = np.clip(lat0 + np.degrees(mean_y / EARTH_RADIUS_M), -90.0, 90.0)
+    centroid_lon = _wrap_degrees(lon0 + np.degrees(mean_x / (EARTH_RADIUS_M * cos0)))
+    return [Poi(trace.user, GeoPoint(la, lo), t0, t1, size)
+            for la, lo, t0, t1, size in zip(centroid_lat.tolist(), centroid_lon.tolist(), times[starts].tolist(),
+                                            times[ends].tolist(), sizes.tolist())]
 
 
 def _f_score(precision: float, recall: float) -> float:
@@ -174,10 +207,10 @@ def poi_retrieval(pois_true: Sequence[Poi], pois_obf: Sequence[Poi], threshold_m
         return 0.0
     lat_t = np.array([p.centroid.lat for p in pois_true])
     lon_t = np.array([p.centroid.lon for p in pois_true])
-    matched = 0
-    for p in pois_obf:
-        if np.any(haversine_m(p.centroid.lat, p.centroid.lon, lat_t, lon_t) <= threshold_m):
-            matched += 1
+    lat_o = np.array([[p.centroid.lat] for p in pois_obf])
+    lon_o = np.array([[p.centroid.lon] for p in pois_obf])
+    # Row i holds the distances from protected POI i to every true POI.
+    matched = int(np.count_nonzero(np.any(haversine_m(lat_o, lon_o, lat_t, lon_t) <= threshold_m, axis=1)))
     recall = min(1.0, matched / len(pois_true))
     precision = matched / len(pois_obf)
     return _f_score(precision, recall)

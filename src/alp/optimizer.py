@@ -187,9 +187,10 @@ class ObjectiveCost:
 
     ``bound`` maps evaluator names to closures bound to the reference (see
     :func:`~alp.metrics.bind_evaluators`); it must cover every objective and
-    may hold more. Each call sums the normalized median-of-k values of the
-    objectives' evaluators, all scored on the k replicates ``rng/rep/i`` that
-    every state shares, so a repeated state is re-scored to the identical cost.
+    may hold more. A state's cost sums the normalized median-of-k values of
+    the objectives' evaluators, all scored on the k replicates ``rng/rep/i``
+    that every state shares. So a state has one cost, and it is scored once:
+    a repeated state returns the cost kept from its first call.
     """
 
     def __init__(self, objectives: Sequence[Objective], ref: Trace, bound: dict, robust_k: int, rng: RandomStream):
@@ -200,11 +201,15 @@ class ObjectiveCost:
         self.robust_k = robust_k
         self.rng = rng
         self._bound = {o.evaluator_name: bound[o.evaluator_name] for o in self.objectives}
+        self._costs = {}
 
     def __call__(self, state: LppmConfig) -> float:
-        medians = median_of_k(self._bound, state, self.ref, self.robust_k, self.rng)
-        total = 0.0
-        for o in self.objectives:
-            n = min(medians[o.evaluator_name], o.scale) / o.scale
-            total += n if o.minimise else (1.0 - n)
-        return total
+        key = tuple(sorted(state.assignment.items()))
+        if key not in self._costs:
+            medians = median_of_k(self._bound, state, self.ref, self.robust_k, self.rng)
+            total = 0.0
+            for o in self.objectives:
+                n = min(medians[o.evaluator_name], o.scale) / o.scale
+                total += n if o.minimise else (1.0 - n)
+            self._costs[key] = total
+        return self._costs[key]

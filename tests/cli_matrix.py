@@ -10,7 +10,7 @@ captures stdout and stderr as UTF-8 bytes, shows each warning once per
 invocation on stderr, as a fresh interpreter would, and takes the code of a
 ``SystemExit`` (``--help`` and usage errors) as the exit code. The first two
 invocations synthesize the inputs: 2 users x 2 full days, and a ``--trip``
-one.
+one. The last two synthesize one full day at 30 s and tune geo-i on it.
 
 The first output line names the numpy version, because geo-i hashes depend
 on its float kernels. For each invocation the script then prints a header
@@ -89,6 +89,11 @@ def invocations() -> list:
         ["evaluate", "--input", "trip.csv", "--lppm", "promesse", "--param", "alpha=1e-300"],
         ["protect", "--input", "trip.csv", "--lppm", "promesse", "--param", "alpha=1e-300",
          "--out", "failing-unit.csv"],
+        # one geo-i daily batch at 30 s: dwell clusters, pruned noisy segments
+        # and states the search visits more than once
+        ["synth", "--users", "1", "--days", "1", "--pois", "3", "--seed", "1", "--out", "day.csv"],
+        ["online", "--input", "day.csv", "--lppm", "geo-i", "--t-min", "0.01",
+         "--out-dir", "reports", "--name", "daily-batch"],
     ]
     return runs
 

@@ -149,6 +149,65 @@ class TestExtractPois:
         assert pois == scan_extract_pois(trace, PARAMS)
         assert len(pois) > 10 and max(p.size for p in pois) > 4
 
+    def test_segment_of_exactly_the_minimum_stay_is_kept(self):
+        # Two dwells cut apart by a 1 km jump: the first spans exactly the
+        # minimum stay, the second 1 ms less.
+        stay = PARAMS.min_stay_ms
+        times = np.concatenate((np.linspace(0, stay, 11), 2 * stay + np.linspace(0, stay - 1, 11)))
+        lat = np.repeat([45.0, 45.01], 11)
+        trace = Trace("u", lat, np.full(22, 5.0), times.astype(np.int64))
+        pois = extract_pois(trace, PARAMS)
+        assert pois == scan_extract_pois(trace, PARAMS)
+        assert [(p.start_ms, p.end_ms, p.size) for p in pois] == [(0, stay, 11)]
+
+    def test_forced_steps_next_to_steps_inside_the_margin(self):
+        # Dwells of 4-15 equal records 2 min apart along a meridian, where the
+        # haversine distance is exactly R * angle, each left by a step back or
+        # forth: max_d + 2e-6 m exceeds max_d + _MARGIN_M and cuts a segment,
+        # max_d + 5e-7 m does not, and only the exact scan breaks there.
+        gen = np.random.default_rng(11)
+        max_d = PARAMS.max_diameter_m
+        steps = []
+        for i in range(60):
+            steps += [0.0] * int(gen.integers(3, 15))
+            steps.append((-1.0) ** i * gen.choice([max_d + 2e-6, max_d + 5e-7, max_d - 5e-7]))
+        offsets = np.degrees(np.concatenate(([0.0], np.cumsum(steps))) / EARTH_RADIUS_M)
+        n = len(offsets)
+        trace = Trace("u", 45.0 + offsets, np.full(n, 5.0), 120_000 * np.arange(n))
+        pois = extract_pois(trace, PARAMS)
+        assert pois == scan_extract_pois(trace, PARAMS)
+        assert len(pois) > 10
+
+    def test_every_segment_pruned(self, gen):
+        # Dwells of 10 records 60 s apart (9 min) between 1-5 km jumps.
+        centers = np.cumsum(gen.uniform(1000.0, 5000.0, size=(30, 2)), axis=0)
+        xy = np.repeat(centers, 10, axis=0) + gen.normal(0.0, 20.0, size=(300, 2))
+        lat, lon = latlon_from_local(BASE, xy[:, 0], xy[:, 1])
+        trace = Trace("u", lat, lon, 60_000 * np.arange(300))
+        assert extract_pois(trace, PARAMS) == scan_extract_pois(trace, PARAMS) == []
+
+    @pytest.mark.parametrize("n, n_pois", [(1, 0), (2, 0), (200, 1)])
+    def test_single_record_and_all_duplicate_traces(self, n, n_pois):
+        trace = make_trace([(45.0, 5.0)] * n, step_ms=60_000)
+        pois = extract_pois(trace, PARAMS)
+        assert pois == scan_extract_pois(trace, PARAMS)
+        assert len(pois) == n_pois
+
+    def test_centroids_across_the_antimeridian_and_near_the_poles(self, gen):
+        # Dwells of 40 jittered records, each anchored near the antimeridian
+        # or at latitude +-89.9, with a jump between dwells.
+        origins = [(0.0, 180.0), (45.0, -179.9999), (89.9, 30.0), (-89.9, -170.0), (89.9, 180.0),
+                   (-89.9, 179.9995), (12.0, 179.9998)]
+        lat, lon = [], []
+        for origin in origins:
+            la, lo = latlon_from_local(GeoPoint(*origin), *gen.normal(0.0, 15.0, size=(2, 40)))
+            lat.append(la)
+            lon.append(lo)
+        trace = Trace("u", np.concatenate(lat), np.concatenate(lon), 30_000 * np.arange(40 * len(origins)))
+        pois = extract_pois(trace, PARAMS)
+        assert pois == scan_extract_pois(trace, PARAMS)
+        assert len(pois) == len(origins)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["lat", "lon"])
     @pytest.mark.parametrize("index", [0, 1, 25])
@@ -193,6 +252,27 @@ class TestPoiRetrieval:
             threshold = float(gen.uniform(50, 400))
             assert poi_retrieval(p_true, p_obf, threshold) == \
                 brute_poi_retrieval(p_true, p_obf, threshold)
+
+    def test_matches_brute_force_at_the_threshold(self):
+        # Along a meridian the haversine distance is exactly R * angle, so the
+        # protected POIs sit at the threshold to within a few ulps.
+        threshold = 100.0
+        p_true = [Poi("u", GeoPoint(lat, 5.0), 0, 0, 1) for lat in (-60.0, 0.0, 45.0)]
+        p_obf = [Poi("u", GeoPoint(p.centroid.lat + sign * np.degrees((threshold + delta) / EARTH_RADIUS_M), 5.0),
+                     0, 0, 1)
+                 for p in p_true for sign in (-1.0, 1.0) for delta in (-1e-9, 0.0, 1e-9)]
+        for obf in [p_obf] + [[p] for p in p_obf]:
+            assert poi_retrieval(p_true, obf, threshold) == brute_poi_retrieval(p_true, obf, threshold)
+
+    def test_matches_brute_force_with_many_more_protected_pois(self, gen):
+        p_true = [poi_at(0, 0), poi_at(800, 300)]
+        p_obf = [poi_at(*xy) for xy in gen.uniform(-1500, 1500, size=(300, 2)).tolist()]
+        value = poi_retrieval(p_true, p_obf, 150.0)
+        assert 0.0 < value == brute_poi_retrieval(p_true, p_obf, 150.0)
+
+    def test_no_protected_pois(self):
+        p_true = [poi_at(i * 500.0, 0) for i in range(5)]
+        assert poi_retrieval(p_true, [], 100.0) == brute_poi_retrieval(p_true, [], 100.0) == 0.0
 
 
 class TestSpatialDistortion:

@@ -119,6 +119,31 @@ class TestCost:
         assert all(a is b for a, b in zip(seen["a"], seen["b"]))
         assert len({id(t) for t in seen["a"]}) == 3
 
+    def test_a_state_is_scored_once(self, monkeypatch):
+        import alp.metrics
+
+        applied = []
+        real_apply = alp.metrics.apply_lppm
+        monkeypatch.setattr(alp.metrics, "apply_lppm",
+                            lambda config, raw, rng: applied.append(config) or real_apply(config, raw, rng))
+        raw = make_trace([(45.0, 5.0)] * 40 + [(45.01, 5.0)] * 40)
+        bound = bind_evaluators(["pois", "distortion"], raw, PoiClusteringParams(), CellGrid())
+        objectives = default_objectives("geo-i")
+        cost_fn = ObjectiveCost(objectives, raw, bound, 3, RandomStream(4))
+        visited = []
+
+        def recording_cost(state):
+            visited.append(state)
+            return cost_fn(state)
+
+        domains = [ParameterDomain("epsilon", (0.002, 0.01, 0.05))]
+        anneal("geo-i", domains, recording_cost, AnnealingSchedule(t_min=0.01), RandomStream(5), len(objectives))
+        distinct = {tuple(sorted(state.assignment.items())): state for state in visited}
+        assert len(visited) == 45 and len(distinct) == 3
+        assert len(applied) == 3 * len(distinct)
+        for state in distinct.values():
+            assert cost_fn(state) == ObjectiveCost(objectives, raw, bound, 3, RandomStream(4))(state)
+
 
 class TestAcceptanceProbability:
     def test_improvement_always_accepted(self):
