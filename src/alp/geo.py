@@ -3,7 +3,9 @@
 Coordinates are WGS84-style latitude/longitude degrees treated as points on
 a sphere of radius 6,371,000 m. Distances are great-circle (haversine).
 Small-extent planar work (noise displacement, path resampling, centroids)
-happens in an equirectangular tangent plane anchored at a local origin.
+happens in an equirectangular tangent plane that only :func:`local_xy` and
+:func:`latlon_from_local` know; their origin degrees broadcast: one origin
+for all points, or one per point.
 
 A :class:`Trace` holds one user's positions as columns; its constructor is
 the only way to build one. :class:`GeoPoint` is the single-point type, and
@@ -165,21 +167,21 @@ def _wrap_degrees(lon):
     return np.where(wrapped == -180.0, 180.0, wrapped)
 
 
-def local_xy(origin: GeoPoint, lat, lon):
-    """Equirectangular projection: meters east/north of origin (vectorized)."""
-    phi0 = math.radians(origin.lat)
-    dlam = np.radians(_wrap_degrees(np.asarray(lon, dtype=float) - origin.lon))
-    dphi = np.radians(np.asarray(lat, dtype=float) - origin.lat)
-    x = EARTH_RADIUS_M * dlam * math.cos(phi0)
+def local_xy(lat0, lon0, lat, lon):
+    """Equirectangular projection: meters east/north of the origin (lat0, lon0),
+    which broadcasts against the points (vectorized)."""
+    dlam = np.radians(_wrap_degrees(np.asarray(lon, dtype=float) - lon0))
+    dphi = np.radians(np.asarray(lat, dtype=float) - lat0)
+    x = EARTH_RADIUS_M * dlam * np.cos(np.radians(lat0))
     y = EARTH_RADIUS_M * dphi
     return x, y
 
 
-def latlon_from_local(origin: GeoPoint, x, y):
-    """Inverse of :func:`local_xy` (vectorized); longitudes wrapped to (-180, 180]."""
-    phi0 = math.radians(origin.lat)
-    lat = origin.lat + np.degrees(np.asarray(y, dtype=float) / EARTH_RADIUS_M)
-    lon = origin.lon + np.degrees(np.asarray(x, dtype=float) / (EARTH_RADIUS_M * math.cos(phi0)))
+def latlon_from_local(lat0, lon0, x, y):
+    """Inverse of :func:`local_xy` (vectorized, origins broadcast alike);
+    latitudes clipped to [-90, 90], longitudes wrapped to (-180, 180]."""
+    lat = lat0 + np.degrees(np.asarray(y, dtype=float) / EARTH_RADIUS_M)
+    lon = lon0 + np.degrees(np.asarray(x, dtype=float) / (EARTH_RADIUS_M * np.cos(np.radians(lat0))))
     return np.clip(lat, -90.0, 90.0), _wrap_degrees(lon)
 
 

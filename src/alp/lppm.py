@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigurationError, lookup
-from .geo import EARTH_RADIUS_M, GeoPoint, Trace, _wrap_degrees, latlon_from_local, local_xy
+from .geo import Trace, latlon_from_local, local_xy
 from .rng import RandomStream
 
 _TWO_PI = 2.0 * math.pi
@@ -122,8 +122,9 @@ def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RandomStream) -> Trace:
     """Displace every record independently with planar-Laplace noise.
 
     Each point is moved by (r, theta) in its own tangent plane, with theta
-    uniform on [0, 2*pi) and r drawn through the inverse radial CDF. User id,
-    record count, timestamps, and ordering are preserved.
+    uniform on [0, 2*pi) and r drawn through the inverse radial CDF: the step
+    is :func:`~alp.geo.latlon_from_local` with every point its own origin.
+    User id, record count, timestamps, and ordering are preserved.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -136,11 +137,7 @@ def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RandomStream) -> Trace:
     r = _inverse_radial_cdf(epsilon, p)
     dx = r * np.cos(theta)
     dy = r * np.sin(theta)
-
-    lat, lon = trace.lat, trace.lon
-    new_lat = np.clip(lat + np.degrees(dy / EARTH_RADIUS_M), -90.0, 90.0)
-    new_lon = _wrap_degrees(lon + np.degrees(dx / (EARTH_RADIUS_M * np.cos(np.radians(lat)))))
-    return Trace(trace.user, new_lat, new_lon, trace.time_ms)
+    return Trace(trace.user, *latlon_from_local(trace.lat, trace.lon, dx, dy), trace.time_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +158,8 @@ def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
     if n == 0:
         return trace
 
-    origin = GeoPoint(float(trace.lat[0]), float(trace.lon[0]))
-    xs, ys = local_xy(origin, trace.lat, trace.lon)
+    lat0, lon0 = trace.lat[0], trace.lon[0]
+    xs, ys = local_xy(lat0, lon0, trace.lat, trace.lon)
     seg = np.hypot(np.diff(xs), np.diff(ys))
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = float(cum[-1])
@@ -177,7 +174,7 @@ def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
     frac = np.where(seg_j > 0, (offsets - cum[j]) / np.where(seg_j > 0, seg_j, 1.0), 0.0)
     px = xs[j] + frac * (xs[j + 1] - xs[j])
     py = ys[j] + frac * (ys[j + 1] - ys[j])
-    out_lat, out_lon = latlon_from_local(origin, px, py)
+    out_lat, out_lon = latlon_from_local(lat0, lon0, px, py)
 
     t0, t1 = int(trace.time_ms[0]), int(trace.time_ms[-1])
     steps = np.arange(count, dtype=float)

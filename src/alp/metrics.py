@@ -28,8 +28,9 @@ from .geo import (
     CellGrid,
     GeoPoint,
     Trace,
-    _wrap_degrees,
     haversine_m,
+    latlon_from_local,
+    local_xy,
     sphere_xyz,
 )
 from .lppm import LppmConfig, apply_lppm
@@ -158,9 +159,9 @@ def _stay_pois(trace: Trace, clusters: list, min_stay_ms: int) -> list:
     """The POIs of the clusters (start, end) that last ``min_stay_ms``, in order.
 
     A centroid is the members' mean in the local plane at the cluster's first
-    record. All are built in one pass with the arithmetic of
-    :func:`~alp.geo.local_xy` and :func:`~alp.geo.latlon_from_local`, origin
-    cosines from ``math.cos`` included (``np.cos`` may round otherwise).
+    record. All are built in one pass: :func:`~alp.geo.local_xy` and
+    :func:`~alp.geo.latlon_from_local` take one origin per member and per
+    cluster.
     """
     lat, lon, times = trace.lat, trace.lon, trace.time_ms
     starts, ends = np.array(clusters).T
@@ -173,15 +174,12 @@ def _stay_pois(trace: Trace, clusters: list, min_stay_ms: int) -> list:
     begins = stops - sizes  # cluster c's members are members[begins[c]:stops[c]]
     members = np.arange(stops[-1]) + np.repeat(starts - begins, sizes)
     lat0, lon0 = lat[starts], lon[starts]
-    cos0 = np.array([math.cos(math.radians(v)) for v in lat0.tolist()])
-    xs = EARTH_RADIUS_M * np.radians(_wrap_degrees(lon[members] - np.repeat(lon0, sizes))) * np.repeat(cos0, sizes)
-    ys = EARTH_RADIUS_M * np.radians(lat[members] - np.repeat(lat0, sizes))
+    xs, ys = local_xy(np.repeat(lat0, sizes), np.repeat(lon0, sizes), lat[members], lon[members])
     # np.mean's pairwise sum and division, without its per-call overhead.
     bounds = list(zip(begins.tolist(), stops.tolist()))
     mean_x = np.array([np.add.reduce(xs[a:b]) for a, b in bounds]) / sizes
     mean_y = np.array([np.add.reduce(ys[a:b]) for a, b in bounds]) / sizes
-    centroid_lat = np.clip(lat0 + np.degrees(mean_y / EARTH_RADIUS_M), -90.0, 90.0)
-    centroid_lon = _wrap_degrees(lon0 + np.degrees(mean_x / (EARTH_RADIUS_M * cos0)))
+    centroid_lat, centroid_lon = latlon_from_local(lat0, lon0, mean_x, mean_y)
     return [Poi(trace.user, GeoPoint(la, lo), t0, t1, size)
             for la, lo, t0, t1, size in zip(centroid_lat.tolist(), centroid_lon.tolist(), times[starts].tolist(),
                                             times[ends].tolist(), sizes.tolist())]

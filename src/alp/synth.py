@@ -137,9 +137,9 @@ def generate_synthetic_dataset(spec: SynthSpec) -> SyntheticDataset:
         pois_xy = _place_pois(spec, gen)
         segments = _user_segments(spec, pois_xy, gen)
         times_s, xy = _sample_segments(segments, spec.sample_period_s)
-        lat, lon = latlon_from_local(spec.center, xy[:, 0], xy[:, 1])
+        lat, lon = latlon_from_local(spec.center.lat, spec.center.lon, xy[:, 0], xy[:, 1])
         time_ms = SYNTH_EPOCH_MS + np.rint(times_s * 1000.0).astype(np.int64)
         traces.append(Trace(user, lat, lon, time_ms))
-        poi_lat, poi_lon = latlon_from_local(spec.center, pois_xy[:, 0], pois_xy[:, 1])
+        poi_lat, poi_lon = latlon_from_local(spec.center.lat, spec.center.lon, pois_xy[:, 0], pois_xy[:, 1])
         true_pois[user] = [GeoPoint(float(la), float(lo)) for la, lo in zip(poi_lat, poi_lon)]
     return SyntheticDataset(Dataset(tuple(traces)), true_pois)

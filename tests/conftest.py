@@ -29,7 +29,7 @@ def points_of(trace):
 def plane_points(origin, offsets_m):
     """GeoPoints at (x_east_m, y_north_m) offsets in the tangent plane at origin."""
     x, y = np.asarray(offsets_m, dtype=float).reshape(-1, 2).T
-    lat, lon = latlon_from_local(origin, x, y)
+    lat, lon = latlon_from_local(origin.lat, origin.lon, x, y)
     return [GeoPoint(la, lo) for la, lo in zip(lat.tolist(), lon.tolist())]
 
 
@@ -37,7 +37,7 @@ def random_walk_trace(gen, n=100, step_sd_m=50.0, base=GeoPoint(45.0, 5.0),
                       user="u", step_ms=30_000):
     """Jittery walk in the local plane around the base point."""
     xy = np.cumsum(gen.normal(0.0, step_sd_m, size=(n, 2)), axis=0)
-    lat, lon = latlon_from_local(base, xy[:, 0], xy[:, 1])
+    lat, lon = latlon_from_local(base.lat, base.lon, xy[:, 0], xy[:, 1])
     return Trace(user, lat, lon, step_ms * np.arange(n))
 
 

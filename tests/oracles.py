@@ -140,8 +140,8 @@ def scan_extract_pois(trace, params):
         if times[end] - times[start] < params.min_stay_ms:
             return
         origin = GeoPoint(float(lat[start]), float(lon[start]))
-        xs, ys = local_xy(origin, lat[start:end + 1], lon[start:end + 1])
-        centroid = GeoPoint(*map(float, latlon_from_local(origin, np.mean(xs), np.mean(ys))))
+        xs, ys = local_xy(origin.lat, origin.lon, lat[start:end + 1], lon[start:end + 1])
+        centroid = GeoPoint(*map(float, latlon_from_local(origin.lat, origin.lon, np.mean(xs), np.mean(ys))))
         pois.append(Poi(trace.user, centroid, int(times[start]), int(times[end]), end - start + 1))
 
     start = 0

@@ -82,8 +82,8 @@ def test_criterion_2_promesse_geometry():
                 continue
             resampled += 1
             anchor = GeoPoint(float(trace.lat[0]), float(trace.lon[0]))
-            path = list(zip(*local_xy(anchor, trace.lat, trace.lon)))
-            pts = list(zip(*local_xy(anchor, out.lat, out.lon)))
+            path = list(zip(*local_xy(anchor.lat, anchor.lon, trace.lat, trace.lon)))
+            pts = list(zip(*local_xy(anchor.lat, anchor.lon, out.lat, out.lon)))
             positions = monotone_arc_positions(path, pts)
             spacings = np.diff(positions)
             check(np.allclose(spacings, alpha, rtol=1e-6),
@@ -146,7 +146,7 @@ def test_criterion_3_metric_oracles():
                     x += float(gen.normal(0, 40))
                 coords.append((x, y))
             times = np.cumsum(gen.integers(60_000, 600_000, size=n))
-            lat, lon = latlon_from_local(BASE, *np.array(coords).T)
+            lat, lon = latlon_from_local(BASE.lat, BASE.lon, *np.array(coords).T)
             trace = Trace("u", lat, lon, times)
             got = extract_pois(trace, params)
             want = window_extract_pois(trace, params)

@@ -39,6 +39,20 @@ def test_no_unused_imports():
     assert [line for path in paths for line in _unused_imports(path)] == []
 
 
+def test_no_private_name_crosses_a_module():
+    # A ``_``-prefixed name belongs to its module: one that another module
+    # imports is a decision two modules know, so it should live behind one.
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(root.glob("src/alp/*.py"))
+    assert len(paths) > 5
+    crossings = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "alp"):
+                crossings += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert crossings == []
+
+
 def _unexported_top_level_names(tree: ast.Module) -> dict:
     """Name -> line of each module-level function, class or variable that is
     neither a dunder nor exported by ``alp.__all__``."""

@@ -14,6 +14,7 @@ from alp.geo import (
     _wrap_degrees,
     coordinate_problems,
     distance_meters,
+    latlon_from_local,
     local_xy,
     utc_day,
 )
@@ -24,7 +25,7 @@ from conftest import plane_points
 
 def plane_xy(origin, p):
     """(x_east_m, y_north_m) of one point in the tangent plane at origin."""
-    x, y = local_xy(origin, p.lat, p.lon)
+    x, y = local_xy(origin.lat, origin.lon, p.lat, p.lon)
     return float(x), float(y)
 
 
@@ -102,6 +103,28 @@ class TestLocalPlane:
         # the POI-centroid path: a 2 nm eastward step from lon 180
         (p,) = plane_points(GeoPoint(0, 180), [(2e-9, 0)])
         assert p.lon == pytest.approx(180.0, abs=1e-9)
+
+
+class TestBroadcastOrigins:
+    """One origin per point gives, bit for bit, one scalar-origin call per
+    point: geo-i and the POI centroids rely on it."""
+
+    ORIGINS = [(45.0, 5.0), (0.0, 180.0), (12.0, -179.9999), (89.9, 30.0), (-89.9, -170.0),
+               (89.9, 180.0), (-89.9, 179.9995)]
+
+    def test_per_point_origins_equal_scalar_calls_and_round_trip(self, gen):
+        lat0, lon0 = np.repeat(self.ORIGINS, 50, axis=0).T
+        x, y = gen.normal(0.0, 200.0, size=(2, len(lat0)))
+        lat, lon = latlon_from_local(lat0, lon0, x, y)
+        one_by_one = [latlon_from_local(*args) for args in zip(lat0.tolist(), lon0.tolist(), x, y)]
+        assert np.array_equal(np.column_stack((lat, lon)), one_by_one)
+        xs, ys = local_xy(lat0, lon0, lat, lon)
+        one_by_one = [local_xy(*args) for args in zip(lat0.tolist(), lon0.tolist(), lat, lon)]
+        assert np.array_equal(np.column_stack((xs, ys)), one_by_one)
+        # The round trip comes back to the input, across the antimeridian too.
+        assert np.abs(xs - x).max() < 1e-6 and np.abs(ys - y).max() < 1e-6
+        back_lat, back_lon = latlon_from_local(lat0, lon0, xs, ys)
+        assert np.abs(back_lat - lat).max() < 1e-12 and np.abs(_wrap_degrees(back_lon - lon)).max() < 1e-9
 
 
 class TestTraceInvariants:

@@ -111,7 +111,7 @@ class TestExtractPois:
                     x += float(gen.normal(0, 40))
                 coords.append((x, y))
             times = np.cumsum(gen.integers(60_000, 600_000, size=n))
-            lat, lon = latlon_from_local(BASE, *np.array(coords).T)
+            lat, lon = latlon_from_local(BASE.lat, BASE.lon, *np.array(coords).T)
             trace = Trace("u", lat, lon, times)
             got = extract_pois(trace, PARAMS)
             expected = window_extract_pois(trace, PARAMS)
@@ -182,7 +182,7 @@ class TestExtractPois:
         # Dwells of 10 records 60 s apart (9 min) between 1-5 km jumps.
         centers = np.cumsum(gen.uniform(1000.0, 5000.0, size=(30, 2)), axis=0)
         xy = np.repeat(centers, 10, axis=0) + gen.normal(0.0, 20.0, size=(300, 2))
-        lat, lon = latlon_from_local(BASE, xy[:, 0], xy[:, 1])
+        lat, lon = latlon_from_local(BASE.lat, BASE.lon, xy[:, 0], xy[:, 1])
         trace = Trace("u", lat, lon, 60_000 * np.arange(300))
         assert extract_pois(trace, PARAMS) == scan_extract_pois(trace, PARAMS) == []
 
@@ -200,7 +200,7 @@ class TestExtractPois:
                    (-89.9, 179.9995), (12.0, 179.9998)]
         lat, lon = [], []
         for origin in origins:
-            la, lo = latlon_from_local(GeoPoint(*origin), *gen.normal(0.0, 15.0, size=(2, 40)))
+            la, lo = latlon_from_local(*origin, *gen.normal(0.0, 15.0, size=(2, 40)))
             lat.append(la)
             lon.append(lo)
         trace = Trace("u", np.concatenate(lat), np.concatenate(lon), 30_000 * np.arange(40 * len(origins)))
