@@ -1,7 +1,8 @@
 """Core spatial and temporal types plus the distance/projection math.
 
 Coordinates are WGS84-style latitude/longitude degrees treated as points on
-a sphere of radius 6,371,000 m. Distances are great-circle (haversine).
+a sphere of radius 6,371,000 m. Only this module turns degrees into distances:
+great-circle (haversine) ones, and chords between :func:`sphere_xyz` points.
 Small-extent planar work (noise displacement, path resampling, centroids)
 happens in an equirectangular tangent plane that only :func:`local_xy` and
 :func:`latlon_from_local` know; their origin degrees broadcast: one origin
@@ -183,6 +184,13 @@ def latlon_from_local(lat0, lon0, x, y):
     lat = lat0 + np.degrees(np.asarray(y, dtype=float) / EARTH_RADIUS_M)
     lon = lon0 + np.degrees(np.asarray(x, dtype=float) / (EARTH_RADIUS_M * np.cos(np.radians(lat0))))
     return np.clip(lat, -90.0, 90.0), _wrap_degrees(lon)
+
+
+def chord_m(d: float) -> float:
+    """The chord limit of a great-circle limit of d meters: two points are
+    more than d apart exactly when their :func:`sphere_xyz` points are
+    farther apart than it (inf past half the circumference)."""
+    return 2.0 * EARTH_RADIUS_M * math.sin(0.5 * d / EARTH_RADIUS_M) if d < math.pi * EARTH_RADIUS_M else math.inf
 
 
 def sphere_xyz(lat, lon):

@@ -2,9 +2,11 @@
 
 Everything here is deliberately simple and slow: plain loops, full pairwise
 tables, and textbook arithmetic, kept free of the vectorized shortcuts the
-library itself uses. The exceptions are ``scan_extract_pois`` and
-``csv_write_dataset``, which keep the library's former arithmetic and bytes
-so that the two can be compared exactly.
+library itself uses. ``scan_extract_pois`` decides diameters with haversine
+distances, while the library compares chords, so it is an independent
+reference; the two can differ only on pairs within about 3e-8 m of the
+limit. ``csv_write_dataset`` keeps the library's former bytes so that the
+two can be compared exactly.
 """
 
 import csv
@@ -120,8 +122,12 @@ def scan_extract_pois(trace, params):
     """Stay extraction that scores every record against the whole open cluster.
 
     The plain form of ``alp.metrics.extract_pois``: one O(cluster) reach
-    scan per record, with the library's arithmetic, so the two must agree
-    exactly, centroid floats included.
+    scan per record, with no bounds and no segment cuts. Its reach is the
+    haversine distance, where the library compares chords of ``sphere_xyz``;
+    the two decide alike unless a pair lies within about 3e-8 m of the
+    limit, so away from that band they must agree exactly. The centroids use
+    the library's ``local_xy`` and ``latlon_from_local``, so they agree to the
+    last bit.
     """
     n = len(trace)
     if n == 0:

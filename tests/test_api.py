@@ -53,6 +53,23 @@ def test_no_private_name_crosses_a_module():
     assert crossings == []
 
 
+def test_only_geo_reads_the_earth_radius_or_converts_angles():
+    # Earth geometry belongs to geo: a module that reads the radius or turns
+    # degrees into radians or chords into arcs computes a distance of its own.
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for path in sorted(root.glob("src/alp/*.py")) if path.name != "geo.py"]
+    assert len(paths) > 5
+    geometry = {"EARTH_RADIUS_M", "radians", "degrees", "arcsin", "asin"}
+    reads = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a Name's id, an Attribute's attr, or an imported or defined name
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in geometry:
+                reads.append(f"{path.name}:{node.lineno}: {name}")
+    assert reads == []
+
+
 def _unexported_top_level_names(tree: ast.Module) -> dict:
     """Name -> line of each module-level function, class or variable that is
     neither a dunder nor exported by ``alp.__all__``."""

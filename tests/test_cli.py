@@ -368,7 +368,8 @@ class TestParamItems:
         (["epsilon=0.01,epsilon=0.02"], "", "--param 'epsilon' given twice"),
         ([], "param = epsilon=0.01\nparam = epsilon=5\n", "--param 'epsilon' given twice"),
         (["epsilon=abc"], "", "bad --param 'epsilon=abc': 'abc' is not a number"),
-    ], ids=["repeated-flag", "comma-list", "config-lines", "not-a-number"])
+        (["epsilon"], "", "bad --param 'epsilon': want name=value"),
+    ], ids=["repeated-flag", "comma-list", "config-lines", "not-a-number", "no-value"])
     def test_bad_item_fails_without_output(self, tiny_input, tmp_path, capsys, params,
                                            config_lines, message):
         config = tmp_path / "run.conf"

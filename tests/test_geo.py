@@ -7,15 +7,19 @@ import pytest
 
 from alp.errors import DatasetLoadError
 from alp.geo import (
+    EARTH_RADIUS_M,
     CellGrid,
     Dataset,
     GeoPoint,
     Trace,
     _wrap_degrees,
+    chord_m,
     coordinate_problems,
     distance_meters,
+    haversine_m,
     latlon_from_local,
     local_xy,
+    sphere_xyz,
     utc_day,
 )
 from alp.io import load_dataset
@@ -64,6 +68,25 @@ class TestDistance:
             dbc = distance_meters(pts[1], pts[2])
             dac = distance_meters(pts[0], pts[2])
             assert dac <= dab + dbc + 1e-6 * (dab + dbc)
+
+    def test_chord_of_a_great_circle_distance(self):
+        half_circumference = math.pi * EARTH_RADIUS_M
+        assert chord_m(0.0) == 0.0
+        assert chord_m(200.0) == pytest.approx(200.0 - 200.0**3 / (24 * EARTH_RADIUS_M**2), abs=1e-12)
+        assert chord_m(half_circumference / 2) == pytest.approx(math.sqrt(2.0) * EARTH_RADIUS_M, rel=1e-15)
+        # No pair is farther apart than half the circumference.
+        assert chord_m(half_circumference) == chord_m(3e7) == math.inf
+
+    def test_chord_limit_decides_like_the_great_circle_distance(self, gen):
+        lat1, lat2 = gen.uniform(-90.0, 90.0, (2, 10_000))
+        lon1, lon2 = gen.uniform(-180.0, 180.0, (2, 10_000))
+        arc = haversine_m(lat1, lon1, lat2, lon2)
+        chord = np.linalg.norm(sphere_xyz(lat1, lon1) - sphere_xyz(lat2, lon2), axis=1)
+        limits = gen.uniform(0.0, 2.1e7, 10_000)
+        clear = np.abs(arc - limits) > 1.0  # far from the rounding near the antipodes
+        assert clear.sum() > 9_000
+        above = chord > np.array([chord_m(d) for d in limits])
+        assert np.array_equal(above[clear], (arc > limits)[clear])
 
 
 class TestLocalPlane:
@@ -175,6 +198,7 @@ class TestTraceInvariants:
         assert t != Trace("a", [1.0, 2.5], [3.0, 4.0], [0, 1])
         assert t != Trace("a", [1.0, 2.0], [3.0, 4.0], [0, 2])
         assert t != Trace("a", [1.0], [3.0], [0])
+        assert (t == "a") is False
 
     def test_dataset_merges_per_user(self):
         # at the shared time 10, the record of the trace given first comes first

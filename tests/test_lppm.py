@@ -282,3 +282,5 @@ class TestDomains:
             ParameterDomain("x", (1.0, 1.0))
         with pytest.raises(ConfigurationError):
             ParameterDomain("x", (-1.0, 1.0), "log10")
+        with pytest.raises(ConfigurationError, match="^unknown spacing 'cubic'$"):
+            ParameterDomain("x", (1.0, 2.0), "cubic")

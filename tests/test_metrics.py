@@ -132,22 +132,54 @@ class TestExtractPois:
             for trace in traces:
                 assert extract_pois(trace, PARAMS) == scan_extract_pois(trace, PARAMS)
 
-    @pytest.mark.parametrize("lat0, along_meridian", [(45.0, True), (0.0, False)])
-    def test_matches_scan_oracle_at_the_diameter(self, lat0, along_meridian):
+    @pytest.mark.parametrize("lat0, lon0, along_meridian", [
+        (45.0, 5.0, True), (0.0, 5.0, False), (89.9, 5.0, True), (-89.9, 5.0, True),
+        (45.0, 180.0, True), (0.0, 179.999, False),
+    ], ids=["meridian", "equator", "meridian-north-89.9", "meridian-south-89.9",
+            "meridian-lon-180", "equator-across-antimeridian"])
+    def test_matches_scan_oracle_at_the_diameter(self, lat0, lon0, along_meridian):
         # Steps of max_d +- 1e-7 m back and forth along a meridian or the
         # equator, where the haversine distance is exactly R * angle: every
         # step, and every anchor distance that is not about 0, lies inside
-        # the bounds' margin, so only the exact scan can decide.
+        # the bounds' margin, so only the exact scan can decide. The equator
+        # case from lon 179.999 steps across the antimeridian.
         gen = np.random.default_rng(7)
         n = 400
         steps = (-1.0) ** np.arange(n - 1) * (PARAMS.max_diameter_m + gen.choice([-1e-7, 1e-7], n - 1))
         offsets = np.degrees(np.concatenate(([0.0], np.cumsum(steps))) / EARTH_RADIUS_M)
         lat = lat0 + offsets if along_meridian else np.full(n, lat0)
-        lon = np.full(n, 5.0) if along_meridian else 5.0 + offsets
+        lon = np.full(n, lon0) if along_meridian else lon0 + offsets
+        lon = 180.0 - (180.0 - lon) % 360.0  # into (-180, 180]
         trace = Trace("u", lat, lon, 300_000 * np.arange(n))
         pois = extract_pois(trace, PARAMS)
         assert pois == scan_extract_pois(trace, PARAMS)
         assert len(pois) > 10 and max(p.size for p in pois) > 4
+
+    @pytest.mark.parametrize("lat0", [45.0, 89.9])
+    def test_limit_below_the_margin_joins_only_equal_records(self, lat0):
+        # A diameter limit of 1e-7 m, below the bounds' margin: dwells of 3-14
+        # equal records 2 min apart along a meridian, each left by a step of
+        # 5e-7 m back or forth. Every step breaks, and no bound may join it.
+        params = PoiClusteringParams(max_diameter_m=1e-7)
+        gen = np.random.default_rng(13)
+        steps = []
+        for _ in range(60):
+            steps += [0.0] * int(gen.integers(3, 15))
+            steps.append(gen.choice([-5e-7, 5e-7]))
+        offsets = np.degrees(np.concatenate(([0.0], np.cumsum(steps))) / EARTH_RADIUS_M)
+        n = len(offsets)
+        trace = Trace("u", lat0 + offsets, np.full(n, 5.0), 120_000 * np.arange(n))
+        pois = extract_pois(trace, params)
+        assert pois == scan_extract_pois(trace, params)
+        assert len(pois) > 10
+
+    def test_limit_past_half_the_circumference_never_breaks(self):
+        # Antipodes and points between them, 5 min apart: one cluster.
+        params = PoiClusteringParams(max_diameter_m=3e7)
+        trace = make_trace([(0.0, 0.0), (0.0, 180.0), (90.0, 5.0), (-90.0, 5.0), (0.0, 0.0)], step_ms=300_000)
+        pois = extract_pois(trace, params)
+        assert pois == scan_extract_pois(trace, params)
+        assert [p.size for p in pois] == [5]
 
     def test_segment_of_exactly_the_minimum_stay_is_kept(self):
         # Two dwells cut apart by a 1 km jump: the first spans exactly the
@@ -273,6 +305,12 @@ class TestPoiRetrieval:
     def test_no_protected_pois(self):
         p_true = [poi_at(i * 500.0, 0) for i in range(5)]
         assert poi_retrieval(p_true, [], 100.0) == brute_poi_retrieval(p_true, [], 100.0) == 0.0
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+    def test_threshold_must_be_positive(self, threshold):
+        p = [poi_at(0, 0)]
+        with pytest.raises(ValueError, match="^threshold must be positive$"):
+            poi_retrieval(p, p, threshold)
 
 
 class TestSpatialDistortion:

@@ -40,6 +40,7 @@ class TestTimestampParsing:
         assert parse_timestamp_ms("1970-01-02T00:00:00Z") == DAY_MS
         assert parse_timestamp_ms("1970-01-02 00:00:00+00:00") == DAY_MS
         assert parse_timestamp_ms("1970-01-02T01:00:00+01:00") == DAY_MS
+        assert parse_timestamp_ms("1970-01-02T00:00:00") == DAY_MS  # naive means UTC
 
     @pytest.mark.parametrize("text", ["253402300800000", "-99999999999", "-62135596800001"])
     def test_epoch_outside_the_calendar_is_out_of_range(self, text):
@@ -225,6 +226,14 @@ class TestLoadDataset:
         path = write_dataset_csv(syn.dataset, tmp_path / "synth.csv")
         again = load_dataset(path)
         assert again == syn.dataset
+
+    def test_failed_write_keeps_the_old_file_and_no_temp_file(self, tmp_path):
+        path = write_json({"x": 1}, tmp_path / "r.json")
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json({"x": object()}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 class TestDailyBatches:

@@ -1,4 +1,5 @@
-"""Property tests: the bound evaluators and POI extraction against oracles.
+"""Property tests: the bound evaluators and POI extraction against oracles,
+and the invariants of promesse's output.
 
 Hypothesis draws degenerate traces (all-duplicate points, single records,
 equal timestamps, empty protected traces, short geo-i output) in four
@@ -16,8 +17,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alp.geo import CellGrid, GeoPoint, Trace
-from alp.lppm import geo_i_obfuscate
+from alp.geo import CellGrid, GeoPoint, Trace, latlon_from_local, local_xy
+from alp.lppm import geo_i_obfuscate, promesse_obfuscate
 from alp.metrics import EVALUATORS, PoiClusteringParams, extract_pois
 from alp.rng import RandomStream
 
@@ -109,3 +110,45 @@ def test_extract_pois_matches_oracles(trace):
     spans = [(p.start_ms, p.end_ms, p.size) for p in window_extract_pois(trace, POI_PARAMS)]
     assert [(p.start_ms, p.end_ms, p.size) for p in got] == spans
     assert got == scan_extract_pois(trace, POI_PARAMS)
+
+
+PROMESSE_SHAPES = ("all-duplicate", "single", "equal-times", "walk")
+
+
+@st.composite
+def promesse_cases(draw):
+    """(shape, trace, alpha): a walk of up to 20 records with steps of up to
+    500 m each way in the plane of its first point, or a degenerate trace."""
+    lat, lon = REGIONS[draw(st.sampled_from(sorted(REGIONS)))]
+    first = draw(st.builds(GeoPoint, lat, lon))
+    shape = draw(st.sampled_from(PROMESSE_SHAPES))
+    n = 1 if shape == "single" else draw(st.integers(2, 20))
+    steps = np.zeros((n - 1, 2))
+    if shape in ("equal-times", "walk"):
+        step = st.floats(-500.0, 500.0)
+        steps = np.array(draw(st.lists(st.tuples(step, step), min_size=n - 1, max_size=n - 1)))
+    x, y = np.concatenate(([[0.0, 0.0]], np.cumsum(steps, axis=0))).T
+    gaps = st.sampled_from([0, 150_000]) if shape == "equal-times" else st.integers(1, 600_000)
+    times = np.concatenate(([0], np.cumsum(draw(st.lists(gaps, min_size=n - 1, max_size=n - 1)), dtype=np.int64)))
+    trace = Trace("u", *latlon_from_local(first.lat, first.lon, x, y), times)
+    return shape, trace, draw(st.floats(5.0, 500.0))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(promesse_cases())
+def test_promesse_resamples_at_the_spacing(case):
+    shape, trace, alpha = case
+    out = promesse_obfuscate(trace, alpha)
+    assert out.user == trace.user
+    if shape in ("all-duplicate", "single"):
+        assert len(out) == 0
+    if len(out) == 0:
+        return
+    assert len(out) >= 2
+    assert (out.time_ms[0], out.time_ms[-1]) == (trace.time_ms[0], trace.time_ms[-1])
+    gaps = np.diff(out.time_ms)
+    assert gaps.max() - gaps.min() <= 1
+    # Points alpha apart along the path are at most alpha apart in the plane
+    # the path is resampled in, that of the first record.
+    x, y = local_xy(trace.lat[0], trace.lon[0], out.lat, out.lon)
+    assert np.hypot(np.diff(x), np.diff(y)).max() <= alpha * (1 + 1e-6) + 1e-6

@@ -1,7 +1,10 @@
+from collections import Counter
+from datetime import date
+
 import pytest
 
 from alp.errors import ConfigurationError
-from alp.geo import distance_meters
+from alp.geo import distance_meters, utc_day
 from alp.metrics import PoiClusteringParams, extract_pois
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
@@ -40,6 +43,15 @@ class TestGenerator:
         (trace,) = trip.dataset.traces
         assert len(extract_pois(trace, PoiClusteringParams())) == 3
 
+    @pytest.mark.parametrize("kwargs", [{"dwell_minutes": 1000.0}, {"speed_mps": 0.01}],
+                             ids=["dwell", "transit"])
+    def test_a_segment_that_outlasts_its_day_ends_at_midnight(self, kwargs):
+        # A dwell of 1,000-2,000 min, or a transit of at least 1 km at 1 cm/s,
+        # fills the rest of the day; the next day starts its own itinerary.
+        syn = generate_synthetic_dataset(SynthSpec(days=2, pad_to_day_end=False, seed=1, **kwargs))
+        (trace,) = syn.dataset.traces
+        assert Counter(map(utc_day, trace.time_ms.tolist())) == {date(2024, 1, 1): 2880, date(2024, 1, 2): 2880}
+
     def test_poi_separation(self):
         syn = generate_synthetic_dataset(SynthSpec(users=3, pois_per_user=4, seed=4))
         for points in syn.true_pois.values():
@@ -49,7 +61,7 @@ class TestGenerator:
 
     @pytest.mark.parametrize("kwargs", [
         {"users": 0}, {"days": 0}, {"pois_per_user": 0},
-        {"dwell_minutes": 0}, {"speed_mps": -1}, {"sample_period_s": 0},
+        {"dwell_minutes": 0}, {"speed_mps": -1}, {"sample_period_s": 0}, {"extent_m": 0},
     ])
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
