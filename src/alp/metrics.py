@@ -16,7 +16,6 @@ setting is passed explicitly. The three evaluators:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,9 +34,6 @@ from .geo import (
 )
 from .lppm import LppmConfig, apply_lppm
 from .rng import RandomStream
-
-# Slack of the distance bounds in extract_pois, far above their rounding.
-_MARGIN_M = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,40 +76,34 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     3e-8 m of max_d: on 400,000 random pairs at 200 m +- delta they never
     disagreed at delta = 3e-8 m, 11 times at 1e-8 m, 2,550 times at 3e-9 m.
 
-    A step c(j-1, j) above ``max_c + _MARGIN_M`` breaks whatever cluster is
-    open, since j-1 is a member. These steps, computed for every j in one
-    vectorized pass, cut the trace into segments that the scan handles
-    independently. No cluster outlasts its segment, so a segment whose time
-    span is below the minimum stay holds no POI and is skipped unscanned:
-    the duration threshold of stay-point detection (Li et al., "Mining user
-    similarity based on location history", ACM GIS 2008).
+    Every test compares a squared chord with one constant, ``max_c ** 2``.
+    The exact test takes the largest squared chord from j to a member: per
+    axis the coordinate difference, squared as a product (numpy's ``** 2``
+    is one), summed x, then y, then z. Each shortcut computes its squared
+    chord with the same roundings, and rounding is monotone, so it decides
+    exactly as the exact test does:
 
-    The reach is an O(cluster) numpy scan, so cheap bounds decide most
-    records without it. R is the largest anchor chord c(start, m) over the
-    members m of the open cluster.
-
-    * Break: start is a member, so the reach is at least c(start, j). If it
-      is above ``max_c + _MARGIN_M``, j breaks the cluster.
-    * Join: chords obey the triangle inequality of R^3, so every member m
-      has c(m, j) <= R + c(start, j); and c(m, j) is at most the chord from
-      j to the farthest corner of the members' bounding box. If either bound
-      is at most ``max(max_c - _MARGIN_M, 0)``, j joins: the clamp keeps a
-      limit below the margin from joining any but equal points on a bound.
-
-    Only records that no bound decides get the exact scan: the largest
-    squared chord from j to a member, in the bounds' order of operations,
-    against ``max_c ** 2``. The margin covers the bounds' rounding, a few
-    ulps of a chord, so the POIs are exactly those of the plain chord scan.
+    * Segment cut: the step from j-1 to j is, bit for bit, the exact test's
+      term for member j-1, so a step above the limit breaks whatever cluster
+      is open. These steps, computed for every j in one vectorized pass, cut
+      the trace into segments that the scan handles independently. No
+      cluster outlasts its segment, so a segment whose time span is below
+      the minimum stay holds no POI and is skipped unscanned: the duration
+      threshold of stay-point detection (Li et al., "Mining user similarity
+      based on location history", ACM GIS 2008).
+    * Join: along each axis, the difference from j to the farther corner of
+      the members' bounding box bounds every member's difference. If these
+      corner differences give at most the limit, j joins; only records that
+      this test does not join get the exact scan.
     """
     n = len(trace)
     if n == 0:
         return []
 
-    max_c = chord_m(params.max_diameter_m)
-    join_below, break_above = max(max_c - _MARGIN_M, 0.0), max_c + _MARGIN_M
+    limit2 = chord_m(params.max_diameter_m) ** 2
     xyz = sphere_xyz(trace.lat, trace.lon)
     steps2 = np.diff(xyz, axis=0) ** 2
-    cuts = np.flatnonzero(steps2[:, 0] + steps2[:, 1] + steps2[:, 2] > break_above ** 2) + 1
+    cuts = np.flatnonzero(steps2[:, 0] + steps2[:, 1] + steps2[:, 2] > limit2) + 1
     firsts, lasts = np.append(0, cuts), np.append(cuts - 1, n - 1)  # segment s: records firsts[s]..lasts[s]
     kept = trace.time_ms[lasts] - trace.time_ms[firsts] >= params.min_stay_ms
     if not kept.any():
@@ -121,25 +111,21 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
 
     def breaks(start: int, j: int) -> bool:
         reach2 = (xyz[j] - xyz[start:j]) ** 2
-        return (reach2[:, 0] + reach2[:, 1] + reach2[:, 2]).max() > max_c ** 2
+        return (reach2[:, 0] + reach2[:, 1] + reach2[:, 2]).max() > limit2
 
     clusters = []  # (start, end) of every cluster of a kept segment
     for first, last in zip(firsts[kept].tolist(), lasts[kept].tolist()):
-        start, anchor_max = first, 0.0  # anchor_max is R
-        # The start's 3-D point and the low and high corners of the bounding box.
+        start = first
+        # The low and high corners of the members' bounding box.
         points = xyz[first:last + 1].tolist()
-        (sx, sy, sz) = (x0, y0, z0) = (x1, y1, z1) = points[0]
+        (x0, y0, z0) = (x1, y1, z1) = points[0]
         for j, (x, y, z) in enumerate(points[1:], first + 1):
-            anchor = math.sqrt((x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2)
-            if anchor + anchor_max > join_below:
-                corner2 = max(x - x0, x1 - x) ** 2 + max(y - y0, y1 - y) ** 2 + max(z - z0, z1 - z) ** 2
-                if anchor > break_above or (corner2 > join_below ** 2 and breaks(start, j)):
-                    clusters.append((start, j - 1))
-                    start, anchor_max = j, 0.0
-                    sx, sy, sz = x0, y0, z0 = x1, y1, z1 = x, y, z
-                    continue
-            if anchor > anchor_max:
-                anchor_max = anchor
+            dx, dy, dz = max(x - x0, x1 - x), max(y - y0, y1 - y), max(z - z0, z1 - z)
+            if dx * dx + dy * dy + dz * dz > limit2 and breaks(start, j):
+                clusters.append((start, j - 1))
+                start = j
+                x0, y0, z0 = x1, y1, z1 = x, y, z
+                continue
             x0, y0, z0 = min(x0, x), min(y0, y), min(z0, z)
             x1, y1, z1 = max(x1, x), max(y1, y), max(z1, z)
         clusters.append((start, last))

@@ -10,6 +10,7 @@ from alp.geo import (
     distance_meters,
     haversine_m,
     latlon_from_local,
+    local_xy,
     sphere_xyz,
 )
 from alp.lppm import LppmConfig, apply_lppm, geo_i_obfuscate
@@ -140,9 +141,10 @@ class TestExtractPois:
     def test_matches_scan_oracle_at_the_diameter(self, lat0, lon0, along_meridian):
         # Steps of max_d +- 1e-7 m back and forth along a meridian or the
         # equator, where the haversine distance is exactly R * angle: every
-        # step, and every anchor distance that is not about 0, lies inside
-        # the bounds' margin, so only the exact scan can decide. The equator
-        # case from lon 179.999 steps across the antimeridian.
+        # step, and every distance from a cluster's start that is not about
+        # 0, lies within about 1e-6 m of the limit, so the corner test and the
+        # exact scan decide next to it. The equator case from lon 179.999 steps
+        # across the antimeridian.
         gen = np.random.default_rng(7)
         n = 400
         steps = (-1.0) ** np.arange(n - 1) * (PARAMS.max_diameter_m + gen.choice([-1e-7, 1e-7], n - 1))
@@ -157,9 +159,9 @@ class TestExtractPois:
 
     @pytest.mark.parametrize("lat0", [45.0, 89.9])
     def test_limit_below_the_margin_joins_only_equal_records(self, lat0):
-        # A diameter limit of 1e-7 m, below the bounds' margin: dwells of 3-14
+        # A diameter limit of 1e-7 m, far below a typical step: dwells of 3-14
         # equal records 2 min apart along a meridian, each left by a step of
-        # 5e-7 m back or forth. Every step breaks, and no bound may join it.
+        # 5e-7 m back or forth. Every step breaks, and no shortcut may join it.
         params = PoiClusteringParams(max_diameter_m=1e-7)
         gen = np.random.default_rng(13)
         steps = []
@@ -195,8 +197,9 @@ class TestExtractPois:
     def test_forced_steps_next_to_steps_inside_the_margin(self):
         # Dwells of 4-15 equal records 2 min apart along a meridian, where the
         # haversine distance is exactly R * angle, each left by a step back or
-        # forth: max_d + 2e-6 m exceeds max_d + _MARGIN_M and cuts a segment,
-        # max_d + 5e-7 m does not, and only the exact scan breaks there.
+        # forth: steps of max_d + 2e-6 m and max_d + 5e-7 m cut a segment, and
+        # max_d - 5e-7 m does not, so the scan decides the records after it
+        # within 5e-7 m of the limit.
         gen = np.random.default_rng(11)
         max_d = PARAMS.max_diameter_m
         steps = []
@@ -209,6 +212,20 @@ class TestExtractPois:
         pois = extract_pois(trace, PARAMS)
         assert pois == scan_extract_pois(trace, PARAMS)
         assert len(pois) > 10
+
+    def test_corner_bound_squares_as_the_exact_scan_does(self):
+        # q's squared chord from p is just above the limit as the exact scan
+        # rounds it, with products, and at most the limit with Python's
+        # ``** 2``. The midpoint m joins p, so q reaches the corner test,
+        # which must break there as the exact scan does. The oracle's
+        # haversine cannot decide a pair this close to the limit.
+        p, q = (45.0, 5.0), (44.99822694203999, 5.000427449655092)
+        x, y = local_xy(*p, *q)
+        m = latlon_from_local(*p, x / 2, y / 2)
+        stay = PARAMS.min_stay_ms
+        trace = Trace("u", [p[0], m[0], q[0]], [p[1], m[1], q[1]], [0, stay, stay + 60_000])
+        pois = extract_pois(trace, PoiClusteringParams(max_diameter_m=199.99927535503932))
+        assert [(poi.start_ms, poi.end_ms, poi.size) for poi in pois] == [(0, stay, 2)]
 
     def test_every_segment_pruned(self, gen):
         # Dwells of 10 records 60 s apart (9 min) between 1-5 km jumps.

@@ -1,5 +1,5 @@
 """Property tests: the bound evaluators and POI extraction against oracles,
-and the invariants of promesse's output.
+and the invariants of geo-i's and promesse's output.
 
 Hypothesis draws degenerate traces (all-duplicate points, single records,
 equal timestamps, empty protected traces, short geo-i output) in four
@@ -112,16 +112,16 @@ def test_extract_pois_matches_oracles(trace):
     assert got == scan_extract_pois(trace, POI_PARAMS)
 
 
-PROMESSE_SHAPES = ("all-duplicate", "single", "equal-times", "walk")
+TRACE_SHAPES = ("all-duplicate", "single", "equal-times", "walk")
 
 
 @st.composite
-def promesse_cases(draw):
-    """(shape, trace, alpha): a walk of up to 20 records with steps of up to
-    500 m each way in the plane of its first point, or a degenerate trace."""
+def shaped_traces(draw):
+    """(shape, trace): a walk of up to 20 records with steps of up to 500 m
+    each way in the plane of its first point, or a degenerate trace."""
     lat, lon = REGIONS[draw(st.sampled_from(sorted(REGIONS)))]
     first = draw(st.builds(GeoPoint, lat, lon))
-    shape = draw(st.sampled_from(PROMESSE_SHAPES))
+    shape = draw(st.sampled_from(TRACE_SHAPES))
     n = 1 if shape == "single" else draw(st.integers(2, 20))
     steps = np.zeros((n - 1, 2))
     if shape in ("equal-times", "walk"):
@@ -130,14 +130,23 @@ def promesse_cases(draw):
     x, y = np.concatenate(([[0.0, 0.0]], np.cumsum(steps, axis=0))).T
     gaps = st.sampled_from([0, 150_000]) if shape == "equal-times" else st.integers(1, 600_000)
     times = np.concatenate(([0], np.cumsum(draw(st.lists(gaps, min_size=n - 1, max_size=n - 1)), dtype=np.int64)))
-    trace = Trace("u", *latlon_from_local(first.lat, first.lon, x, y), times)
-    return shape, trace, draw(st.floats(5.0, 500.0))
+    return shape, Trace("u", *latlon_from_local(first.lat, first.lon, x, y), times)
 
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
-@given(promesse_cases())
-def test_promesse_resamples_at_the_spacing(case):
-    shape, trace, alpha = case
+@given(shaped_traces(), st.floats(0.001, 0.1), st.integers(0, 2**32 - 1))
+def test_geo_i_keeps_user_length_and_times(case, epsilon, seed):
+    _, trace = case
+    out = geo_i_obfuscate(trace, epsilon, RandomStream(seed))
+    assert (out.user, len(out)) == (trace.user, len(trace))
+    assert out.time_ms.dtype == trace.time_ms.dtype and np.array_equal(out.time_ms, trace.time_ms)
+    assert geo_i_obfuscate(trace, epsilon, RandomStream(seed)) == out
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(shaped_traces(), st.floats(5.0, 500.0))
+def test_promesse_resamples_at_the_spacing(case, alpha):
+    shape, trace = case
     out = promesse_obfuscate(trace, alpha)
     assert out.user == trace.user
     if shape in ("all-duplicate", "single"):
