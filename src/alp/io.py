@@ -143,7 +143,8 @@ def write_json(payload: dict, path) -> Path:
 
 
 def write_rows_csv(rows, path) -> Path:
-    """Report rows with one line per protected unit."""
+    """Report rows with one line per protected unit; a unit's parameter names
+    and their ``repr`` values are each ``;``-joined, in name order."""
     path = Path(path)
 
     def write(fh):
@@ -151,11 +152,11 @@ def write_rows_csv(rows, path) -> Path:
         writer.writerow(["user", "day", "param_name", "param_value",
                          "pois", "distortion_m", "coverage", "cost"])
         for row in rows:
-            names, values = row.config.as_row()
+            params = sorted(row.config.assignment.items())
             writer.writerow([
                 row.user,
                 row.day.isoformat() if row.day is not None else "",
-                names, values,
+                ";".join(k for k, _ in params), ";".join(repr(v) for _, v in params),
                 repr(row.metrics["pois"]), repr(row.metrics["distortion"]),
                 repr(row.metrics["coverage"]), repr(row.cost),
             ])

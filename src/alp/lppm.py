@@ -71,11 +71,6 @@ class LppmConfig:
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
 
-    def as_row(self):
-        """(names, values) in a stable order, for reports."""
-        items = sorted(self.assignment.items())
-        return ";".join(k for k, _ in items), ";".join(repr(v) for _, v in items)
-
 
 # ---------------------------------------------------------------------------
 # Planar Laplace noise (geo-indistinguishability)
@@ -129,8 +124,6 @@ def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RandomStream) -> Trace:
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     n = len(trace)
-    if n == 0:
-        return trace
     gen = rng.generator()
     p = gen.uniform(size=n)
     theta = gen.uniform(0.0, _TWO_PI, size=n)

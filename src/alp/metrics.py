@@ -162,9 +162,13 @@ def _stay_pois(trace: Trace, clusters: list, min_stay_ms: int) -> list:
                                             times[ends].tolist(), sizes.tolist())]
 
 
-def _f_score(precision: float, recall: float) -> float:
-    if precision + recall == 0:
+def _f_score(matched: int, n_true: int, n_found: int) -> float:
+    """F-score of ``matched`` hits among ``n_found`` found and ``n_true`` true
+    items, recall capped at 1 (several found POIs can hit one true POI)."""
+    if matched == 0:
         return 0.0
+    precision = matched / n_found
+    recall = min(1.0, matched / n_true)
     return 2.0 * precision * recall / (precision + recall)
 
 
@@ -178,26 +182,13 @@ def poi_retrieval(pois_true: Sequence[Poi], pois_obf: Sequence[Poi], threshold_m
     """
     if not threshold_m > 0:
         raise ValueError("threshold must be positive")
-    if not pois_true or not pois_obf:
-        return 0.0
     lat_t = np.array([p.centroid.lat for p in pois_true])
     lon_t = np.array([p.centroid.lon for p in pois_true])
-    lat_o = np.array([[p.centroid.lat] for p in pois_obf])
-    lon_o = np.array([[p.centroid.lon] for p in pois_obf])
+    lat_o = np.array([p.centroid.lat for p in pois_obf])[:, None]
+    lon_o = np.array([p.centroid.lon for p in pois_obf])[:, None]
     # Row i holds the distances from protected POI i to every true POI.
     matched = int(np.count_nonzero(np.any(haversine_m(lat_o, lon_o, lat_t, lon_t) <= threshold_m, axis=1)))
-    recall = min(1.0, matched / len(pois_true))
-    precision = matched / len(pois_obf)
-    return _f_score(precision, recall)
-
-
-def _cell_f_score(cells_raw: set, cells_obf: set) -> float:
-    if not cells_raw or not cells_obf:
-        return 0.0
-    common = len(cells_raw & cells_obf)
-    recall = common / len(cells_raw)
-    precision = common / len(cells_obf)
-    return _f_score(precision, recall)
+    return _f_score(matched, len(pois_true), len(pois_obf))
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +268,8 @@ def _bind_coverage(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) 
     cells_raw = grid.cells_of(raw.lat, raw.lon)
 
     def evaluate(protected: Trace) -> float:
-        if len(protected) == 0:
-            return 0.0
-        return _cell_f_score(cells_raw, grid.cells_of(protected.lat, protected.lon))
+        cells_obf = grid.cells_of(protected.lat, protected.lon)
+        return _f_score(len(cells_raw & cells_obf), len(cells_raw), len(cells_obf))
 
     return evaluate
 

@@ -168,7 +168,6 @@ def anneal(lppm_name: str, domains: Sequence[ParameterDomain], cost_fn: CostFn,
     best_state, best_cost = state, cost
 
     trace = []
-    iterations = 0
     for t in schedule.temperatures():
         candidate = neighbour(state, domains, chain)
         candidate_cost = cost_fn(candidate)
@@ -177,9 +176,8 @@ def anneal(lppm_name: str, domains: Sequence[ParameterDomain], cost_fn: CostFn,
         if acceptance_probability(cost, candidate_cost, t, n_objectives) >= chain.uniform():
             state, cost = candidate, candidate_cost
         trace.append((t, cost))
-        iterations += 1
 
-    return AnnealResult(best_state, best_cost, state, cost, iterations, tuple(trace))
+    return AnnealResult(best_state, best_cost, state, cost, len(trace), tuple(trace))
 
 
 class ObjectiveCost:

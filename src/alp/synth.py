@@ -9,7 +9,7 @@ alongside the dataset so tests can check extraction against ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,11 @@ from .rng import RandomStream
 
 # 2024-01-01T00:00:00Z; all synthetic activity starts here
 SYNTH_EPOCH_MS = 1_704_067_200_000
+# Every user's POIs lie in a square of _EXTENT_M meters centred here, at
+# least _MIN_POI_SEPARATION_M apart.
+_CENTER_LAT, _CENTER_LON = 45.0, 5.0
+_EXTENT_M = 4000.0
+_MIN_POI_SEPARATION_M = 1000.0
 
 
 @dataclass(frozen=True)
@@ -33,17 +38,12 @@ class SynthSpec:
     sample_period_s: float = 30.0
     seed: int = 0
     pad_to_day_end: bool = True
-    center: GeoPoint = field(default_factory=lambda: GeoPoint(45.0, 5.0))
-    extent_m: float = 4000.0
-    min_poi_separation_m: float = 1000.0
 
     def __post_init__(self):
         if min(self.users, self.days, self.pois_per_user) < 1:
             raise ConfigurationError("users, days, and pois_per_user must be >= 1")
         if min(self.dwell_minutes, self.speed_mps, self.sample_period_s) <= 0:
             raise ConfigurationError("dwell, speed, and sample period must be positive")
-        if self.extent_m <= 0 or self.min_poi_separation_m <= 0:
-            raise ConfigurationError("extent and separation must be positive")
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,12 @@ class SyntheticDataset:
 
 def _place_pois(spec: SynthSpec, gen: np.random.Generator) -> np.ndarray:
     """Rejection-sample POI positions (plane meters) with a minimum separation."""
-    half = spec.extent_m / 2.0
+    half = _EXTENT_M / 2.0
     placed: list = []
     attempts = 0
     while len(placed) < spec.pois_per_user:
         candidate = gen.uniform(-half, half, size=2)
-        if all(np.hypot(*(candidate - p)) >= spec.min_poi_separation_m for p in placed):
+        if all(np.hypot(*(candidate - p)) >= _MIN_POI_SEPARATION_M for p in placed):
             placed.append(candidate)
         attempts += 1
         if attempts > 10_000:
@@ -137,9 +137,9 @@ def generate_synthetic_dataset(spec: SynthSpec) -> SyntheticDataset:
         pois_xy = _place_pois(spec, gen)
         segments = _user_segments(spec, pois_xy, gen)
         times_s, xy = _sample_segments(segments, spec.sample_period_s)
-        lat, lon = latlon_from_local(spec.center.lat, spec.center.lon, xy[:, 0], xy[:, 1])
+        lat, lon = latlon_from_local(_CENTER_LAT, _CENTER_LON, xy[:, 0], xy[:, 1])
         time_ms = SYNTH_EPOCH_MS + np.rint(times_s * 1000.0).astype(np.int64)
         traces.append(Trace(user, lat, lon, time_ms))
-        poi_lat, poi_lon = latlon_from_local(spec.center.lat, spec.center.lon, pois_xy[:, 0], pois_xy[:, 1])
+        poi_lat, poi_lon = latlon_from_local(_CENTER_LAT, _CENTER_LON, pois_xy[:, 0], pois_xy[:, 1])
         true_pois[user] = [GeoPoint(float(la), float(lo)) for la, lo in zip(poi_lat, poi_lon)]
     return SyntheticDataset(Dataset(tuple(traces)), true_pois)

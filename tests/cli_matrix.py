@@ -10,7 +10,8 @@ captures stdout and stderr as UTF-8 bytes, shows each warning once per
 invocation on stderr, as a fresh interpreter would, and takes the code of a
 ``SystemExit`` (``--help`` and usage errors) as the exit code. The first two
 invocations synthesize the inputs: 2 users x 2 full days, and a ``--trip``
-one. The last two synthesize one full day at 30 s and tune geo-i on it.
+one. Invocations 31 and 32 synthesize one full day at 30 s and tune geo-i on
+it; the last two score protected traces in which no POI is found.
 
 The first output line names the numpy version, because geo-i hashes depend
 on its float kernels. For each invocation the script then prints a header
@@ -94,6 +95,10 @@ def invocations() -> list:
         ["synth", "--users", "1", "--days", "1", "--pois", "3", "--seed", "1", "--out", "day.csv"],
         ["online", "--input", "day.csv", "--lppm", "geo-i", "--t-min", "0.01",
          "--out-dir", "reports", "--name", "daily-batch"],
+        # no protected POIs: promesse suppresses every trace, so coverage scores
+        # empty traces; geo-i at the largest noise leaves no stay
+        ["evaluate", "--input", "trip.csv", "--lppm", "promesse", "--param", "alpha=100000"],
+        ["evaluate", "--input", "days.csv", "--lppm", "geo-i", "--param", "epsilon=0.001"],
     ]
     return runs
 

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from alp.geo import EARTH_RADIUS_M, GeoPoint, distance_meters, latlon_from_local, local_xy
+from alp.lppm import LppmConfig
 from alp.metrics import Poi
 
 
@@ -33,6 +34,12 @@ def brute_poi_retrieval(pois_true, pois_obf, threshold_m):
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def grid_optimum(cost_fn, lppm_name, domain):
+    """The least cost over every value of a one-parameter domain: the exact
+    optimum that an annealing run over the same ``cost_fn`` can reach."""
+    return min(cost_fn(LppmConfig(lppm_name, {domain.name: value})) for value in domain.values)
 
 
 def brute_haversine_m(a, b):

@@ -286,6 +286,14 @@ class TestPoiRetrieval:
         p_obf = [poi_at(50, 0), poi_at(5000, 5000)]
         assert poi_retrieval(p_true, p_obf, 100.0) == 0.5
 
+    def test_recall_is_capped_at_one(self):
+        # Several protected POIs can match one true POI; uncapped, the first
+        # case would score 4/3.
+        a, b, far = poi_at(0, 0), poi_at(1000, 0), poi_at(5000, 5000)
+        near_a = [poi_at(10, 0), poi_at(-20, 30), poi_at(0, 40)]
+        assert poi_retrieval([a], near_a[:2], 100.0) == 1.0
+        assert poi_retrieval([a, b], near_a + [far], 100.0) == pytest.approx(6 / 7)
+
     def test_self_match_is_one(self, gen):
         for _ in range(20):
             pois = [poi_at(float(gen.uniform(-2000, 2000)), float(gen.uniform(-2000, 2000)))

@@ -6,7 +6,7 @@ import pytest
 from alp.errors import ConfigurationError
 from alp.geo import CellGrid
 from alp.lppm import MECHANISMS, LppmConfig, ParameterDomain
-from alp.metrics import PoiClusteringParams, bind_evaluators
+from alp.metrics import EVALUATORS, PoiClusteringParams, bind_evaluators
 from alp.optimizer import (
     AnnealingSchedule,
     Objective,
@@ -20,9 +20,12 @@ from alp.optimizer import (
     parse_objectives,
     restrict_by_half,
 )
+from alp.pipeline import RunConfig, _run_units
 from alp.rng import RandomStream
+from alp.synth import SynthSpec, generate_synthetic_dataset
 
 from conftest import make_trace
+from oracles import grid_optimum
 
 DOMAIN_1_5 = ParameterDomain("a", (1.0, 2.0, 3.0, 4.0, 5.0))
 DOMAIN_101 = ParameterDomain("x", tuple(float(v) for v in range(101)))
@@ -285,6 +288,29 @@ class TestAnneal:
                             AnnealingSchedule(), RandomStream(seed, "surrogate"))
             wins += result.best_state.assignment["x"] == x_star
         assert wins >= 18
+
+    def test_optimality_gap_on_the_online_geoi_shape(self):
+        # The benchmark's online-geoi input at seed 811, tuned as `alp online`
+        # tunes it: the default schedule on each unit's own root stream. u002's
+        # chain never enters the narrow valley near epsilon 0.008 (grid minimum
+        # 0.4897) and ends at epsilon 0.1 (1.0409); u001's gap is about 0.022.
+        dataset = generate_synthetic_dataset(
+            SynthSpec(users=4, days=1, pois_per_user=3, sample_period_s=240, seed=811)).dataset
+        config = RunConfig("geo-i", seed=811)
+        grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
+        (domain,) = MECHANISMS[config.lppm_name].domains
+
+        def gap(user, day, raw, rng):
+            bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
+            cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k, rng.child("cost"))
+            result = anneal(config.lppm_name, (domain,), cost_fn, config.schedule, rng.child("anneal"),
+                            n_objectives=len(config.objectives))
+            return user, result.best_cost - grid_optimum(cost_fn, config.lppm_name, domain)
+
+        gaps = dict(_run_units(dataset, config.seed, gap, daily=True))
+        assert sorted(gaps) == ["u000", "u001", "u002", "u003"]
+        assert min(gaps.values()) >= 0.0
+        assert [user for user, g in gaps.items() if g > 0.05] == ["u002"]
 
     def test_pure_function_of_seed(self):
         a = anneal("geo-i", [DOMAIN_101], surrogate_cost(12.0), AnnealingSchedule(), RandomStream(9))

@@ -61,7 +61,7 @@ class TestGenerator:
 
     @pytest.mark.parametrize("kwargs", [
         {"users": 0}, {"days": 0}, {"pois_per_user": 0},
-        {"dwell_minutes": 0}, {"speed_mps": -1}, {"sample_period_s": 0}, {"extent_m": 0},
+        {"dwell_minutes": 0}, {"speed_mps": -1}, {"sample_period_s": 0},
     ])
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -69,5 +69,4 @@ class TestGenerator:
 
     def test_too_many_pois_for_extent(self):
         with pytest.raises(ConfigurationError, match="cannot place"):
-            generate_synthetic_dataset(SynthSpec(pois_per_user=60, extent_m=2000.0,
-                                                 min_poi_separation_m=1000.0, seed=5))
+            generate_synthetic_dataset(SynthSpec(pois_per_user=60, seed=5))
