@@ -53,7 +53,6 @@ class PoiClusteringParams:
 class Poi:
     """A stay cluster reduced to its centroid; time span kept for diagnostics."""
 
-    user: str
     centroid: GeoPoint
     start_ms: int
     end_ms: int
@@ -157,7 +156,7 @@ def _stay_pois(trace: Trace, clusters: list, min_stay_ms: int) -> list:
     mean_x = np.array([np.add.reduce(xs[a:b]) for a, b in bounds]) / sizes
     mean_y = np.array([np.add.reduce(ys[a:b]) for a, b in bounds]) / sizes
     centroid_lat, centroid_lon = latlon_from_local(lat0, lon0, mean_x, mean_y)
-    return [Poi(trace.user, GeoPoint(la, lo), t0, t1, size)
+    return [Poi(GeoPoint(la, lo), t0, t1, size)
             for la, lo, t0, t1, size in zip(centroid_lat.tolist(), centroid_lon.tolist(), times[starts].tolist(),
                                             times[ends].tolist(), sizes.tolist())]
 

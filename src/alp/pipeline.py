@@ -127,22 +127,28 @@ class ReportRow:
 
 @dataclass(frozen=True)
 class Report:
-    """Per-unit rows, summary CDF series, and the protected dataset."""
+    """Per-unit rows and the protected dataset; the summary is derived from the rows."""
 
     rows: tuple
     run_config: dict
-    cdf: dict
-    param_cdf: dict
-    per_user_param_range: dict
     protected: Dataset
 
     def summary_payload(self, rows_file: str = "") -> dict:
+        """The JSON summary: metric and parameter CDFs, and each parameter's range over each user's rows."""
+        rows = self.rows
+        param_names = sorted({name for row in rows for name in row.config.assignment})
+        ranges: dict = {}
+        for name in param_names:
+            per_user: dict = {}
+            for row in rows:
+                per_user.setdefault(row.user, []).append(row.config.assignment[name])
+            ranges[name] = {user: max(vs) - min(vs) for user, vs in sorted(per_user.items())}
         return {
             "run_config": self.run_config,
             "rows_file": rows_file,
-            "cdf": {name: [[v, f] for v, f in series] for name, series in self.cdf.items()},
-            "param_cdf": {name: [[v, f] for v, f in series] for name, series in self.param_cdf.items()},
-            "per_user_param_range": self.per_user_param_range,
+            "cdf": {name: cdf_points([row.metrics[name] for row in rows]) for name in EVALUATORS},
+            "param_cdf": {name: cdf_points([row.config.assignment[name] for row in rows]) for name in param_names},
+            "per_user_param_range": ranges,
         }
 
 
@@ -184,21 +190,7 @@ def _run_units(dataset: Dataset, seed: int, job, daily: bool = False):
 def _tuned_report(dataset: Dataset, config: RunConfig, mode: str, daily: bool) -> Report:
     grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
     outcomes = list(_run_units(dataset, config.seed, lambda *unit: _process_unit(*unit, config, grid), daily))
-    rows = [row for row, _ in outcomes]
-    cdf = {
-        name: cdf_points([row.metrics[name] for row in rows])
-        for name in EVALUATORS
-    }
-    param_names = sorted({name for row in rows for name in row.config.assignment})
-    param_cdf = {name: cdf_points([row.config.assignment[name] for row in rows])
-                 for name in param_names}
-    ranges: dict = {}
-    for name in param_names:
-        per_user: dict = {}
-        for row in rows:
-            per_user.setdefault(row.user, []).append(row.config.assignment[name])
-        ranges[name] = {user: max(vs) - min(vs) for user, vs in sorted(per_user.items())}
-    return Report(tuple(rows), config.describe(mode), cdf, param_cdf, ranges,
+    return Report(tuple(row for row, _ in outcomes), config.describe(mode),
                   Dataset(trace for _, trace in outcomes))
 
 

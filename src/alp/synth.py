@@ -65,9 +65,8 @@ def _place_pois(spec: SynthSpec, gen: np.random.Generator) -> np.ndarray:
             placed.append(candidate)
         attempts += 1
         if attempts > 10_000:
-            raise ConfigurationError(
-                "cannot place POIs: too many for the requested extent/separation"
-            )
+            raise ConfigurationError(f"cannot place {spec.pois_per_user} POIs {_MIN_POI_SEPARATION_M:g} m apart "
+                                     f"in a {_EXTENT_M:g} m square")
     return np.array(placed)
 
 

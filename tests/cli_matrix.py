@@ -11,7 +11,8 @@ invocation on stderr, as a fresh interpreter would, and takes the code of a
 ``SystemExit`` (``--help`` and usage errors) as the exit code. The first two
 invocations synthesize the inputs: 2 users x 2 full days, and a ``--trip``
 one. Invocations 31 and 32 synthesize one full day at 30 s and tune geo-i on
-it; the last two score protected traces in which no POI is found.
+it; 33 and 34 score protected traces in which no POI is found, and the last
+asks synth for more POIs than it can place.
 
 The first output line names the numpy version, because geo-i hashes depend
 on its float kernels. For each invocation the script then prints a header
@@ -99,6 +100,8 @@ def invocations() -> list:
         # empty traces; geo-i at the largest noise leaves no stay
         ["evaluate", "--input", "trip.csv", "--lppm", "promesse", "--param", "alpha=100000"],
         ["evaluate", "--input", "days.csv", "--lppm", "geo-i", "--param", "epsilon=0.001"],
+        # more POIs than the fixed square holds at the fixed separation
+        ["synth", "--users", "1", "--pois", "60", "--seed", "5", "--out", "crowded.csv"],
     ]
     return runs
 

@@ -120,7 +120,7 @@ def window_extract_pois(trace, params):
                 math.degrees(phi0 + (sum(ys) / len(ys)) / EARTH_RADIUS_M),
                 math.degrees(lam0 + (sum(xs) / len(xs)) / (EARTH_RADIUS_M * math.cos(phi0))),
             )
-            pois.append(Poi(trace.user, centroid, times[i], times[j], j - i + 1))
+            pois.append(Poi(centroid, times[i], times[j], j - i + 1))
         i = j + 1
     return pois
 
@@ -155,7 +155,7 @@ def scan_extract_pois(trace, params):
         origin = GeoPoint(float(lat[start]), float(lon[start]))
         xs, ys = local_xy(origin.lat, origin.lon, lat[start:end + 1], lon[start:end + 1])
         centroid = GeoPoint(*map(float, latlon_from_local(origin.lat, origin.lon, np.mean(xs), np.mean(ys))))
-        pois.append(Poi(trace.user, centroid, int(times[start]), int(times[end]), end - start + 1))
+        pois.append(Poi(centroid, int(times[start]), int(times[end]), end - start + 1))
 
     start = 0
     for j in range(1, n):

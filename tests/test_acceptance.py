@@ -106,7 +106,7 @@ def test_criterion_3_metric_oracles():
 
             xy = [(float(gen.uniform(-1500, 1500)), float(gen.uniform(-1500, 1500)))
                   for _ in range(n)]
-            return [Poi("u", p, 0, 0, 1) for p in plane_points(BASE, xy)]
+            return [Poi(p, 0, 0, 1) for p in plane_points(BASE, xy)]
 
         def points(n):
             return plane_points(BASE, [(float(gen.uniform(-2000, 2000)), float(gen.uniform(-2000, 2000)))

@@ -42,9 +42,9 @@ BASE = GeoPoint(45.0, 5.0)
 PARAMS = PoiClusteringParams()
 
 
-def poi_at(x_m, y_m, user="u"):
+def poi_at(x_m, y_m):
     (point,) = plane_points(BASE, [(x_m, y_m)])
-    return Poi(user, point, 0, 0, 1)
+    return Poi(point, 0, 0, 1)
 
 
 def points_at(offsets_m):
@@ -314,8 +314,8 @@ class TestPoiRetrieval:
         # Along a meridian the haversine distance is exactly R * angle, so the
         # protected POIs sit at the threshold to within a few ulps.
         threshold = 100.0
-        p_true = [Poi("u", GeoPoint(lat, 5.0), 0, 0, 1) for lat in (-60.0, 0.0, 45.0)]
-        p_obf = [Poi("u", GeoPoint(p.centroid.lat + sign * np.degrees((threshold + delta) / EARTH_RADIUS_M), 5.0),
+        p_true = [Poi(GeoPoint(lat, 5.0), 0, 0, 1) for lat in (-60.0, 0.0, 45.0)]
+        p_obf = [Poi(GeoPoint(p.centroid.lat + sign * np.degrees((threshold + delta) / EARTH_RADIUS_M), 5.0),
                      0, 0, 1)
                  for p in p_true for sign in (-1.0, 1.0) for delta in (-1e-9, 0.0, 1e-9)]
         for obf in [p_obf] + [[p] for p in p_obf]:

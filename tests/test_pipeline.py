@@ -13,6 +13,8 @@ from alp.metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, median
 from alp.optimizer import (AnnealingSchedule, AnnealResult, Objective, ObjectiveCost, anneal,
                            parse_objectives)
 from alp.pipeline import (
+    Report,
+    ReportRow,
     RunConfig,
     cdf_points,
     evaluate,
@@ -275,6 +277,30 @@ class TestCdfPoints:
         assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(points, points[1:]))
 
 
+class TestReportSummary:
+    def test_summary_is_derived_from_the_rows(self):
+        """Two users, two days each, two parameters (given ``b`` first)."""
+        def row(user, day, a, b, metrics):
+            return ReportRow(user, date(2024, 1, day), LppmConfig("geo-i", {"b": b, "a": a}),
+                             dict(zip(EVALUATORS, metrics)), 0.0)
+
+        rows = (row("u000", 1, 0.5, 30.0, (0.2, 10.0, 0.5)), row("u000", 2, 0.25, 10.0, (0.2, 30.0, 1.0)),
+                row("u001", 1, 1.0, 20.0, (0.6, 20.0, 0.5)), row("u001", 2, 1.0, 50.0, (0.4, 10.0, 0.75)))
+        summary = Report(rows, {"lppm": "geo-i"}, Dataset()).summary_payload("rows.csv")
+        assert list(EVALUATORS) == ["pois", "distortion", "coverage"]
+        assert summary["run_config"] == {"lppm": "geo-i"}
+        assert summary["rows_file"] == "rows.csv"
+        assert summary["cdf"] == {"pois": [(0.2, 0.5), (0.4, 0.75), (0.6, 1.0)],
+                                  "distortion": [(10.0, 0.5), (20.0, 0.75), (30.0, 1.0)],
+                                  "coverage": [(0.5, 0.5), (0.75, 0.75), (1.0, 1.0)]}
+        assert list(summary["param_cdf"]) == ["a", "b"]
+        assert summary["param_cdf"] == {"a": [(0.25, 0.25), (0.5, 0.5), (1.0, 1.0)],
+                                        "b": [(10.0, 0.25), (20.0, 0.5), (30.0, 0.75), (50.0, 1.0)]}
+        assert list(summary["per_user_param_range"]) == ["a", "b"]
+        assert summary["per_user_param_range"] == {"a": {"u000": 0.25, "u001": 0.0},
+                                                   "b": {"u000": 20.0, "u001": 30.0}}
+
+
 @pytest.fixture(scope="module")
 def trip_dataset():
     return generate_synthetic_dataset(SynthSpec(users=1, days=2, pois_per_user=4,
@@ -454,8 +480,8 @@ class TestRunOnline:
         assert len(report.rows) == 3
         chosen = [row.config.assignment["alpha"] for row in report.rows]
         expected_range = max(chosen) - min(chosen)
-        assert report.per_user_param_range["alpha"]["u000"] == pytest.approx(expected_range)
-        assert set(report.param_cdf) == {"alpha"}
+        assert report.summary_payload()["per_user_param_range"]["alpha"]["u000"] == pytest.approx(expected_range)
+        assert set(report.summary_payload()["param_cdf"]) == {"alpha"}
 
     @pytest.mark.parametrize("use_best", [True, False])
     def test_row_reports_the_chosen_state_with_its_cost(self, three_day_dataset, monkeypatch,
@@ -473,7 +499,7 @@ class TestRunOnline:
         report = run_online(three_day_dataset, config)
         assert len(report.rows) == 3
         assert all(row.config.assignment == {"epsilon": 0.01} for row in report.rows)
-        assert report.per_user_param_range["epsilon"]["u000"] == 0.0
+        assert report.summary_payload()["per_user_param_range"]["epsilon"]["u000"] == 0.0
 
     def test_rows_match_non_empty_batches(self, three_day_dataset):
         config = RunConfig(lppm_name="promesse", seed=5)

@@ -68,5 +68,5 @@ class TestGenerator:
             SynthSpec(**kwargs)
 
     def test_too_many_pois_for_extent(self):
-        with pytest.raises(ConfigurationError, match="cannot place"):
+        with pytest.raises(ConfigurationError, match="cannot place 60 POIs"):
             generate_synthetic_dataset(SynthSpec(pois_per_user=60, seed=5))
