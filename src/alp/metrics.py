@@ -207,15 +207,14 @@ def _bind_pois(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> C
 def _bind_distortion(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> Callable[[Trace], float]:
     """Mean distance from protected locations to the nearest raw location.
 
-    The search runs over each distinct raw location once: dwell-heavy traces
-    repeat a few points many times, and duplicates only slow it. An empty
-    protected trace distorts nothing and scores 0; an empty raw trace is a
-    caller error.
+    The search runs over each distinct raw location once, in ascending (lat, lon)
+    order, which fixes the scan's first-index tie-break: dwell-heavy traces repeat
+    a few points many times, and duplicates only slow it. An empty protected trace
+    distorts nothing and scores 0; an empty raw trace is a caller error.
     """
     if len(raw) == 0:
         raise ValueError("raw location set must be non-empty")
-    points = np.unique(np.column_stack((raw.lat, raw.lon)), axis=0)
-    raw_lat, raw_lon = points[:, 0], points[:, 1]
+    raw_lat, raw_lon = np.array(sorted(set(zip(raw.lat.tolist(), raw.lon.tolist())))).T
     nearest = _nearest_finder(sphere_xyz(raw_lat, raw_lon))
 
     def evaluate(protected: Trace) -> float:

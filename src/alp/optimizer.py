@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geo import Trace
-from .lppm import LppmConfig, ParameterDomain, mechanism
+from .lppm import LppmConfig, ParameterDomain
 from .metrics import median_of_k
 from .rng import RandomStream
 
@@ -51,11 +51,6 @@ def parse_objective(text: str) -> Objective:
 
 def parse_objectives(text: str) -> list:
     return [parse_objective(part) for part in text.split(",") if part.strip()]
-
-
-def default_objectives(lppm_name: str) -> list:
-    """Per-mechanism defaults: hide POIs, then preserve the relevant utility."""
-    return parse_objectives(mechanism(lppm_name).objectives)
 
 
 @dataclass(frozen=True)

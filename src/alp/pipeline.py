@@ -22,19 +22,18 @@ from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
 from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism
 from .metrics import (EVALUATORS, PoiClusteringParams, bind_evaluators, checked_robust_k, evaluator,
                       median_of_k)
-from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, default_objectives
+from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, parse_objectives
 from .rng import RandomStream
 
 
 def split_daily_batches(trace: Trace) -> list:
-    """Partition a trace by UTC day (half-open: midnight starts the new day)
-    into ``(day, trace)`` pairs, one per non-empty day, in order."""
-    days = np.unique(trace.time_ms // MS_PER_DAY)
-    bounds = np.append(np.searchsorted(trace.time_ms, days * MS_PER_DAY), len(trace))
-    return [
-        (utc_day(day * MS_PER_DAY), Trace(trace.user, trace.lat[a:b], trace.lon[a:b], trace.time_ms[a:b]))
-        for day, a, b in zip(days.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
-    ]
+    """Partition a trace by UTC day (half-open: midnight starts the new day) into
+    ``(day, trace)`` pairs, one per non-empty day, in order. A trace is time-ordered,
+    so a batch starts wherever the day number changes, and its first record names it."""
+    day = trace.time_ms // MS_PER_DAY
+    bounds = np.flatnonzero(np.diff(day, prepend=day[:1] - 1, append=day[-1:] + 1)).tolist()
+    return [(utc_day(trace.time_ms[a]), Trace(trace.user, trace.lat[a:b], trace.lon[a:b], trace.time_ms[a:b]))
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def cdf_points(values) -> list:
@@ -69,7 +68,7 @@ class RunConfig:
         entry = mechanism(self.lppm_name)
         if self.static_assignment is not None:
             checked(self.static_config)
-        objectives = default_objectives(self.lppm_name) if self.objectives is None else self.objectives
+        objectives = parse_objectives(entry.objectives) if self.objectives is None else self.objectives
         if not objectives:
             raise ConfigurationError("at least one objective is required")
         names = [objective.evaluator_name for objective in objectives]

@@ -11,8 +11,10 @@ invocation on stderr, as a fresh interpreter would, and takes the code of a
 ``SystemExit`` (``--help`` and usage errors) as the exit code. The first two
 invocations synthesize the inputs: 2 users x 2 full days, and a ``--trip``
 one. Invocations 31 and 32 synthesize one full day at 30 s and tune geo-i on
-it; 33 and 34 score protected traces in which no POI is found, and the last
-asks synth for more POIs than it can place.
+it; 33 and 34 score protected traces in which no POI is found, and 35
+asks synth for more POIs than it can place. The last two synthesize a day with
+more distinct raw points than the distortion scan takes, and tune geo-i on it,
+so that distortion searches a kd-tree.
 
 The first output line names the numpy version, because geo-i hashes depend
 on its float kernels. For each invocation the script then prints a header
@@ -102,6 +104,10 @@ def invocations() -> list:
         ["evaluate", "--input", "days.csv", "--lppm", "geo-i", "--param", "epsilon=0.001"],
         # more POIs than the fixed square holds at the fixed separation
         ["synth", "--users", "1", "--pois", "60", "--seed", "5", "--out", "crowded.csv"],
+        # a raw day with 43 distinct points: distortion searches a kd-tree
+        ["synth", "--users", "1", "--days", "1", "--pois", "6", "--seed", "7", "--out", "wide.csv"],
+        ["online", "--input", "wide.csv", "--lppm", "geo-i", "--t-min", "0.2",
+         "--out-dir", "reports", "--name", "wide-raw"],
     ]
     return runs
 

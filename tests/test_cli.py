@@ -410,6 +410,7 @@ class TestDwellHeavyCommandsSkipScipy:
         # A dwell-heavy day repeats a few distinct points, which the distortion
         # evaluator scans without a kd-tree; a raw trace with more distinct
         # points than it scans still takes the kd-tree from scipy.spatial.
+        # The dwell-heavy runs do not import numpy.ma either, which np.unique loads.
         data, walk = tmp_path / "d.csv", tmp_path / "walk.csv"
         m = _SCAN_MAX_RAW_POINTS + 1
         write_dataset_csv(Dataset([Trace("w", 45.0 + 0.001 * np.arange(m), [5.0] * m,
@@ -425,16 +426,16 @@ class TestDwellHeavyCommandsSkipScipy:
             " '--param', 'epsilon=0.01']) == 0\n"
             f"assert main(['online', '--input', {str(data)!r}, '--lppm', 'geo-i', '--t-min', '0.2',"
             f" '--out-dir', {str(tmp_path / 'rep')!r}]) == 0\n"
-            "dwell_heavy = scipy_modules()\n"
+            "dwell_heavy = scipy_modules(), 'numpy.ma' in sys.modules\n"
             f"assert main(['evaluate', '--input', {str(walk)!r}, '--lppm', 'geo-i',"
             " '--param', 'epsilon=0.01']) == 0\n"
-            "print(dwell_heavy, 'scipy.spatial' in scipy_modules())\n"
+            "print(*dwell_heavy, 'scipy.spatial' in scipy_modules())\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds this alp
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                 env=env, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[] True"
+        assert result.stdout.splitlines()[-1] == "[] False True"
 
 
 class TestPipelineCommands:

@@ -20,7 +20,8 @@ from alp.lppm import (
     promesse_obfuscate,
 )
 from alp.metrics import EVALUATORS
-from alp.optimizer import default_objectives, parse_objectives
+from alp.optimizer import parse_objectives
+from alp.pipeline import RunConfig
 from alp.rng import RandomStream
 
 from conftest import random_walk_trace
@@ -245,7 +246,7 @@ def test_mechanism_table_is_consistent(name, gen):
     entry = MECHANISMS[name]
     objectives = parse_objectives(entry.objectives)
     assert objectives and {o.evaluator_name for o in objectives} <= set(EVALUATORS)
-    assert default_objectives(name) == objectives
+    assert RunConfig(name).objectives == tuple(objectives)
     trace = random_walk_trace(gen, n=40, user="carol")
     config = LppmConfig(name, {d.name: d.values[0] for d in entry.domains})
     protected = apply_lppm(config, trace, RandomStream(3))

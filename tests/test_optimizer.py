@@ -13,7 +13,6 @@ from alp.optimizer import (
     ObjectiveCost,
     acceptance_probability,
     anneal,
-    default_objectives,
     initial_state,
     neighbour,
     parse_objective,
@@ -61,8 +60,8 @@ class TestObjectiveParsing:
             Objective("pois", True, scale)
 
     def test_defaults_per_mechanism(self):
-        assert default_objectives("geo-i") == parse_objectives("min:pois,min:distortion:scale=500")
-        assert default_objectives("promesse") == parse_objectives("min:pois,max:coverage")
+        assert RunConfig("geo-i").objectives == tuple(parse_objectives("min:pois,min:distortion:scale=500"))
+        assert RunConfig("promesse").objectives == tuple(parse_objectives("min:pois,max:coverage"))
 
 
 class TestCost:
@@ -131,7 +130,7 @@ class TestCost:
                             lambda config, raw, rng: applied.append(config) or real_apply(config, raw, rng))
         raw = make_trace([(45.0, 5.0)] * 40 + [(45.01, 5.0)] * 40)
         bound = bind_evaluators(["pois", "distortion"], raw, PoiClusteringParams(), CellGrid())
-        objectives = default_objectives("geo-i")
+        objectives = RunConfig("geo-i").objectives
         cost_fn = ObjectiveCost(objectives, raw, bound, 3, RandomStream(4))
         visited = []
 

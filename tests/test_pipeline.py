@@ -251,9 +251,13 @@ class TestDailyBatches:
     def test_empty_trace(self):
         assert split_daily_batches(Trace("u")) == []
 
-    def test_midnight_starts_new_day(self):
-        batches = split_daily_batches(self.trace([DAY_MS - 1, DAY_MS]))
-        assert [day for day, _ in batches] == [date(1970, 1, 1), date(1970, 1, 2)]
+    @pytest.mark.parametrize("times_ms, days", [
+        ([DAY_MS - 1, DAY_MS], [date(1970, 1, 1), date(1970, 1, 2)]),
+        ([-1, 0], [date(1969, 12, 31), date(1970, 1, 1)]),  # day numbers -1 and 0
+    ])
+    def test_midnight_starts_new_day(self, times_ms, days):
+        batches = split_daily_batches(self.trace(times_ms))
+        assert [day for day, _ in batches] == days
 
     def test_no_empty_batches_with_day_gaps(self):
         batches = split_daily_batches(self.trace([0, 3 * DAY_MS]))
