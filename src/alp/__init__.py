@@ -18,15 +18,17 @@ from .lppm import (
     apply_lppm,
     geo_i_obfuscate,
     geo_i_sample_radius,
+    prepare_lppm,
     promesse_obfuscate,
 )
 from .metrics import (
-    Poi,
     PoiClusteringParams,
+    Pois,
     bind_evaluators,
     extract_pois,
     median_of_k,
     poi_retrieval,
+    prepare_replicates,
 )
 from .optimizer import (
     AnnealingSchedule,
@@ -65,8 +67,8 @@ __all__ = [
     "LppmConfig",
     "Objective",
     "ParameterDomain",
-    "Poi",
     "PoiClusteringParams",
+    "Pois",
     "RandomStream",
     "Report",
     "ReportRow",
@@ -91,6 +93,8 @@ __all__ = [
     "parse_objective",
     "parse_objectives",
     "poi_retrieval",
+    "prepare_lppm",
+    "prepare_replicates",
     "promesse_obfuscate",
     "protect",
     "restrict_by_half",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -75,6 +76,14 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.time_ms)
+
+    @cached_property
+    def xyz(self) -> np.ndarray:
+        """The records' :func:`sphere_xyz` points, read-only: computed on first
+        use and kept with the trace, so every metric of a trace shares them."""
+        xyz = sphere_xyz(self.lat, self.lon)
+        xyz.flags.writeable = False
+        return xyz
 
     def __eq__(self, other):
         if not isinstance(other, Trace):

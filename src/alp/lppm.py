@@ -1,8 +1,13 @@
 """Location privacy protection mechanisms (LPPMs).
 
 A mechanism turns one trace into one protected trace under a parameter
-assignment. ``MECHANISMS`` holds one entry per mechanism (``geo-i`` and
-``promesse``): its transform, its parameter domains, its default
+assignment, in two steps. ``prepare(trace, rng)`` does the work that no
+parameter changes: geo-i's noise draws, their unit radii and directions, or
+promesse's path in the plane. ``transform(prepared, assignment)`` finishes
+the trace for one assignment. The tuner scores many assignments on the same
+replicates, so it prepares each (unit, replicate) once and transforms it
+once per state. ``MECHANISMS`` holds one entry per mechanism (``geo-i`` and
+``promesse``): its two steps, its parameter domains, its default
 median-of-k and its default objectives. An :class:`LppmConfig` names the
 mechanism and its values, so evaluators and the tuner stay
 mechanism-agnostic; :func:`checked` is the one place that validates it.
@@ -79,8 +84,9 @@ class LppmConfig:
 _P_SERIES = 1e-5  # below it the series, above it Newton (see below)
 
 
-def _inverse_radial_cdf(epsilon: float, p: np.ndarray) -> np.ndarray:
-    """Radius r with 1 - (1 + eps*r)e^{-eps*r} = p, vectorized over p in [0, 1).
+def _inverse_radial_cdf(p: np.ndarray) -> np.ndarray:
+    """eps * r for the radius r with 1 - (1 + eps*r)e^{-eps*r} = p, vectorized over
+    p in [0, 1): the radius at eps = 1, since the radius scales as 1/eps.
 
     r = -(W₋₁((p-1)/e) + 1)/eps (Andrés et al., CCS 2013), W₋₁ the lower Lambert
     W branch. For x = eps*r: below p = 1e-5, where x - log1p(x) cancels, the
@@ -96,7 +102,7 @@ def _inverse_radial_cdf(epsilon: float, p: np.ndarray) -> np.ndarray:
     x = target + np.log1p(target + np.sqrt(2.0 * target))
     for _ in range(4):
         x -= (x - np.log1p(x) - target) * (1.0 + x) / x
-    return np.where(p < _P_SERIES, series, x) / epsilon
+    return np.where(p < _P_SERIES, series, x)
 
 
 def geo_i_sample_radius(epsilon: float, p):
@@ -109,8 +115,24 @@ def geo_i_sample_radius(epsilon: float, p):
     arr = np.asarray(p, dtype=float)
     if arr.size and not ((arr > 0.0) & (arr < 1.0)).all():
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    radii = _inverse_radial_cdf(epsilon, arr)
+    radii = _inverse_radial_cdf(arr) / epsilon
     return float(radii) if np.isscalar(p) or arr.ndim == 0 else radii
+
+
+def _geo_i_prepare(trace: Trace, rng: RandomStream) -> tuple:
+    """geo-i's epsilon-free work: per record, the radius at epsilon 1 and the
+    cosine and sine of the direction, from one generator on ``rng``."""
+    n = len(trace)
+    gen = rng.generator()
+    p = gen.uniform(size=n)
+    theta = gen.uniform(0.0, _TWO_PI, size=n)
+    return trace, _inverse_radial_cdf(p), np.cos(theta), np.sin(theta)
+
+
+def _geo_i_transform(prepared: tuple, epsilon: float) -> Trace:
+    trace, unit_r, cos_theta, sin_theta = prepared
+    r = unit_r / epsilon
+    return Trace(trace.user, *latlon_from_local(trace.lat, trace.lon, r * cos_theta, r * sin_theta), trace.time_ms)
 
 
 def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RandomStream) -> Trace:
@@ -123,19 +145,47 @@ def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RandomStream) -> Trace:
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
-    n = len(trace)
-    gen = rng.generator()
-    p = gen.uniform(size=n)
-    theta = gen.uniform(0.0, _TWO_PI, size=n)
-    r = _inverse_radial_cdf(epsilon, p)
-    dx = r * np.cos(theta)
-    dy = r * np.sin(theta)
-    return Trace(trace.user, *latlon_from_local(trace.lat, trace.lon, dx, dy), trace.time_ms)
+    return _geo_i_transform(_geo_i_prepare(trace, rng), epsilon)
 
 
 # ---------------------------------------------------------------------------
 # Speed smoothing (uniform spatial resampling + uniform re-timestamping)
 # ---------------------------------------------------------------------------
+
+def _promesse_prepare(trace: Trace, rng: RandomStream | None = None) -> tuple:
+    """promesse's alpha-free work: the path in the plane of the first record,
+    its step lengths and their running sum (None for an empty trace)."""
+    if len(trace) == 0:
+        return trace, None
+    xs, ys = local_xy(trace.lat[0], trace.lon[0], trace.lat, trace.lon)
+    seg = np.hypot(np.diff(xs), np.diff(ys))
+    return trace, (xs, ys, seg, np.concatenate(([0.0], np.cumsum(seg))))
+
+
+def _promesse_transform(prepared: tuple, alpha: float) -> Trace:
+    trace, path = prepared
+    if path is None:
+        return trace
+    xs, ys, seg, cum = path
+    total = float(cum[-1])
+
+    count = int(math.floor(total / alpha + 1e-9)) + 1
+    if count < 2:
+        return Trace(trace.user)
+
+    offsets = alpha * np.arange(count, dtype=float)
+    j = np.clip(np.searchsorted(cum, offsets, side="right") - 1, 0, len(trace) - 2)
+    seg_j = seg[j]
+    frac = np.where(seg_j > 0, (offsets - cum[j]) / np.where(seg_j > 0, seg_j, 1.0), 0.0)
+    px = xs[j] + frac * (xs[j + 1] - xs[j])
+    py = ys[j] + frac * (ys[j + 1] - ys[j])
+    out_lat, out_lon = latlon_from_local(trace.lat[0], trace.lon[0], px, py)
+
+    t0, t1 = int(trace.time_ms[0]), int(trace.time_ms[-1])
+    steps = np.arange(count, dtype=float)
+    times = t0 + np.rint(steps * (t1 - t0) / (count - 1)).astype(np.int64)
+    return Trace(trace.user, out_lat, out_lon, times)
+
 
 def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
     """Resample the trace at spacing alpha along its path and uniformize time.
@@ -147,32 +197,7 @@ def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    n = len(trace)
-    if n == 0:
-        return trace
-
-    lat0, lon0 = trace.lat[0], trace.lon[0]
-    xs, ys = local_xy(lat0, lon0, trace.lat, trace.lon)
-    seg = np.hypot(np.diff(xs), np.diff(ys))
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    total = float(cum[-1])
-
-    count = int(math.floor(total / alpha + 1e-9)) + 1
-    if count < 2:
-        return Trace(trace.user)
-
-    offsets = alpha * np.arange(count, dtype=float)
-    j = np.clip(np.searchsorted(cum, offsets, side="right") - 1, 0, n - 2)
-    seg_j = seg[j]
-    frac = np.where(seg_j > 0, (offsets - cum[j]) / np.where(seg_j > 0, seg_j, 1.0), 0.0)
-    px = xs[j] + frac * (xs[j + 1] - xs[j])
-    py = ys[j] + frac * (ys[j + 1] - ys[j])
-    out_lat, out_lon = latlon_from_local(lat0, lon0, px, py)
-
-    t0, t1 = int(trace.time_ms[0]), int(trace.time_ms[-1])
-    steps = np.arange(count, dtype=float)
-    times = t0 + np.rint(steps * (t1 - t0) / (count - 1)).astype(np.int64)
-    return Trace(trace.user, out_lat, out_lon, times)
+    return _promesse_transform(_promesse_prepare(trace), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +208,16 @@ def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
 class Mechanism:
     """One mechanism: how to apply it and how to tune it.
 
-    ``transform(trace, assignment, rng)`` protects a trace. The parameter
-    names are the names of ``domains``, the grids the tuner searches.
+    ``prepare(trace, rng)`` does the parameter-free work of protecting a
+    trace on one stream, and ``transform(prepared, assignment)`` finishes it
+    for one assignment. The parameter names are the names of ``domains``,
+    the grids the tuner searches.
     ``robust_k`` is the default number of replicates a metric is the median
-    of (1 when the transform draws no randomness), and ``objectives`` the
+    of (1 when ``prepare`` draws no randomness), and ``objectives`` the
     default objective spec.
     """
 
+    prepare: Callable
     transform: Callable
     domains: tuple
     robust_k: int
@@ -200,7 +228,8 @@ MECHANISMS = {
     # Planar-Laplace noise; epsilon is in 1/meters and the mean displacement
     # is 2/epsilon, so smaller epsilon adds more noise.
     "geo-i": Mechanism(
-        transform=lambda trace, a, rng: geo_i_obfuscate(trace, a["epsilon"], rng),
+        prepare=_geo_i_prepare,
+        transform=lambda prepared, a: _geo_i_transform(prepared, a["epsilon"]),
         domains=(ParameterDomain.log_spaced("epsilon", 0.001, 0.1, 101),),
         robust_k=3,
         objectives="min:pois,min:distortion:scale=500",
@@ -208,7 +237,8 @@ MECHANISMS = {
     # Speed smoothing at spacing alpha (meters); it obfuscates time rather
     # than places. The grid starts at 5 m: a zero spacing would never end.
     "promesse": Mechanism(
-        transform=lambda trace, a, rng: promesse_obfuscate(trace, a["alpha"]),
+        prepare=_promesse_prepare,
+        transform=lambda prepared, a: _promesse_transform(prepared, a["alpha"]),
         domains=(ParameterDomain.linear("alpha", 5.0, 500.0, 101),),
         robust_k=1,
         objectives="min:pois,max:coverage",
@@ -238,6 +268,14 @@ def checked(config: LppmConfig) -> Mechanism:
     return entry
 
 
-def apply_lppm(config: LppmConfig, trace: Trace, rng: RandomStream) -> Trace:
-    """Obfuscate a trace under a named mechanism and parameter assignment."""
-    return checked(config).transform(trace, config.assignment, rng)
+def prepare_lppm(lppm_name: str, trace: Trace, rng: RandomStream) -> tuple:
+    """A named mechanism's parameter-free work on a trace and stream (see
+    :class:`Mechanism`): what :func:`apply_lppm` takes, for any assignment."""
+    return mechanism(lppm_name).prepare(trace, rng)
+
+
+def apply_lppm(config: LppmConfig, prepared: tuple) -> Trace:
+    """The protected trace under a configuration, from what :func:`prepare_lppm`
+    returned for the same mechanism: ``apply_lppm(config, prepare_lppm(
+    config.lppm_name, trace, rng))`` protects ``trace`` on stream ``rng``."""
+    return checked(config).transform(prepared, config.assignment)

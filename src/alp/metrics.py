@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ConfigurationError, lookup
 from .geo import (
     CellGrid,
-    GeoPoint,
     Trace,
     chord_m,
     haversine_m,
@@ -32,7 +31,7 @@ from .geo import (
     local_xy,
     sphere_xyz,
 )
-from .lppm import LppmConfig, apply_lppm
+from .lppm import LppmConfig, apply_lppm, prepare_lppm
 from .rng import RandomStream
 
 
@@ -49,18 +48,48 @@ class PoiClusteringParams:
             raise ValueError("clustering parameters must be strictly positive")
 
 
-@dataclass(frozen=True)
-class Poi:
-    """A stay cluster reduced to its centroid; time span kept for diagnostics."""
-
-    centroid: GeoPoint
-    start_ms: int
-    end_ms: int
-    size: int
+_POI_COLUMNS = (("lat", np.float64), ("lon", np.float64), ("start_ms", np.int64), ("end_ms", np.int64),
+                ("size", np.int64))
 
 
-def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
-    """Greedy forward-scan spatio-temporal clustering.
+@dataclass(frozen=True, eq=False)
+class Pois:
+    """Stay clusters reduced to their centroids, stored as columns like a
+    :class:`~alp.geo.Trace`: one row per POI, in time order.
+
+    ``lat`` and ``lon`` are the centroids' float64 degrees, ``start_ms`` and
+    ``end_ms`` the int64 times of each cluster's first and last record, and
+    ``size`` its int64 record count; all five are read-only numpy arrays of one
+    length. Two sets are equal when every column is, floats included.
+    """
+
+    lat: np.ndarray = ()
+    lon: np.ndarray = ()
+    start_ms: np.ndarray = ()
+    end_ms: np.ndarray = ()
+    size: np.ndarray = ()
+
+    def __post_init__(self):
+        shapes = set()
+        for name, dtype in _POI_COLUMNS:
+            column = np.array(getattr(self, name), dtype=dtype)  # a private copy
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+            shapes.add(column.shape)
+        if shapes != {(self.size.size,)}:
+            raise ValueError("POI columns must be 1-D arrays of equal lengths")
+
+    def __len__(self) -> int:
+        return len(self.size)
+
+    def __eq__(self, other):
+        if not isinstance(other, Pois):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in _POI_COLUMNS)
+
+
+def extract_pois(trace: Trace, params: PoiClusteringParams) -> Pois:
+    """Greedy forward-scan spatio-temporal clustering, as :class:`Pois` columns.
 
     A candidate cluster grows with consecutive records while its diameter
     (max pairwise distance) stays within the limit: record j joins the open
@@ -70,16 +99,18 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     stay, and the scan restarts at the breaking record.
 
     Every distance is a chord c between the records' 3-D points
-    (:func:`~alp.geo.sphere_xyz`): "arc > max_d" is "c > max_c", with max_c =
-    ``chord_m(max_d)``. In floating point the two differ only within about
-    3e-8 m of max_d: on 400,000 random pairs at 200 m +- delta they never
-    disagreed at delta = 3e-8 m, 11 times at 1e-8 m, 2,550 times at 3e-9 m.
+    (:attr:`~alp.geo.Trace.xyz`, shared with the distortion evaluator): "arc >
+    max_d" is "c > max_c", with max_c = ``chord_m(max_d)``. In floating point
+    the two differ only within about 3e-8 m of max_d: on 400,000 random pairs
+    at 200 m +- delta they never disagreed at delta = 3e-8 m, 11 times at
+    1e-8 m, 2,550 times at 3e-9 m.
 
     Every test compares a squared chord with one constant, ``max_c ** 2``.
-    The exact test takes the largest squared chord from j to a member: per
-    axis the coordinate difference, squared as a product (numpy's ``** 2``
-    is one), summed x, then y, then z. Each shortcut computes its squared
-    chord with the same roundings, and rounding is monotone, so it decides
+    The exact test takes the squared chord from j to each member in turn, in
+    plain Python floats: per axis the difference from j, squared as a product,
+    summed x, then y, then z; it breaks at the first member above the limit.
+    Each shortcut computes its squared chord with the same roundings (numpy's
+    ``** 2`` is a product too), and rounding is monotone, so it decides
     exactly as the exact test does:
 
     * Segment cut: the step from j-1 to j is, bit for bit, the exact test's
@@ -97,41 +128,61 @@ def extract_pois(trace: Trace, params: PoiClusteringParams) -> list:
     """
     n = len(trace)
     if n == 0:
-        return []
+        return Pois()
 
     limit2 = chord_m(params.max_diameter_m) ** 2
-    xyz = sphere_xyz(trace.lat, trace.lon)
+    xyz = trace.xyz
     steps2 = np.diff(xyz, axis=0) ** 2
     cuts = np.flatnonzero(steps2[:, 0] + steps2[:, 1] + steps2[:, 2] > limit2) + 1
     firsts, lasts = np.append(0, cuts), np.append(cuts - 1, n - 1)  # segment s: records firsts[s]..lasts[s]
     kept = trace.time_ms[lasts] - trace.time_ms[firsts] >= params.min_stay_ms
     if not kept.any():
-        return []
-
-    def breaks(start: int, j: int) -> bool:
-        reach2 = (xyz[j] - xyz[start:j]) ** 2
-        return (reach2[:, 0] + reach2[:, 1] + reach2[:, 2]).max() > limit2
+        return Pois()
 
     clusters = []  # (start, end) of every cluster of a kept segment
     for first, last in zip(firsts[kept].tolist(), lasts[kept].tolist()):
-        start = first
-        # The low and high corners of the members' bounding box.
         points = xyz[first:last + 1].tolist()
+        start = 0  # the open cluster is points[start:j]
+        # The low and high corners of the members' bounding box.
         (x0, y0, z0) = (x1, y1, z1) = points[0]
-        for j, (x, y, z) in enumerate(points[1:], first + 1):
-            dx, dy, dz = max(x - x0, x1 - x), max(y - y0, y1 - y), max(z - z0, z1 - z)
-            if dx * dx + dy * dy + dz * dz > limit2 and breaks(start, j):
-                clusters.append((start, j - 1))
+        for j, (x, y, z) in enumerate(points[1:], 1):
+            a, b = x - x0, x1 - x
+            dx = a if a > b else b
+            a, b = y - y0, y1 - y
+            dy = a if a > b else b
+            a, b = z - z0, z1 - z
+            dz = a if a > b else b
+            if dx * dx + dy * dy + dz * dz > limit2 and _reaches_beyond(points[start:j], x, y, z, limit2):
+                clusters.append((first + start, first + j - 1))
                 start = j
                 x0, y0, z0 = x1, y1, z1 = x, y, z
                 continue
-            x0, y0, z0 = min(x0, x), min(y0, y), min(z0, z)
-            x1, y1, z1 = max(x1, x), max(y1, y), max(z1, z)
-        clusters.append((start, last))
+            if x < x0:
+                x0 = x
+            elif x > x1:
+                x1 = x
+            if y < y0:
+                y0 = y
+            elif y > y1:
+                y1 = y
+            if z < z0:
+                z0 = z
+            elif z > z1:
+                z1 = z
+        clusters.append((first + start, last))
     return _stay_pois(trace, clusters, params.min_stay_ms)
 
 
-def _stay_pois(trace: Trace, clusters: list, min_stay_ms: int) -> list:
+def _reaches_beyond(members: list, x: float, y: float, z: float, limit2: float) -> bool:
+    """Whether the squared chord from (x, y, z) to some member exceeds limit2."""
+    for xm, ym, zm in members:
+        dx, dy, dz = x - xm, y - ym, z - zm
+        if dx * dx + dy * dy + dz * dz > limit2:
+            return True
+    return False
+
+
+def _stay_pois(trace: Trace, clusters: list, min_stay_ms: int) -> Pois:
     """The POIs of the clusters (start, end) that last ``min_stay_ms``, in order.
 
     A centroid is the members' mean in the local plane at the cluster's first
@@ -144,7 +195,7 @@ def _stay_pois(trace: Trace, clusters: list, min_stay_ms: int) -> list:
     stays = times[ends] - times[starts] >= min_stay_ms
     starts, ends = starts[stays], ends[stays]
     if len(starts) == 0:
-        return []
+        return Pois()
     sizes = ends - starts + 1
     stops = np.cumsum(sizes)
     begins = stops - sizes  # cluster c's members are members[begins[c]:stops[c]]
@@ -155,10 +206,7 @@ def _stay_pois(trace: Trace, clusters: list, min_stay_ms: int) -> list:
     bounds = list(zip(begins.tolist(), stops.tolist()))
     mean_x = np.array([np.add.reduce(xs[a:b]) for a, b in bounds]) / sizes
     mean_y = np.array([np.add.reduce(ys[a:b]) for a, b in bounds]) / sizes
-    centroid_lat, centroid_lon = latlon_from_local(lat0, lon0, mean_x, mean_y)
-    return [Poi(GeoPoint(la, lo), t0, t1, size)
-            for la, lo, t0, t1, size in zip(centroid_lat.tolist(), centroid_lon.tolist(), times[starts].tolist(),
-                                            times[ends].tolist(), sizes.tolist())]
+    return Pois(*latlon_from_local(lat0, lon0, mean_x, mean_y), times[starts], times[ends], sizes)
 
 
 def _f_score(matched: int, n_true: int, n_found: int) -> float:
@@ -171,22 +219,20 @@ def _f_score(matched: int, n_true: int, n_found: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def poi_retrieval(pois_true: Sequence[Poi], pois_obf: Sequence[Poi], threshold_m: float) -> float:
+def poi_retrieval(pois_true: Pois, pois_obf: Pois, threshold_m: float) -> float:
     """F-score of POIs recovered from the protected trace, in [0, 1].
 
     Recall counts protected POIs within the threshold of a true POI over the
     number of true POIs (capped at 1 when several protected POIs hit the
     same true one); precision divides the same count by the number of
-    protected POIs. Empty sets score 0.
+    protected POIs. Empty sets score 0. Both sets are :class:`Pois` columns,
+    matched in one table of distances.
     """
     if not threshold_m > 0:
         raise ValueError("threshold must be positive")
-    lat_t = np.array([p.centroid.lat for p in pois_true])
-    lon_t = np.array([p.centroid.lon for p in pois_true])
-    lat_o = np.array([p.centroid.lat for p in pois_obf])[:, None]
-    lon_o = np.array([p.centroid.lon for p in pois_obf])[:, None]
     # Row i holds the distances from protected POI i to every true POI.
-    matched = int(np.count_nonzero(np.any(haversine_m(lat_o, lon_o, lat_t, lon_t) <= threshold_m, axis=1)))
+    d = haversine_m(pois_obf.lat[:, None], pois_obf.lon[:, None], pois_true.lat, pois_true.lon)
+    matched = int(np.count_nonzero(np.any(d <= threshold_m, axis=1)))
     return _f_score(matched, len(pois_true), len(pois_obf))
 
 
@@ -223,7 +269,7 @@ def _bind_distortion(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid
         # Chord length is monotone in arc length, so the chord nearest
         # neighbour is also the great-circle nearest neighbour; report
         # the haversine value.
-        idx = nearest(sphere_xyz(protected.lat, protected.lon))
+        idx = nearest(protected.xyz)
         d = haversine_m(protected.lat, protected.lon, raw_lat[idx], raw_lon[idx])
         return float(np.mean(d))
 
@@ -306,16 +352,27 @@ def checked_robust_k(k: int) -> int:
     return k
 
 
-def median_of_k(bound: dict, config: LppmConfig, raw: Trace, k: int, rng: RandomStream) -> dict:
-    """Median value of every bound evaluator over k protected replicates.
-
-    Replicate i is obfuscated once, on the sub-stream ``rep/i``, and every
-    bound evaluator scores that same protected trace.
-    """
+def prepare_replicates(lppm_name: str, raw: Trace, k: int, rng: RandomStream) -> tuple:
+    """The k replicates of a unit that every state is scored on: replicate i is
+    the mechanism's parameter-free work on ``raw`` and the sub-stream ``rep/i``
+    (:func:`~alp.lppm.prepare_lppm`), done once per (unit, replicate)."""
     checked_robust_k(k)
+    return tuple(prepare_lppm(lppm_name, raw, rng.child("rep", i)) for i in range(k))
+
+
+def median_of_k(bound: dict, config: LppmConfig, replicates: tuple) -> dict:
+    """Median value of every bound evaluator over the protected replicates.
+
+    Each of the k replicates from :func:`prepare_replicates` is transformed
+    once under ``config`` (:func:`~alp.lppm.apply_lppm`): only the
+    parameter-dependent rest of the mechanism runs per state. Every bound
+    evaluator scores that same protected trace, and its 3-D points
+    (:attr:`~alp.geo.Trace.xyz`) are computed once for all of them.
+    """
+    k = len(replicates)
     values = {name: [] for name in bound}
-    for i in range(k):
-        protected = apply_lppm(config, raw, rng.child("rep", i))
+    for prepared in replicates:
+        protected = apply_lppm(config, prepared)
         for name, evaluate in bound.items():
             values[name].append(evaluate(protected))
     return {name: sorted(vs)[k // 2] for name, vs in values.items()}

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .geo import Trace
 from .lppm import LppmConfig, ParameterDomain
 from .metrics import median_of_k
 from .rng import RandomStream
@@ -176,30 +175,31 @@ def anneal(lppm_name: str, domains: Sequence[ParameterDomain], cost_fn: CostFn,
 
 
 class ObjectiveCost:
-    """Cost of a mechanism configuration against one reference trace.
+    """Cost of a mechanism configuration on one unit's prepared replicates.
 
-    ``bound`` maps evaluator names to closures bound to the reference (see
-    :func:`~alp.metrics.bind_evaluators`); it must cover every objective and
-    may hold more. A state's cost sums the normalized median-of-k values of
-    the objectives' evaluators, all scored on the k replicates ``rng/rep/i``
-    that every state shares. So a state has one cost, and it is scored once:
-    a repeated state returns the cost kept from its first call.
+    ``bound`` maps evaluator names to closures bound to the unit's raw trace
+    (see :func:`~alp.metrics.bind_evaluators`); it must cover every objective
+    and may hold more. ``replicates`` are the unit's k prepared replicates
+    (:func:`~alp.metrics.prepare_replicates`), kept here for the unit's
+    search, so the mechanism's parameter-free work is done once per (unit,
+    replicate). A state's cost sums the normalized median-of-k values of the
+    objectives' evaluators, all scored on those replicates, which every state
+    shares. So a state has one cost, and it is scored once: a repeated state
+    returns the cost kept from its first call.
     """
 
-    def __init__(self, objectives: Sequence[Objective], ref: Trace, bound: dict, robust_k: int, rng: RandomStream):
+    def __init__(self, objectives: Sequence[Objective], bound: dict, replicates: tuple):
         if not objectives:
             raise ConfigurationError("at least one objective is required")
         self.objectives = tuple(objectives)
-        self.ref = ref
-        self.robust_k = robust_k
-        self.rng = rng
+        self.replicates = replicates
         self._bound = {o.evaluator_name: bound[o.evaluator_name] for o in self.objectives}
         self._costs = {}
 
     def __call__(self, state: LppmConfig) -> float:
         key = tuple(sorted(state.assignment.items()))
         if key not in self._costs:
-            medians = median_of_k(self._bound, state, self.ref, self.robust_k, self.rng)
+            medians = median_of_k(self._bound, state, self.replicates)
             total = 0.0
             for o in self.objectives:
                 n = min(medians[o.evaluator_name], o.scale) / o.scale

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import AlpError, ConfigurationError
 from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
-from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism
+from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism, prepare_lppm
 from .metrics import (EVALUATORS, PoiClusteringParams, bind_evaluators, checked_robust_k, evaluator,
-                      median_of_k)
+                      median_of_k, prepare_replicates)
 from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, parse_objectives
 from .rng import RandomStream
 
@@ -158,7 +158,8 @@ def _process_unit(user: str, day: date | None, raw: Trace, rng: RandomStream, co
     whose objectives name only these, and the row's metrics share them.
     """
     bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
-    cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k, rng.child("cost"))
+    replicates = prepare_replicates(config.lppm_name, raw, config.robust_k, rng.child("cost"))
+    cost_fn = ObjectiveCost(config.objectives, bound, replicates)
     if config.static_assignment is not None:
         chosen = config.static_config
         cost = cost_fn(chosen)
@@ -167,7 +168,7 @@ def _process_unit(user: str, day: date | None, raw: Trace, rng: RandomStream, co
                         config.schedule, rng.child("anneal"), n_objectives=len(config.objectives))
         chosen, cost = result.chosen(config.use_best)
 
-    protected = apply_lppm(chosen, raw, rng.child("protect"))
+    protected = apply_lppm(chosen, prepare_lppm(config.lppm_name, raw, rng.child("protect")))
     metrics = {name: bound[name](protected) for name in EVALUATORS}
     return ReportRow(user, day, chosen, metrics, cost), protected
 
@@ -215,7 +216,8 @@ def evaluate(dataset: Dataset, config: RunConfig) -> list:
 
     def job(user, day, trace, rng):
         bound = bind_evaluators(EVALUATORS, trace, config.poi_params, grid)
-        return user, median_of_k(bound, static, trace, config.robust_k, rng.child("cost"))
+        replicates = prepare_replicates(static.lppm_name, trace, config.robust_k, rng.child("cost"))
+        return user, median_of_k(bound, static, replicates)
 
     return list(_run_units(dataset, config.seed, job))
 
@@ -224,5 +226,8 @@ def protect(dataset: Dataset, config: RunConfig) -> Dataset:
     """Each user's trace under the static configuration, drawn from the stream
     the offline search publishes it on."""
     static = config.static_config
-    return Dataset(_run_units(dataset, config.seed,
-                              lambda user, day, trace, rng: apply_lppm(static, trace, rng.child("protect"))))
+
+    def job(user, day, trace, rng):
+        return apply_lppm(static, prepare_lppm(static.lppm_name, trace, rng.child("protect")))
+
+    return Dataset(_run_units(dataset, config.seed, job))

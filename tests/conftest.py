@@ -7,6 +7,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from alp.geo import GeoPoint, Trace, latlon_from_local
+from alp.lppm import apply_lppm, prepare_lppm
+from alp.metrics import Pois
 
 
 def make_trace(coords, user="u", t0_ms=0, step_ms=30_000):
@@ -24,6 +26,22 @@ def trace_of(points, user="u", step_ms=30_000):
 def points_of(trace):
     """The trace's positions as GeoPoints, for per-point assertions."""
     return [GeoPoint(la, lo) for la, lo in zip(trace.lat.tolist(), trace.lon.tolist())]
+
+
+def applied(config, trace, rng):
+    """``trace`` protected under ``config`` on stream ``rng``: prepared, then applied once."""
+    return apply_lppm(config, prepare_lppm(config.lppm_name, trace, rng))
+
+
+def pois_of(points):
+    """POIs centred on GeoPoints (their times and sizes play no part in matching)."""
+    n = len(points)
+    return Pois([p.lat for p in points], [p.lon for p in points], [0] * n, [0] * n, [1] * n)
+
+
+def spans(pois):
+    """(start_ms, end_ms, size) of each POI, in order: the records it clusters."""
+    return list(zip(pois.start_ms.tolist(), pois.end_ms.tolist(), pois.size.tolist()))
 
 
 def plane_points(origin, offsets_m):

@@ -18,19 +18,21 @@ import numpy as np
 
 from alp.geo import EARTH_RADIUS_M, GeoPoint, distance_meters, latlon_from_local, local_xy
 from alp.lppm import LppmConfig
-from alp.metrics import Poi
+from alp.metrics import Pois
 
 
 def brute_poi_retrieval(pois_true, pois_obf, threshold_m):
-    """F-score by direct set counting over all POI pairs."""
-    if not pois_true or not pois_obf:
+    """F-score by direct set counting over all pairs of POI centroids."""
+    true = [GeoPoint(la, lo) for la, lo in zip(pois_true.lat.tolist(), pois_true.lon.tolist())]
+    obf = [GeoPoint(la, lo) for la, lo in zip(pois_obf.lat.tolist(), pois_obf.lon.tolist())]
+    if not true or not obf:
         return 0.0
     matched = 0
-    for p2 in pois_obf:
-        if any(distance_meters(p.centroid, p2.centroid) <= threshold_m for p in pois_true):
+    for p2 in obf:
+        if any(distance_meters(p, p2) <= threshold_m for p in true):
             matched += 1
-    recall = min(1.0, matched / len(pois_true))
-    precision = matched / len(pois_obf)
+    recall = min(1.0, matched / len(true))
+    precision = matched / len(obf)
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -95,7 +97,7 @@ def window_extract_pois(trace, params):
     times = trace.time_ms.tolist()
     n = len(points)
     if n == 0:
-        return []
+        return Pois()
     dist = [[distance_meters(a, b) for b in points] for a in points]
 
     def diameter(i, j):
@@ -120,9 +122,9 @@ def window_extract_pois(trace, params):
                 math.degrees(phi0 + (sum(ys) / len(ys)) / EARTH_RADIUS_M),
                 math.degrees(lam0 + (sum(xs) / len(xs)) / (EARTH_RADIUS_M * math.cos(phi0))),
             )
-            pois.append(Poi(centroid, times[i], times[j], j - i + 1))
+            pois.append((centroid.lat, centroid.lon, times[i], times[j], j - i + 1))
         i = j + 1
-    return pois
+    return Pois(*zip(*pois)) if pois else Pois()
 
 
 def scan_extract_pois(trace, params):
@@ -138,7 +140,7 @@ def scan_extract_pois(trace, params):
     """
     n = len(trace)
     if n == 0:
-        return []
+        return Pois()
 
     lat, lon, times = trace.lat, trace.lon, trace.time_ms
     phi = np.radians(lat)
@@ -155,7 +157,7 @@ def scan_extract_pois(trace, params):
         origin = GeoPoint(float(lat[start]), float(lon[start]))
         xs, ys = local_xy(origin.lat, origin.lon, lat[start:end + 1], lon[start:end + 1])
         centroid = GeoPoint(*map(float, latlon_from_local(origin.lat, origin.lon, np.mean(xs), np.mean(ys))))
-        pois.append(Poi(centroid, int(times[start]), int(times[end]), end - start + 1))
+        pois.append((centroid.lat, centroid.lon, int(times[start]), int(times[end]), end - start + 1))
 
     start = 0
     for j in range(1, n):
@@ -166,7 +168,7 @@ def scan_extract_pois(trace, params):
             close_cluster(start, j - 1)
             start = j
     close_cluster(start, n - 1)
-    return pois
+    return Pois(*zip(*pois)) if pois else Pois()
 
 
 def point_segment_distance(p, a, b):

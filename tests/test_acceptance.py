@@ -14,18 +14,18 @@ import pytest
 from scipy import stats
 
 from alp.cli import main
-from alp.geo import GeoPoint, Trace, distance_meters, latlon_from_local, local_xy
+from alp.geo import GeoPoint, Trace, haversine_m, latlon_from_local, local_xy
 from alp.lppm import ParameterDomain, geo_i_sample_radius, promesse_obfuscate
 from alp.metrics import PoiClusteringParams, extract_pois, poi_retrieval
 from alp.geo import CellGrid
-from alp.metrics import EVALUATORS, bind_evaluators, median_of_k
+from alp.metrics import EVALUATORS, bind_evaluators, median_of_k, prepare_replicates
 from alp.lppm import LppmConfig
 from alp.optimizer import AnnealingSchedule, acceptance_probability, anneal, restrict_by_half
 from alp.pipeline import RunConfig, run_online
 from alp.rng import RandomStream
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
-from conftest import plane_points, random_walk_trace, trace_of
+from conftest import plane_points, pois_of, random_walk_trace, spans, trace_of
 from oracles import (
     brute_area_coverage,
     brute_poi_retrieval,
@@ -102,11 +102,9 @@ def test_criterion_3_metric_oracles():
         gen = np.random.default_rng(303)
 
         def pois_at(n):
-            from alp.metrics import Poi
-
             xy = [(float(gen.uniform(-1500, 1500)), float(gen.uniform(-1500, 1500)))
                   for _ in range(n)]
-            return [Poi(p, 0, 0, 1) for p in plane_points(BASE, xy)]
+            return pois_of(plane_points(BASE, xy))
 
         def points(n):
             return plane_points(BASE, [(float(gen.uniform(-2000, 2000)), float(gen.uniform(-2000, 2000)))
@@ -150,10 +148,8 @@ def test_criterion_3_metric_oracles():
             trace = Trace("u", lat, lon, times)
             got = extract_pois(trace, params)
             want = window_extract_pois(trace, params)
-            same = len(got) == len(want) and all(
-                (g.start_ms, g.end_ms, g.size) == (w.start_ms, w.end_ms, w.size)
-                and distance_meters(g.centroid, w.centroid) < 1e-6
-                for g, w in zip(got, want))
+            same = spans(got) == spans(want) and bool(
+                (haversine_m(got.lat, got.lon, want.lat, want.lon) < 1e-6).all())
             check(same, f"extract_pois trace {i}: {len(got)} vs {len(want)} clusters")
 
 
@@ -215,7 +211,8 @@ def test_criterion_6_tradeoff_trend(trend_dataset):
             config = LppmConfig("geo-i", {"epsilon": eps})
             pois_vals, dist_vals = [], []
             for trace in trend_dataset:
-                values = median_of_k(bound[trace.user], config, trace, 3, root.child(trace.user, eps))
+                replicates = prepare_replicates("geo-i", trace, 3, root.child(trace.user, eps))
+                values = median_of_k(bound[trace.user], config, replicates)
                 pois_vals.append(values["pois"])
                 dist_vals.append(values["distortion"])
             median_pois.append(float(np.median(pois_vals)))

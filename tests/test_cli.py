@@ -485,7 +485,7 @@ class TestPipelineCommands:
 
     def test_unit_out_of_memory_is_named_without_output(self, tiny_input, tmp_path, capsys,
                                                          monkeypatch):
-        def exhausted(trace, assignment, rng):
+        def exhausted(prepared, assignment):
             raise MemoryError
 
         monkeypatch.setitem(MECHANISMS, "promesse", dataclasses.replace(MECHANISMS["promesse"],

@@ -13,7 +13,6 @@ from alp.lppm import (
     LppmConfig,
     ParameterDomain,
     _inverse_radial_cdf,
-    apply_lppm,
     checked,
     geo_i_obfuscate,
     geo_i_sample_radius,
@@ -24,7 +23,7 @@ from alp.optimizer import parse_objectives
 from alp.pipeline import RunConfig
 from alp.rng import RandomStream
 
-from conftest import random_walk_trace
+from conftest import applied, random_walk_trace
 from oracles import decimal_radial_quantile, monotone_arc_positions
 
 ORIGIN = GeoPoint(45.0, 5.0)
@@ -67,7 +66,7 @@ class TestRadialSampling:
         p = [2.0 ** -53, 1e-12, 1e-9, 1e-6, 0.5, 1 - 1e-9, 1 - 2.0 ** -53]
         p += RandomStream(12, "radius-oracle").generator().uniform(size=200).tolist()
         p += np.logspace(-15, -1, 29).tolist()  # across the series/Newton switch
-        radii = _inverse_radial_cdf(epsilon, np.array(p))
+        radii = _inverse_radial_cdf(np.array(p)) / epsilon
         worst = max(abs(decimal.Decimal(r) / decimal_radial_quantile(epsilon, q) - 1)
                     for q, r in zip(p, radii.tolist()))
         assert worst <= decimal.Decimal("1e-12")
@@ -75,7 +74,7 @@ class TestRadialSampling:
     def test_zero_probability_gives_zero_radius_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            radii = _inverse_radial_cdf(0.01, np.array([0.0]))
+            radii = _inverse_radial_cdf(np.array([0.0])) / 0.01
         assert radii.tolist() == [0.0]
 
     def test_radii_follow_radial_cdf(self):
@@ -206,30 +205,30 @@ class TestApplyAndRegistry:
         trace = straight_line_trace([0, 250, 500, 750, 1000])
         config = LppmConfig("promesse", {"alpha": 200.0})
         direct = promesse_obfuscate(trace, 200.0)
-        assert apply_lppm(config, trace, RandomStream(0)) == direct
+        assert applied(config, trace, RandomStream(0)) == direct
 
     def test_empty_trace_through_geo_i(self):
         config = LppmConfig("geo-i", {"epsilon": 0.01})
-        assert len(apply_lppm(config, Trace("u"), RandomStream(0))) == 0
+        assert len(applied(config, Trace("u"), RandomStream(0))) == 0
 
     def test_unknown_mechanism(self):
         with pytest.raises(ConfigurationError, match="foo"):
-            apply_lppm(LppmConfig("foo", {}), Trace("u"), RandomStream(0))
+            applied(LppmConfig("foo", {}), Trace("u"), RandomStream(0))
 
     def test_missing_parameter(self):
         with pytest.raises(ConfigurationError, match="missing"):
-            apply_lppm(LppmConfig("geo-i", {}), Trace("u"), RandomStream(0))
+            applied(LppmConfig("geo-i", {}), Trace("u"), RandomStream(0))
 
     def test_unknown_parameter(self):
         config = LppmConfig("promesse", {"alpha": 10.0, "beta": 1.0})
         with pytest.raises(ConfigurationError, match="unknown"):
-            apply_lppm(config, Trace("u"), RandomStream(0))
+            applied(config, Trace("u"), RandomStream(0))
 
     def test_user_never_changes(self, gen):
         trace = random_walk_trace(gen, n=40, user="alice")
         for config in (LppmConfig("geo-i", {"epsilon": 0.05}),
                        LppmConfig("promesse", {"alpha": 50.0})):
-            out = apply_lppm(config, trace, RandomStream(2))
+            out = applied(config, trace, RandomStream(2))
             assert out.user == "alice"
 
     def test_get_set_params(self, gen):
@@ -238,7 +237,7 @@ class TestApplyAndRegistry:
         for name, param in (("geo-i", "epsilon"), ("promesse", "alpha")):
             for value in (-1.0, 0.0, math.inf, -math.inf, math.nan):
                 with pytest.raises(ConfigurationError, match=f"{param} must be positive and finite"):
-                    apply_lppm(LppmConfig(name, {param: value}), trace, RandomStream(0))
+                    applied(LppmConfig(name, {param: value}), trace, RandomStream(0))
 
 
 @pytest.mark.parametrize("name", sorted(MECHANISMS))
@@ -249,10 +248,10 @@ def test_mechanism_table_is_consistent(name, gen):
     assert RunConfig(name).objectives == tuple(objectives)
     trace = random_walk_trace(gen, n=40, user="carol")
     config = LppmConfig(name, {d.name: d.values[0] for d in entry.domains})
-    protected = apply_lppm(config, trace, RandomStream(3))
+    protected = applied(config, trace, RandomStream(3))
     assert protected.user == "carol"
     # a single replicate is enough exactly when the transform ignores its stream
-    assert (entry.robust_k == 1) == (protected == apply_lppm(config, trace, RandomStream(4)))
+    assert (entry.robust_k == 1) == (protected == applied(config, trace, RandomStream(4)))
 
 
 class TestDomains:

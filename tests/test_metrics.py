@@ -13,23 +13,24 @@ from alp.geo import (
     local_xy,
     sphere_xyz,
 )
-from alp.lppm import LppmConfig, apply_lppm, geo_i_obfuscate
+from alp.lppm import LppmConfig, geo_i_obfuscate
 from alp.metrics import (
     _SCAN_MAX_RAW_POINTS,
     EVALUATORS,
-    Poi,
     PoiClusteringParams,
+    Pois,
     _nearest_finder,
     bind_evaluators,
     evaluator,
     extract_pois,
     median_of_k,
     poi_retrieval,
+    prepare_replicates,
 )
 from alp.rng import RandomStream
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
-from conftest import make_trace, plane_points, points_of, trace_of
+from conftest import make_trace, plane_points, points_of, pois_of, spans, trace_of
 from oracles import (
     brute_area_coverage,
     brute_poi_retrieval,
@@ -42,9 +43,9 @@ BASE = GeoPoint(45.0, 5.0)
 PARAMS = PoiClusteringParams()
 
 
-def poi_at(x_m, y_m):
-    (point,) = plane_points(BASE, [(x_m, y_m)])
-    return Poi(point, 0, 0, 1)
+def pois_at(offsets_m):
+    """POIs centred at (x_east_m, y_north_m) offsets from BASE."""
+    return pois_of(plane_points(BASE, offsets_m))
 
 
 def points_at(offsets_m):
@@ -67,17 +68,17 @@ class TestExtractPois:
         trace = make_trace([point] * 31, step_ms=30_000)  # span 15 min
         pois = extract_pois(trace, PARAMS)
         assert len(pois) == 1
-        assert distance_meters(pois[0].centroid, GeoPoint(*point)) < 1e-6
-        assert pois[0].size == 31
+        assert haversine_m(pois.lat[0], pois.lon[0], *point) < 1e-6
+        assert pois.size.tolist() == [31]
 
     def test_constant_motion_yields_no_poi(self):
         # 10 m/s sampled every 30 s for 20 min: 300 m steps break every cluster
         offsets = [(i * 300.0, 0.0) for i in range(41)]
         trace = trace_of(points_at(offsets), step_ms=30_000)
-        assert extract_pois(trace, PARAMS) == []
+        assert extract_pois(trace, PARAMS) == Pois()
 
     def test_empty_trace(self):
-        assert extract_pois(Trace("u"), PARAMS) == []
+        assert extract_pois(Trace("u"), PARAMS) == Pois()
 
     def test_emitted_clusters_respect_diameter_and_span(self, gen):
         from conftest import random_walk_trace
@@ -86,12 +87,12 @@ class TestExtractPois:
             trace = random_walk_trace(gen, n=60, step_sd_m=40.0, step_ms=60_000)
             times = trace.time_ms.tolist()
             points = points_of(trace)
-            for poi in extract_pois(trace, PARAMS):
-                assert poi.end_ms - poi.start_ms >= PARAMS.min_stay_ms
-                assert poi.size >= 1
-                first = times.index(poi.start_ms)
-                members = points[first:first + poi.size]
-                assert times[first + poi.size - 1] == poi.end_ms
+            for start_ms, end_ms, size in spans(extract_pois(trace, PARAMS)):
+                assert end_ms - start_ms >= PARAMS.min_stay_ms
+                assert size >= 1
+                first = times.index(start_ms)
+                members = points[first:first + size]
+                assert times[first + size - 1] == end_ms
                 diameter = max(
                     (distance_meters(a, b)
                      for i, a in enumerate(members) for b in members[i + 1:]),
@@ -116,10 +117,8 @@ class TestExtractPois:
             trace = Trace("u", lat, lon, times)
             got = extract_pois(trace, PARAMS)
             expected = window_extract_pois(trace, PARAMS)
-            assert len(got) == len(expected)
-            for g, e in zip(got, expected):
-                assert (g.start_ms, g.end_ms, g.size) == (e.start_ms, e.end_ms, e.size)
-                assert distance_meters(g.centroid, e.centroid) < 1e-6
+            assert spans(got) == spans(expected)
+            assert (haversine_m(got.lat, got.lon, expected.lat, expected.lon) < 1e-6).all()
 
     @pytest.mark.parametrize("sample_period_s", [240, 30])
     def test_matches_scan_oracle_on_synth_days(self, sample_period_s):
@@ -155,7 +154,7 @@ class TestExtractPois:
         trace = Trace("u", lat, lon, 300_000 * np.arange(n))
         pois = extract_pois(trace, PARAMS)
         assert pois == scan_extract_pois(trace, PARAMS)
-        assert len(pois) > 10 and max(p.size for p in pois) > 4
+        assert len(pois) > 10 and pois.size.max() > 4
 
     @pytest.mark.parametrize("lat0", [45.0, 89.9])
     def test_limit_below_the_margin_joins_only_equal_records(self, lat0):
@@ -181,7 +180,7 @@ class TestExtractPois:
         trace = make_trace([(0.0, 0.0), (0.0, 180.0), (90.0, 5.0), (-90.0, 5.0), (0.0, 0.0)], step_ms=300_000)
         pois = extract_pois(trace, params)
         assert pois == scan_extract_pois(trace, params)
-        assert [p.size for p in pois] == [5]
+        assert pois.size.tolist() == [5]
 
     def test_segment_of_exactly_the_minimum_stay_is_kept(self):
         # Two dwells cut apart by a 1 km jump: the first spans exactly the
@@ -192,7 +191,7 @@ class TestExtractPois:
         trace = Trace("u", lat, np.full(22, 5.0), times.astype(np.int64))
         pois = extract_pois(trace, PARAMS)
         assert pois == scan_extract_pois(trace, PARAMS)
-        assert [(p.start_ms, p.end_ms, p.size) for p in pois] == [(0, stay, 11)]
+        assert spans(pois) == [(0, stay, 11)]
 
     def test_forced_steps_next_to_steps_inside_the_margin(self):
         # Dwells of 4-15 equal records 2 min apart along a meridian, where the
@@ -225,7 +224,24 @@ class TestExtractPois:
         stay = PARAMS.min_stay_ms
         trace = Trace("u", [p[0], m[0], q[0]], [p[1], m[1], q[1]], [0, stay, stay + 60_000])
         pois = extract_pois(trace, PoiClusteringParams(max_diameter_m=199.99927535503932))
-        assert [(poi.start_ms, poi.end_ms, poi.size) for poi in pois] == [(0, stay, 2)]
+        assert spans(pois) == [(0, stay, 2)]
+
+    def test_ring_joins_through_the_exact_scan_up_to_its_last_member(self):
+        # 16 records on a circle of diameter 196 m, in a scattered order, then
+        # q, 102 m out on the far side from f, the 15th. Once the box spans the
+        # ring, its corner bound is about 1.4 times the diameter, so every
+        # record from the 5th on joins only through the exact scan, which must
+        # check each member. Only f is beyond the limit from q, and only as the
+        # exact scan rounds it, summed x, then y, then z: summed z first, the
+        # squared chord is exactly the limit. The oracle's haversine cannot
+        # decide a pair this close to the limit.
+        angles = np.radians([90, 270, 150, 210, 45, 315, 135, 225, 60, 300, 120, 240, 20, 340, 0, 180])
+        x = np.append(98.0 * np.cos(angles), -102.00000009242147)
+        y = np.append(98.0 * np.sin(angles), -0.0005309795966603521)
+        trace = Trace("u", *latlon_from_local(BASE.lat, BASE.lon, x, y), 60_000 * np.arange(17))
+        pois = extract_pois(trace, PoiClusteringParams(max_diameter_m=200.00000009205462))
+        assert spans(pois) == [(0, PARAMS.min_stay_ms, 16)]
+        assert extract_pois(trace, PARAMS) == scan_extract_pois(trace, PARAMS)
 
     def test_every_segment_pruned(self, gen):
         # Dwells of 10 records 60 s apart (9 min) between 1-5 km jumps.
@@ -233,7 +249,7 @@ class TestExtractPois:
         xy = np.repeat(centers, 10, axis=0) + gen.normal(0.0, 20.0, size=(300, 2))
         lat, lon = latlon_from_local(BASE.lat, BASE.lon, xy[:, 0], xy[:, 1])
         trace = Trace("u", lat, lon, 60_000 * np.arange(300))
-        assert extract_pois(trace, PARAMS) == scan_extract_pois(trace, PARAMS) == []
+        assert extract_pois(trace, PARAMS) == scan_extract_pois(trace, PARAMS) == Pois()
 
     @pytest.mark.parametrize("n, n_pois", [(1, 0), (2, 0), (200, 1)])
     def test_single_record_and_all_duplicate_traces(self, n, n_pois):
@@ -274,38 +290,38 @@ class TestExtractPois:
 
 class TestPoiRetrieval:
     def test_perfect_retrieval(self):
-        p = [poi_at(0, 0)]
+        p = pois_at([(0, 0)])
         assert poi_retrieval(p, p, 100.0) == 1.0
 
     def test_all_hidden(self):
-        assert poi_retrieval([poi_at(0, 0)], [], 100.0) == 0.0
-        assert poi_retrieval([], [poi_at(0, 0)], 100.0) == 0.0
+        assert poi_retrieval(pois_at([(0, 0)]), Pois(), 100.0) == 0.0
+        assert poi_retrieval(Pois(), pois_at([(0, 0)]), 100.0) == 0.0
 
     def test_half_retrieval(self):
-        p_true = [poi_at(0, 0), poi_at(1000, 0)]
-        p_obf = [poi_at(50, 0), poi_at(5000, 5000)]
+        p_true = pois_at([(0, 0), (1000, 0)])
+        p_obf = pois_at([(50, 0), (5000, 5000)])
         assert poi_retrieval(p_true, p_obf, 100.0) == 0.5
 
     def test_recall_is_capped_at_one(self):
         # Several protected POIs can match one true POI; uncapped, the first
         # case would score 4/3.
-        a, b, far = poi_at(0, 0), poi_at(1000, 0), poi_at(5000, 5000)
-        near_a = [poi_at(10, 0), poi_at(-20, 30), poi_at(0, 40)]
-        assert poi_retrieval([a], near_a[:2], 100.0) == 1.0
-        assert poi_retrieval([a, b], near_a + [far], 100.0) == pytest.approx(6 / 7)
+        a, b, far = (0, 0), (1000, 0), (5000, 5000)
+        near_a = [(10, 0), (-20, 30), (0, 40)]
+        assert poi_retrieval(pois_at([a]), pois_at(near_a[:2]), 100.0) == 1.0
+        assert poi_retrieval(pois_at([a, b]), pois_at(near_a + [far]), 100.0) == pytest.approx(6 / 7)
 
     def test_self_match_is_one(self, gen):
         for _ in range(20):
-            pois = [poi_at(float(gen.uniform(-2000, 2000)), float(gen.uniform(-2000, 2000)))
-                    for _ in range(int(gen.integers(1, 8)))]
+            pois = pois_at([(float(gen.uniform(-2000, 2000)), float(gen.uniform(-2000, 2000)))
+                            for _ in range(int(gen.integers(1, 8)))])
             assert poi_retrieval(pois, pois, float(gen.uniform(1, 300))) == 1.0
 
     def test_matches_brute_force(self, gen):
         for _ in range(200):
-            p_true = [poi_at(float(gen.uniform(-1500, 1500)), float(gen.uniform(-1500, 1500)))
-                      for _ in range(int(gen.integers(1, 11)))]
-            p_obf = [poi_at(float(gen.uniform(-1500, 1500)), float(gen.uniform(-1500, 1500)))
-                     for _ in range(int(gen.integers(0, 11)))]
+            p_true = pois_at([(float(gen.uniform(-1500, 1500)), float(gen.uniform(-1500, 1500)))
+                              for _ in range(int(gen.integers(1, 11)))])
+            p_obf = pois_at([(float(gen.uniform(-1500, 1500)), float(gen.uniform(-1500, 1500)))
+                             for _ in range(int(gen.integers(0, 11)))])
             threshold = float(gen.uniform(50, 400))
             assert poi_retrieval(p_true, p_obf, threshold) == \
                 brute_poi_retrieval(p_true, p_obf, threshold)
@@ -314,26 +330,26 @@ class TestPoiRetrieval:
         # Along a meridian the haversine distance is exactly R * angle, so the
         # protected POIs sit at the threshold to within a few ulps.
         threshold = 100.0
-        p_true = [Poi(GeoPoint(lat, 5.0), 0, 0, 1) for lat in (-60.0, 0.0, 45.0)]
-        p_obf = [Poi(GeoPoint(p.centroid.lat + sign * np.degrees((threshold + delta) / EARTH_RADIUS_M), 5.0),
-                     0, 0, 1)
-                 for p in p_true for sign in (-1.0, 1.0) for delta in (-1e-9, 0.0, 1e-9)]
-        for obf in [p_obf] + [[p] for p in p_obf]:
-            assert poi_retrieval(p_true, obf, threshold) == brute_poi_retrieval(p_true, obf, threshold)
+        true = [GeoPoint(lat, 5.0) for lat in (-60.0, 0.0, 45.0)]
+        obf = [GeoPoint(p.lat + sign * np.degrees((threshold + delta) / EARTH_RADIUS_M), 5.0)
+               for p in true for sign in (-1.0, 1.0) for delta in (-1e-9, 0.0, 1e-9)]
+        p_true = pois_of(true)
+        for p_obf in [pois_of(obf)] + [pois_of([p]) for p in obf]:
+            assert poi_retrieval(p_true, p_obf, threshold) == brute_poi_retrieval(p_true, p_obf, threshold)
 
     def test_matches_brute_force_with_many_more_protected_pois(self, gen):
-        p_true = [poi_at(0, 0), poi_at(800, 300)]
-        p_obf = [poi_at(*xy) for xy in gen.uniform(-1500, 1500, size=(300, 2)).tolist()]
+        p_true = pois_at([(0, 0), (800, 300)])
+        p_obf = pois_at(gen.uniform(-1500, 1500, size=(300, 2)).tolist())
         value = poi_retrieval(p_true, p_obf, 150.0)
         assert 0.0 < value == brute_poi_retrieval(p_true, p_obf, 150.0)
 
     def test_no_protected_pois(self):
-        p_true = [poi_at(i * 500.0, 0) for i in range(5)]
-        assert poi_retrieval(p_true, [], 100.0) == brute_poi_retrieval(p_true, [], 100.0) == 0.0
+        p_true = pois_at([(i * 500.0, 0) for i in range(5)])
+        assert poi_retrieval(p_true, Pois(), 100.0) == brute_poi_retrieval(p_true, Pois(), 100.0) == 0.0
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
     def test_threshold_must_be_positive(self, threshold):
-        p = [poi_at(0, 0)]
+        p = pois_at([(0, 0)])
         with pytest.raises(ValueError, match="^threshold must be positive$"):
             poi_retrieval(p, p, threshold)
 
@@ -389,7 +405,7 @@ class TestSpatialDistortion:
             walk = [(300.0 * k, 100.0 * k) for k in range(1, 4)]
             offsets = [stops[0]] * 60 + walk + [stops[1]] * 50 + [stops[2]] * 40 + [stops[0]] * 20
         raw = make_trace([(p.lat, p.lon) for p in points_at(offsets)])
-        protected = apply_lppm(LppmConfig("geo-i", {"epsilon": 0.01}), raw, RandomStream(5))
+        protected = geo_i_obfuscate(raw, 0.01, RandomStream(5))
         got = EVALUATORS["distortion"].bind(raw, PARAMS, CellGrid())(protected)
         want = brute_spatial_distortion(points_of(raw), points_of(protected))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -422,8 +438,7 @@ class TestNearestRawPointIsExact:
             raw = points_at([(float(gen.uniform(-3000, 3000)), float(gen.uniform(-3000, 3000)))
                              for _ in range(m)])
             raw_trace = trace_of(raw)
-            protected = apply_lppm(LppmConfig("geo-i", {"epsilon": 0.005}), trace_of(raw * 20),
-                                   RandomStream(int(gen.integers(1 << 30))))
+            protected = geo_i_obfuscate(trace_of(raw * 20), 0.005, RandomStream(int(gen.integers(1 << 30))))
             assert len(np.unique(np.column_stack((raw_trace.lat, raw_trace.lon)), axis=0)) == m
             got = EVALUATORS["distortion"].bind(raw_trace, PARAMS, CellGrid())(protected)
             assert got == kd_tree_distortion(raw_trace, protected)
@@ -520,10 +535,13 @@ class TestEvaluateRobust:
         offsets = [(i * 100.0, 0.0) for i in range(20)]
         return make_trace([(p.lat, p.lon) for p in points_at(offsets)])
 
+    def replicates(self, trace, k, rng):
+        return prepare_replicates(self.CONFIG.lppm_name, trace, k, rng)
+
     def test_single_evaluation_passthrough(self):
         stub = _SequenceEvaluator([0.7])
         trace = self.trace()
-        value = median_of_k({"s": stub.bind(trace)}, self.CONFIG, trace, 1, RandomStream(0))
+        value = median_of_k({"s": stub.bind(trace)}, self.CONFIG, self.replicates(trace, 1, RandomStream(0)))
         assert value == {"s": 0.7}
         assert stub.calls == 1
 
@@ -531,13 +549,13 @@ class TestEvaluateRobust:
         stub = _SequenceEvaluator([0.9, 0.2, 0.5])
         trace = self.trace()
         bound = {"s": stub.bind(trace)}
-        assert median_of_k(bound, self.CONFIG, trace, 3, RandomStream(0)) == {"s": 0.5}
+        assert median_of_k(bound, self.CONFIG, self.replicates(trace, 3, RandomStream(0))) == {"s": 0.5}
 
     def test_deterministic_mechanism_median_equals_single(self):
         trace = self.trace()
         bound = bind_evaluators(["distortion"], trace, PARAMS, CellGrid())
-        v1 = median_of_k(bound, self.CONFIG, trace, 1, RandomStream(1))
-        v3 = median_of_k(bound, self.CONFIG, trace, 3, RandomStream(1))
+        v1 = median_of_k(bound, self.CONFIG, self.replicates(trace, 1, RandomStream(1)))
+        v3 = median_of_k(bound, self.CONFIG, self.replicates(trace, 3, RandomStream(1)))
         assert v1 == v3
 
     def test_rejects_even_or_non_positive_k(self):
@@ -545,7 +563,7 @@ class TestEvaluateRobust:
         bound = bind_evaluators(["distortion"], trace, PARAMS, CellGrid())
         for k in (0, 2, -1):
             with pytest.raises(ConfigurationError, match="robust_k must be an odd integer >= 1"):
-                median_of_k(bound, self.CONFIG, trace, k, RandomStream(0))
+                median_of_k(bound, self.CONFIG, self.replicates(trace, k, RandomStream(0)))
 
 
 class TestRegistry:
@@ -559,8 +577,7 @@ class TestRegistry:
         grid = CellGrid(250, BASE.lat)
         for seed in range(5):
             trace = random_walk_trace(gen, n=80, step_sd_m=30.0)
-            protected = apply_lppm(LppmConfig("geo-i", {"epsilon": 0.01}),
-                                   trace, RandomStream(seed))
+            protected = geo_i_obfuscate(trace, 0.01, RandomStream(seed))
             pois = EVALUATORS["pois"].bind(trace, PARAMS, CellGrid())(protected)
             coverage = EVALUATORS["coverage"].bind(trace, PARAMS, grid)(protected)
             distortion = EVALUATORS["distortion"].bind(trace, PARAMS, CellGrid())(protected)

@@ -6,7 +6,7 @@ import pytest
 from alp.errors import ConfigurationError
 from alp.geo import CellGrid
 from alp.lppm import MECHANISMS, LppmConfig, ParameterDomain
-from alp.metrics import EVALUATORS, PoiClusteringParams, bind_evaluators
+from alp.metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, prepare_replicates
 from alp.optimizer import (
     AnnealingSchedule,
     Objective,
@@ -71,7 +71,8 @@ class TestCost:
     def cost(self, objectives, values):
         """One ObjectiveCost call over fake bound evaluators with fixed values."""
         bound = {name: lambda protected, value=value: value for name, value in values.items()}
-        return ObjectiveCost(objectives, self.TRACE, bound, 1, RandomStream(0))(self.STATE)
+        replicates = prepare_replicates("promesse", self.TRACE, 1, RandomStream(0))
+        return ObjectiveCost(objectives, bound, replicates)(self.STATE)
 
     def test_minimise_branch(self):
         value = self.cost([Objective("a", True, 1.0)], {"a": 0.2})
@@ -97,16 +98,16 @@ class TestCost:
 
     def test_requires_objectives(self):
         with pytest.raises(ConfigurationError):
-            ObjectiveCost([], self.TRACE, {}, 1, RandomStream(0))
+            ObjectiveCost([], {}, prepare_replicates("promesse", self.TRACE, 1, RandomStream(0)))
 
     def test_objectives_share_replicates(self, monkeypatch):
         import alp.metrics
 
         applied = []
 
-        def counting_apply(config, raw, rng):
-            applied.append(rng)
-            return real_apply(config, raw, rng)
+        def counting_apply(config, prepared):
+            applied.append(prepared)
+            return real_apply(config, prepared)
 
         real_apply = alp.metrics.apply_lppm
         monkeypatch.setattr(alp.metrics, "apply_lppm", counting_apply)
@@ -115,7 +116,7 @@ class TestCost:
                  for name, log in seen.items()}
         objectives = [Objective("a", True), Objective("b", False)]
         state = LppmConfig("geo-i", {"epsilon": 0.01})
-        ObjectiveCost(objectives, self.TRACE, bound, 3, RandomStream(0))(state)
+        ObjectiveCost(objectives, bound, prepare_replicates("geo-i", self.TRACE, 3, RandomStream(0)))(state)
         assert len(applied) == 3
         assert len(seen["a"]) == len(seen["b"]) == 3
         assert all(a is b for a, b in zip(seen["a"], seen["b"]))
@@ -127,11 +128,11 @@ class TestCost:
         applied = []
         real_apply = alp.metrics.apply_lppm
         monkeypatch.setattr(alp.metrics, "apply_lppm",
-                            lambda config, raw, rng: applied.append(config) or real_apply(config, raw, rng))
+                            lambda config, prepared: applied.append(config) or real_apply(config, prepared))
         raw = make_trace([(45.0, 5.0)] * 40 + [(45.01, 5.0)] * 40)
         bound = bind_evaluators(["pois", "distortion"], raw, PoiClusteringParams(), CellGrid())
         objectives = RunConfig("geo-i").objectives
-        cost_fn = ObjectiveCost(objectives, raw, bound, 3, RandomStream(4))
+        cost_fn = ObjectiveCost(objectives, bound, prepare_replicates("geo-i", raw, 3, RandomStream(4)))
         visited = []
 
         def recording_cost(state):
@@ -144,7 +145,8 @@ class TestCost:
         assert len(visited) == 45 and len(distinct) == 3
         assert len(applied) == 3 * len(distinct)
         for state in distinct.values():
-            assert cost_fn(state) == ObjectiveCost(objectives, raw, bound, 3, RandomStream(4))(state)
+            replicates = prepare_replicates("geo-i", raw, 3, RandomStream(4))
+            assert cost_fn(state) == ObjectiveCost(objectives, bound, replicates)(state)
 
 
 class TestAcceptanceProbability:
@@ -301,7 +303,8 @@ class TestAnneal:
 
         def gap(user, day, raw, rng):
             bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
-            cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k, rng.child("cost"))
+            replicates = prepare_replicates(config.lppm_name, raw, config.robust_k, rng.child("cost"))
+            cost_fn = ObjectiveCost(config.objectives, bound, replicates)
             result = anneal(config.lppm_name, (domain,), cost_fn, config.schedule, rng.child("anneal"),
                             n_objectives=len(config.objectives))
             return user, result.best_cost - grid_optimum(cost_fn, config.lppm_name, domain)

@@ -8,8 +8,8 @@ import pytest
 from alp.errors import AlpError, ConfigurationError, DatasetLoadError
 from alp.geo import CellGrid, Dataset, Trace, utc_day
 from alp.io import load_dataset, parse_timestamp_ms, write_dataset_csv, write_json, write_rows_csv
-from alp.lppm import MECHANISMS, LppmConfig, apply_lppm
-from alp.metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, median_of_k
+from alp.lppm import MECHANISMS, LppmConfig
+from alp.metrics import EVALUATORS, PoiClusteringParams, bind_evaluators, median_of_k, prepare_replicates
 from alp.optimizer import (AnnealingSchedule, AnnealResult, Objective, ObjectiveCost, anneal,
                            parse_objectives)
 from alp.pipeline import (
@@ -26,6 +26,7 @@ from alp.pipeline import (
 from alp.rng import RandomStream
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
+from conftest import applied
 from oracles import csv_write_dataset
 
 DAY_MS = 86_400_000
@@ -373,7 +374,7 @@ class TestStaticJobs:
 
     def test_protect_draws_each_user_from_the_offline_protect_stream(self, two_users):
         static = LppmConfig("geo-i", {"epsilon": 0.01})
-        expected = Dataset(apply_lppm(static, t, RandomStream(4).child(t.user, "offline", "protect"))
+        expected = Dataset(applied(static, t, RandomStream(4).child(t.user, "offline", "protect"))
                            for t in two_users)
         protected = protect(two_users, RunConfig("geo-i", static_assignment=static.assignment, seed=4))
         assert [t.user for t in protected] == ["u000", "u001"]
@@ -385,15 +386,45 @@ class TestStaticJobs:
         config = RunConfig("geo-i", static_assignment=static.assignment, seed=4, robust_k=5,
                            cell_size_m=100.0, poi_params=poi_params)
         grid = CellGrid(100.0, two_users.mean_latitude())
-        expected = [(t.user, median_of_k(bind_evaluators(EVALUATORS, t, poi_params, grid), static, t,
-                                         5, RandomStream(4).child(t.user, "offline", "cost")))
-                    for t in two_users]
+
+        def medians(t):
+            replicates = prepare_replicates("geo-i", t, 5, RandomStream(4).child(t.user, "offline", "cost"))
+            return median_of_k(bind_evaluators(EVALUATORS, t, poi_params, grid), static, replicates)
+
+        expected = [(t.user, medians(t)) for t in two_users]
         assert [user for user, _ in expected] == ["u000", "u001"]
         assert evaluate(two_users, config) == expected
 
 
 class TestOneScorePerState:
     """Every state of a unit is scored on the same replicates, whichever command scores it."""
+
+    def test_each_replicate_is_drawn_once_per_unit(self, monkeypatch):
+        # The benchmark's online-geoi input at seed 811: 4 units whose searches
+        # score 62 distinct states on k = 3 replicates (186 applies), then
+        # protect each unit once. Every state reuses the replicates prepared
+        # on rep/i, so each of the 12 rep/i streams is drawn from once.
+        import alp.metrics
+        import alp.pipeline
+
+        dataset = generate_synthetic_dataset(SynthSpec(users=4, days=1, pois_per_user=3, sample_period_s=240,
+                                                       seed=811)).dataset
+        drawn = Counter()
+        real_generator = RandomStream.generator
+        monkeypatch.setattr(RandomStream, "generator", lambda self: drawn.update([self.label]) or real_generator(self))
+        calls = Counter()
+
+        def counted(name, fn):
+            return lambda *args: calls.update([name]) or fn(*args)
+
+        monkeypatch.setattr(alp.metrics, "extract_pois", counted("extract_pois", alp.metrics.extract_pois))
+        apply = counted("apply_lppm", alp.metrics.apply_lppm)
+        monkeypatch.setattr(alp.metrics, "apply_lppm", apply)
+        monkeypatch.setattr(alp.pipeline, "apply_lppm", apply)
+        run_online(dataset, RunConfig("geo-i", seed=811, schedule=AnnealingSchedule(t_min=0.2)))
+        replicates = {label: n for label, n in drawn.items() if "/cost/rep/" in label}
+        assert len(replicates) == 4 * 3 and set(replicates.values()) == {1}
+        assert calls == {"extract_pois": 194, "apply_lppm": 190}
 
     @pytest.fixture(scope="class")
     def two_users(self):
@@ -439,7 +470,8 @@ class TestOneScorePerState:
         grid = CellGrid(config.cell_size_m, two_users.mean_latitude())
         bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
         root = RandomStream(7).child(raw.user, day)
-        cost_fn = ObjectiveCost(config.objectives, raw, bound, config.robust_k, root.child("cost"))
+        cost_fn = ObjectiveCost(config.objectives, bound,
+                                prepare_replicates("geo-i", raw, config.robust_k, root.child("cost")))
         calls = []
 
         def recorded(state):
@@ -526,7 +558,7 @@ class TestRunOnline:
         for row in report.rows:
             raw = batches[(row.user, row.day)]
             rng = RandomStream(config.seed).child(row.user, row.day.isoformat(), "protect")
-            protected = apply_lppm(row.config, raw, rng)
+            protected = applied(row.config, raw, rng)
             for name in ("pois", "distortion", "coverage"):
                 bound = EVALUATORS[name].bind(raw, config.poi_params, grid)
                 assert bound(protected) == row.metrics[name]
@@ -554,8 +586,7 @@ class TestRunOnline:
         report = run_online(dataset, RunConfig(lppm, static_assignment=assignment, seed=5))
         assert [trace.user for trace in report.protected] == ["u000", "u001"]
         batches = [batch for trace in dataset for _, batch in split_daily_batches(trace)]
-        units = [apply_lppm(row.config, batch,
-                            RandomStream(5).child(row.user, row.day.isoformat(), "protect"))
+        units = [applied(row.config, batch, RandomStream(5).child(row.user, row.day.isoformat(), "protect"))
                  for row, batch in zip(report.rows, batches, strict=True)]
         assert len(units) == 4
         expected = io.StringIO(newline="")

@@ -1,5 +1,6 @@
 """Property tests: the bound evaluators and POI extraction against oracles,
-and the invariants of geo-i's and promesse's output.
+the invariants of geo-i's and promesse's output, and each mechanism's
+prepared replicate against its one-shot transform over the whole domain.
 
 Hypothesis draws degenerate traces (all-duplicate points, single records,
 equal timestamps, empty protected traces, short geo-i output) in four
@@ -18,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alp.geo import CellGrid, GeoPoint, Trace, latlon_from_local, local_xy
-from alp.lppm import geo_i_obfuscate, promesse_obfuscate
+from alp.lppm import MECHANISMS, LppmConfig, apply_lppm, geo_i_obfuscate, prepare_lppm, promesse_obfuscate
 from alp.metrics import EVALUATORS, PoiClusteringParams, extract_pois
 from alp.rng import RandomStream
 
-from conftest import trace_of
+from conftest import spans, trace_of
 from oracles import brute_area_coverage, brute_spatial_distortion, scan_extract_pois, window_extract_pois
 
 REGIONS = {
@@ -69,13 +70,17 @@ def test_bound_evaluators_match_oracles(case):
     assert got == brute_area_coverage(raw, prot, cell_size, ref_lat)
 
 
-POI_SHAPES = ("all-duplicate", "single", "equal-times", "geo-i")
+POI_SHAPES = ("all-duplicate", "single", "equal-times", "geo-i", "ring")
 POI_PARAMS = PoiClusteringParams(min_stay_ms=5 * 60_000)
 
 
 @st.composite
 def poi_traces(draw):
-    """A trace of up to 20 records whose clusters can reach the minimum stay."""
+    """A trace of up to 20 records (40 on a ring) whose clusters can reach the
+    minimum stay. A ring's records lie on a circle of diameter 0.95-0.999 times
+    the limit, in any order: its pairs are all within the limit, and once the
+    box spans it the corner bound is about 1.4 times the diameter, so each
+    record joins only through an exact scan of every member."""
     lat, lon = REGIONS[draw(st.sampled_from(sorted(REGIONS)))]
     point = st.builds(GeoPoint, lat, lon)
     shape = draw(st.sampled_from(POI_SHAPES))
@@ -83,6 +88,13 @@ def poi_traces(draw):
         points = [draw(point)] * draw(st.integers(1, 20))
     elif shape == "single":
         points = [draw(point)]
+    elif shape == "ring":
+        center = draw(point)
+        radius = 0.5 * POI_PARAMS.max_diameter_m * draw(st.floats(0.95, 0.999))
+        angles = np.array(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=40)))
+        ring_lat, ring_lon = latlon_from_local(center.lat, center.lon, radius * np.cos(angles),
+                                               radius * np.sin(angles))
+        points = [GeoPoint(la, lo) for la, lo in zip(ring_lat.tolist(), ring_lon.tolist())]
     else:
         # dwells at a few places, so that clusters form
         places = draw(st.lists(point, min_size=1, max_size=3))
@@ -107,8 +119,7 @@ def test_extract_pois_matches_oracles(trace):
     # does not wrap longitudes across the antimeridian, so the centroids are
     # checked against the scan oracle, which shares the library's arithmetic.
     got = extract_pois(trace, POI_PARAMS)
-    spans = [(p.start_ms, p.end_ms, p.size) for p in window_extract_pois(trace, POI_PARAMS)]
-    assert [(p.start_ms, p.end_ms, p.size) for p in got] == spans
+    assert spans(got) == spans(window_extract_pois(trace, POI_PARAMS))
     assert got == scan_extract_pois(trace, POI_PARAMS)
 
 
@@ -161,3 +172,43 @@ def test_promesse_resamples_at_the_spacing(case, alpha):
     # the path is resampled in, that of the first record.
     x, y = local_xy(trace.lat[0], trace.lon[0], out.lat, out.lon)
     assert np.hypot(np.diff(x), np.diff(y)).max() <= alpha * (1 + 1e-6) + 1e-6
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("region", sorted(REGIONS))
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_a_prepared_geo_i_replicate_is_geo_i_obfuscate(region, seed, data):
+    # One replicate, prepared once, transformed at every epsilon of the grid,
+    # against a fresh draw and transform at each.
+    lat, lon = REGIONS[region]
+    trace = trace_of(data.draw(st.lists(st.builds(GeoPoint, lat, lon), max_size=20)))
+    rng = RandomStream(seed)
+    prepared = prepare_lppm("geo-i", trace, rng)
+    (domain,) = MECHANISMS["geo-i"].domains
+    for epsilon in domain.values:
+        got = apply_lppm(LppmConfig("geo-i", {"epsilon": epsilon}), prepared)
+        want = geo_i_obfuscate(trace, epsilon, rng)
+        assert got.user == want.user
+        assert np.array_equal(got.lat, want.lat) and np.array_equal(got.lon, want.lon)
+        assert np.array_equal(got.time_ms, want.time_ms)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(shaped_traces())
+def test_a_prepared_promesse_replicate_is_promesse_obfuscate(case):
+    # Over every alpha of the grid; the all-duplicate and single-record shapes,
+    # and walks shorter than alpha, give the empty output.
+    _, trace = case
+    prepared = prepare_lppm("promesse", trace, RandomStream(0))
+    (domain,) = MECHANISMS["promesse"].domains
+    for alpha in domain.values:
+        assert apply_lppm(LppmConfig("promesse", {"alpha": alpha}), prepared) == promesse_obfuscate(trace, alpha)
+
+
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
+def test_a_prepared_empty_trace_stays_empty(name):
+    prepared = prepare_lppm(name, Trace("u"), RandomStream(0))
+    (domain,) = MECHANISMS[name].domains
+    for value in domain.values:
+        assert apply_lppm(LppmConfig(name, {domain.name: value}), prepared) == Trace("u")

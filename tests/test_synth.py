@@ -4,7 +4,7 @@ from datetime import date
 import pytest
 
 from alp.errors import ConfigurationError
-from alp.geo import distance_meters, utc_day
+from alp.geo import GeoPoint, distance_meters, utc_day
 from alp.metrics import PoiClusteringParams, extract_pois
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
@@ -17,8 +17,8 @@ class TestGenerator:
         pois = extract_pois(trace, PoiClusteringParams())
         assert len(pois) == 2
         planted = syn.true_pois[trace.user]
-        for poi in pois:
-            assert min(distance_meters(poi.centroid, p) for p in planted) < 50.0
+        for poi in zip(pois.lat.tolist(), pois.lon.tolist()):
+            assert min(distance_meters(GeoPoint(*poi), p) for p in planted) < 50.0
 
     def test_full_day_record_count(self):
         syn = generate_synthetic_dataset(SynthSpec(users=1, days=1, pois_per_user=2,
