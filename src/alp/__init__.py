@@ -3,58 +3,13 @@
 Obfuscates GPS mobility traces with configurable protection mechanisms and
 tunes their parameters per trace or per daily batch, via simulated
 annealing, to satisfy declared privacy and utility objectives.
+
+Each public name is imported from its module on first access (PEP 562), so
+``import alp`` loads neither numpy nor any of the package's modules; the
+command-line front end relies on this to configure numpy before it loads.
 """
 
-from .geo import (
-    CellGrid,
-    Dataset,
-    GeoPoint,
-    Trace,
-    distance_meters,
-)
-from .lppm import (
-    LppmConfig,
-    ParameterDomain,
-    apply_lppm,
-    geo_i_obfuscate,
-    geo_i_sample_radius,
-    prepare_lppm,
-    promesse_obfuscate,
-)
-from .metrics import (
-    PoiClusteringParams,
-    Pois,
-    bind_evaluators,
-    extract_pois,
-    median_of_k,
-    poi_retrieval,
-    prepare_replicates,
-)
-from .optimizer import (
-    AnnealingSchedule,
-    AnnealResult,
-    Objective,
-    acceptance_probability,
-    anneal,
-    initial_state,
-    neighbour,
-    parse_objective,
-    parse_objectives,
-    restrict_by_half,
-)
-from .pipeline import (
-    Report,
-    ReportRow,
-    RunConfig,
-    cdf_points,
-    evaluate,
-    protect,
-    run_offline,
-    run_online,
-    split_daily_batches,
-)
-from .rng import RandomStream
-from .synth import SynthSpec, SyntheticDataset, generate_synthetic_dataset
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -102,3 +57,29 @@ __all__ = [
     "run_online",
     "split_daily_batches",
 ]
+
+
+# Public name -> the module that defines it.
+_MODULE_OF = {
+    **dict.fromkeys(["CellGrid", "Dataset", "GeoPoint", "Trace", "distance_meters"], "geo"),
+    **dict.fromkeys(["LppmConfig", "ParameterDomain", "apply_lppm", "geo_i_obfuscate",
+                     "geo_i_sample_radius", "prepare_lppm", "promesse_obfuscate"], "lppm"),
+    **dict.fromkeys(["PoiClusteringParams", "Pois", "bind_evaluators", "extract_pois",
+                     "median_of_k", "poi_retrieval", "prepare_replicates"], "metrics"),
+    **dict.fromkeys(["AnnealingSchedule", "AnnealResult", "Objective", "acceptance_probability",
+                     "anneal", "initial_state", "neighbour", "parse_objective",
+                     "parse_objectives", "restrict_by_half"], "optimizer"),
+    **dict.fromkeys(["Report", "ReportRow", "RunConfig", "cdf_points", "evaluate", "protect",
+                     "run_offline", "run_online", "split_daily_batches"], "pipeline"),
+    "RandomStream": "rng",
+    **dict.fromkeys(["SynthSpec", "SyntheticDataset", "generate_synthetic_dataset"], "synth"),
+}
+
+
+def __getattr__(name):
+    # Python calls this only for a name missing from the module, and the
+    # name is stored there once found, so each module is looked up once.
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value

@@ -24,6 +24,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+# alp calls no BLAS routine, and an idle OpenBLAS pool spins at start-up, so
+# ask for one thread; the pool reads this once, when numpy (or scipy) loads,
+# which is why it comes before the imports below. A caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import AlpError
 from .io import load_dataset, write_dataset_csv, write_json, write_rows_csv
 from .lppm import MECHANISMS

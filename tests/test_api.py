@@ -1,7 +1,13 @@
 """The package's public names, and the imports of every module."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import alp
 
@@ -11,6 +17,63 @@ def test_star_import_binds_every_exported_name():
     exec("from alp import *", namespace)  # raises if a name in __all__ is missing
     assert sorted(set(alp.__all__)) == sorted(alp.__all__)
     assert all(namespace[name] is getattr(alp, name) for name in alp.__all__)
+
+
+def _child(script: str, **given) -> str:
+    """Stdout of a fresh interpreter that finds this alp and runs ``script``,
+    with ``OPENBLAS_NUM_THREADS`` set only if ``given`` sets it."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=os.pathsep.join(sys.path), **given)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_import_alp_loads_no_module_and_no_numpy():
+    script = ("import sys, alp; print(sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'numpy' or m.startswith('alp.')))")
+    assert _child(script) == "[]"
+
+
+# A finder placed first on sys.meta_path records the BLAS thread setting at
+# the moment numpy is first looked up, then lets the normal finders load it.
+_BLAS_THREADS_AT_NUMPY = """
+import os, sys
+
+class Recorder:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Recorder())
+import alp.cli
+print(Recorder.seen)
+"""
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+def test_the_cli_sets_one_blas_thread_before_numpy_loads(given, expected):
+    env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+    assert _child(_BLAS_THREADS_AT_NUMPY, **env) == repr([expected])
+
+
+def test_every_exported_name_is_the_object_of_its_defining_module():
+    root = Path(__file__).resolve().parents[1]
+    defined = {path.stem: _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+               for path in sorted(root.glob("src/alp/*.py")) if path.stem != "__init__"}
+    for name in alp.__all__:
+        (module,) = [stem for stem, names in defined.items() if name in names]
+        assert getattr(alp, name) is getattr(importlib.import_module(f"alp.{module}"), name), name
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        alp.no_such_name
+    assert not hasattr(alp, "no_such_name")
 
 
 def _unused_imports(path: Path) -> list:
@@ -70,9 +133,8 @@ def test_only_geo_reads_the_earth_radius_or_converts_angles():
     assert reads == []
 
 
-def _unexported_top_level_names(tree: ast.Module) -> dict:
-    """Name -> line of each module-level function, class or variable that is
-    neither a dunder nor exported by ``alp.__all__``."""
+def _top_level_names(tree: ast.Module) -> dict:
+    """Name -> line of each module-level function, class or variable."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -80,7 +142,13 @@ def _unexported_top_level_names(tree: ast.Module) -> dict:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update({t.id: node.lineno for t in targets if isinstance(t, ast.Name)})
-    return {name: line for name, line in names.items()
+    return names
+
+
+def _unexported_top_level_names(tree: ast.Module) -> dict:
+    """Name -> line of each module-level function, class or variable that is
+    neither a dunder nor exported by ``alp.__all__``."""
+    return {name: line for name, line in _top_level_names(tree).items()
             if not name.startswith("__") and name not in alp.__all__}
 
 
