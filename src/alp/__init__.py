@@ -36,12 +36,9 @@ __all__ = [
     "apply_lppm",
     "bind_evaluators",
     "cdf_points",
-    "distance_meters",
     "evaluate",
     "extract_pois",
     "generate_synthetic_dataset",
-    "geo_i_obfuscate",
-    "geo_i_sample_radius",
     "initial_state",
     "median_of_k",
     "neighbour",
@@ -50,7 +47,6 @@ __all__ = [
     "poi_retrieval",
     "prepare_lppm",
     "prepare_replicates",
-    "promesse_obfuscate",
     "protect",
     "restrict_by_half",
     "run_offline",
@@ -61,9 +57,8 @@ __all__ = [
 
 # Public name -> the module that defines it.
 _MODULE_OF = {
-    **dict.fromkeys(["CellGrid", "Dataset", "GeoPoint", "Trace", "distance_meters"], "geo"),
-    **dict.fromkeys(["LppmConfig", "ParameterDomain", "apply_lppm", "geo_i_obfuscate",
-                     "geo_i_sample_radius", "prepare_lppm", "promesse_obfuscate"], "lppm"),
+    **dict.fromkeys(["CellGrid", "Dataset", "GeoPoint", "Trace"], "geo"),
+    **dict.fromkeys(["LppmConfig", "ParameterDomain", "apply_lppm", "prepare_lppm"], "lppm"),
     **dict.fromkeys(["PoiClusteringParams", "Pois", "bind_evaluators", "extract_pois",
                      "median_of_k", "poi_retrieval", "prepare_replicates"], "metrics"),
     **dict.fromkeys(["AnnealingSchedule", "AnnealResult", "Objective", "acceptance_probability",

@@ -165,11 +165,6 @@ def haversine_m(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def distance_meters(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points, in meters."""
-    return float(haversine_m(a.lat, a.lon, b.lat, b.lon))
-
-
 def _wrap_degrees(lon):
     """Normalize longitudes into (-180, 180]."""
     wrapped = -((-np.asarray(lon, dtype=float) + 180.0) % 360.0 - 180.0)

@@ -105,20 +105,6 @@ def _inverse_radial_cdf(p: np.ndarray) -> np.ndarray:
     return np.where(p < _P_SERIES, series, x)
 
 
-def geo_i_sample_radius(epsilon: float, p):
-    """Radius whose planar-Laplace radial CDF at privacy level epsilon equals p.
-
-    Accepts a scalar or an array of probabilities; returns matching shape.
-    """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
-    arr = np.asarray(p, dtype=float)
-    if arr.size and not ((arr > 0.0) & (arr < 1.0)).all():
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
-    radii = _inverse_radial_cdf(arr) / epsilon
-    return float(radii) if np.isscalar(p) or arr.ndim == 0 else radii
-
-
 def _geo_i_prepare(trace: Trace, rng: RandomStream) -> tuple:
     """geo-i's epsilon-free work: per record, the radius at epsilon 1 and the
     cosine and sine of the direction, from one generator on ``rng``."""
@@ -129,30 +115,19 @@ def _geo_i_prepare(trace: Trace, rng: RandomStream) -> tuple:
     return trace, _inverse_radial_cdf(p), np.cos(theta), np.sin(theta)
 
 
-def _geo_i_transform(prepared: tuple, epsilon: float) -> Trace:
+def _geo_i_transform(prepared: tuple, assignment: Mapping[str, float]) -> Trace:
+    """Each record moved by (r, theta) in its own tangent plane, r the unit
+    radius over epsilon; user, count and timestamps are kept."""
     trace, unit_r, cos_theta, sin_theta = prepared
-    r = unit_r / epsilon
+    r = unit_r / assignment["epsilon"]
     return Trace(trace.user, *latlon_from_local(trace.lat, trace.lon, r * cos_theta, r * sin_theta), trace.time_ms)
-
-
-def geo_i_obfuscate(trace: Trace, epsilon: float, rng: RandomStream) -> Trace:
-    """Displace every record independently with planar-Laplace noise.
-
-    Each point is moved by (r, theta) in its own tangent plane, with theta
-    uniform on [0, 2*pi) and r drawn through the inverse radial CDF: the step
-    is :func:`~alp.geo.latlon_from_local` with every point its own origin.
-    User id, record count, timestamps, and ordering are preserved.
-    """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
-    return _geo_i_transform(_geo_i_prepare(trace, rng), epsilon)
 
 
 # ---------------------------------------------------------------------------
 # Speed smoothing (uniform spatial resampling + uniform re-timestamping)
 # ---------------------------------------------------------------------------
 
-def _promesse_prepare(trace: Trace, rng: RandomStream | None = None) -> tuple:
+def _promesse_prepare(trace: Trace, rng: RandomStream) -> tuple:
     """promesse's alpha-free work: the path in the plane of the first record,
     its step lengths and their running sum (None for an empty trace)."""
     if len(trace) == 0:
@@ -162,10 +137,14 @@ def _promesse_prepare(trace: Trace, rng: RandomStream | None = None) -> tuple:
     return trace, (xs, ys, seg, np.concatenate(([0.0], np.cumsum(seg))))
 
 
-def _promesse_transform(prepared: tuple, alpha: float) -> Trace:
+def _promesse_transform(prepared: tuple, assignment: Mapping[str, float]) -> Trace:
+    """Points at along-path distances 0, alpha, 2 alpha, ... up to the last
+    full multiple, timestamped uniformly between the first and last instants;
+    a path that supports fewer than two points is suppressed."""
     trace, path = prepared
     if path is None:
         return trace
+    alpha = assignment["alpha"]
     xs, ys, seg, cum = path
     total = float(cum[-1])
 
@@ -185,19 +164,6 @@ def _promesse_transform(prepared: tuple, alpha: float) -> Trace:
     steps = np.arange(count, dtype=float)
     times = t0 + np.rint(steps * (t1 - t0) / (count - 1)).astype(np.int64)
     return Trace(trace.user, out_lat, out_lon, times)
-
-
-def promesse_obfuscate(trace: Trace, alpha: float) -> Trace:
-    """Resample the trace at spacing alpha along its path and uniformize time.
-
-    Points are emitted at along-path distances 0, alpha, 2*alpha, ... up to
-    the last full multiple; the remainder is dropped. Timestamps are spread
-    uniformly between the original first and last instants. Traces whose
-    path supports fewer than two output points are fully suppressed.
-    """
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    return _promesse_transform(_promesse_prepare(trace), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +195,7 @@ MECHANISMS = {
     # is 2/epsilon, so smaller epsilon adds more noise.
     "geo-i": Mechanism(
         prepare=_geo_i_prepare,
-        transform=lambda prepared, a: _geo_i_transform(prepared, a["epsilon"]),
+        transform=_geo_i_transform,
         domains=(ParameterDomain.log_spaced("epsilon", 0.001, 0.1, 101),),
         robust_k=3,
         objectives="min:pois,min:distortion:scale=500",
@@ -238,7 +204,7 @@ MECHANISMS = {
     # than places. The grid starts at 5 m: a zero spacing would never end.
     "promesse": Mechanism(
         prepare=_promesse_prepare,
-        transform=lambda prepared, a: _promesse_transform(prepared, a["alpha"]),
+        transform=_promesse_transform,
         domains=(ParameterDomain.linear("alpha", 5.0, 500.0, 101),),
         robust_k=1,
         objectives="min:pois,max:coverage",

@@ -5,8 +5,10 @@ tables, and textbook arithmetic, kept free of the vectorized shortcuts the
 library itself uses. ``scan_extract_pois`` decides diameters with haversine
 distances, while the library compares chords, so it is an independent
 reference; the two can differ only on pairs within about 3e-8 m of the
-limit. ``csv_write_dataset`` keeps the library's former bytes so that the
-two can be compared exactly.
+limit. ``one_shot_geo_i`` and ``one_shot_promesse`` protect a trace in one
+pass, with no prepared state, and must equal ``alp``'s prepared replicates
+bit for bit. ``csv_write_dataset`` keeps the library's former bytes so that
+the two can be compared exactly.
 """
 
 import csv
@@ -16,8 +18,8 @@ import math
 
 import numpy as np
 
-from alp.geo import EARTH_RADIUS_M, GeoPoint, distance_meters, latlon_from_local, local_xy
-from alp.lppm import LppmConfig
+from alp.geo import EARTH_RADIUS_M, GeoPoint, Trace, latlon_from_local, local_xy
+from alp.lppm import LppmConfig, _inverse_radial_cdf
 from alp.metrics import Pois
 
 
@@ -29,7 +31,7 @@ def brute_poi_retrieval(pois_true, pois_obf, threshold_m):
         return 0.0
     matched = 0
     for p2 in obf:
-        if any(distance_meters(p, p2) <= threshold_m for p in true):
+        if any(brute_haversine_m(p, p2) <= threshold_m for p in true):
             matched += 1
     recall = min(1.0, matched / len(true))
     precision = matched / len(obf)
@@ -98,7 +100,7 @@ def window_extract_pois(trace, params):
     n = len(points)
     if n == 0:
         return Pois()
-    dist = [[distance_meters(a, b) for b in points] for a in points]
+    dist = [[brute_haversine_m(a, b) for b in points] for a in points]
 
     def diameter(i, j):
         return max(
@@ -169,6 +171,52 @@ def scan_extract_pois(trace, params):
             start = j
     close_cluster(start, n - 1)
     return Pois(*zip(*pois)) if pois else Pois()
+
+
+def one_shot_geo_i(trace, epsilon, rng):
+    """The trace under planar-Laplace noise at ``epsilon``, drawn and applied in
+    one pass: one generator on ``rng`` draws every record's radial-CDF level p,
+    then every direction theta; each record moves r = W(p) / epsilon along theta
+    in its own tangent plane. The same draws and arithmetic as ``alp``'s geo-i,
+    so a prepared replicate must equal it bit for bit."""
+    gen = rng.generator()
+    p = gen.uniform(size=len(trace))
+    theta = gen.uniform(0.0, 2.0 * math.pi, size=len(trace))
+    r = _inverse_radial_cdf(p) / epsilon
+    lat, lon = latlon_from_local(trace.lat, trace.lon, r * np.cos(theta), r * np.sin(theta))
+    return Trace(trace.user, lat, lon, trace.time_ms)
+
+
+def one_shot_promesse(trace, alpha):
+    """The trace resampled every ``alpha`` meters along its path, one output
+    point at a time: the path lies in the plane of the first record, each point
+    is found by walking the segments forward, and the timestamps are spread
+    evenly between the first and last instants. A path that supports fewer
+    than two points gives the empty trace. Each value takes the same
+    roundings as in ``alp``'s promesse, so the two must agree bit for bit."""
+    if len(trace) == 0:
+        return trace
+    xs, ys = local_xy(trace.lat[0], trace.lon[0], trace.lat, trace.lon)
+    seg = np.hypot(np.diff(xs), np.diff(ys)).tolist()
+    cum = [0.0]
+    for length in seg:
+        cum.append(cum[-1] + length)
+    count = math.floor(cum[-1] / alpha + 1e-9) + 1
+    if count < 2:
+        return Trace(trace.user)
+    px, py, times = [], [], []
+    t0, t1 = int(trace.time_ms[0]), int(trace.time_ms[-1])
+    j = 0
+    for k in range(count):
+        offset = alpha * float(k)
+        while j + 1 < len(seg) and cum[j + 1] <= offset:
+            j += 1
+        frac = (offset - cum[j]) / seg[j] if seg[j] > 0 else 0.0
+        px.append(xs[j] + frac * (xs[j + 1] - xs[j]))
+        py.append(ys[j] + frac * (ys[j + 1] - ys[j]))
+        times.append(t0 + round(float(k) * (t1 - t0) / (count - 1)))
+    lat, lon = latlon_from_local(trace.lat[0], trace.lon[0], np.array(px), np.array(py))
+    return Trace(trace.user, lat, lon, times)
 
 
 def point_segment_distance(p, a, b):

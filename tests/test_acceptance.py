@@ -15,17 +15,16 @@ from scipy import stats
 
 from alp.cli import main
 from alp.geo import GeoPoint, Trace, haversine_m, latlon_from_local, local_xy
-from alp.lppm import ParameterDomain, geo_i_sample_radius, promesse_obfuscate
+from alp.lppm import LppmConfig, ParameterDomain, apply_lppm, prepare_lppm
 from alp.metrics import PoiClusteringParams, extract_pois, poi_retrieval
 from alp.geo import CellGrid
 from alp.metrics import EVALUATORS, bind_evaluators, median_of_k, prepare_replicates
-from alp.lppm import LppmConfig
 from alp.optimizer import AnnealingSchedule, acceptance_probability, anneal, restrict_by_half
 from alp.pipeline import RunConfig, run_online
 from alp.rng import RandomStream
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
-from conftest import plane_points, pois_of, random_walk_trace, spans, trace_of
+from conftest import applied, plane_points, pois_of, random_walk_trace, spans, trace_of
 from oracles import (
     brute_area_coverage,
     brute_poi_retrieval,
@@ -59,9 +58,13 @@ def criterion(number, description, limit_s):
 
 def test_criterion_1_geo_i_noise_law():
     with criterion(1, "geo-i radial noise law (KS < 0.01, mean within 2% of 2/eps)", 10) as check:
+        # The radii are the steps geo-i takes from 100,000 records at one place.
+        n = 100_000
+        raw = Trace("u", np.full(n, BASE.lat), np.full(n, BASE.lon), np.arange(n))
         for epsilon in (0.001, 0.01, 0.1):
-            p = RandomStream(101, f"noise-law/{epsilon}").generator().uniform(size=100_000)
-            radii = geo_i_sample_radius(epsilon, p)
+            prepared = prepare_lppm("geo-i", raw, RandomStream(101, f"noise-law/{epsilon}"))
+            out = apply_lppm(LppmConfig("geo-i", {"epsilon": epsilon}), prepared)
+            radii = np.hypot(*local_xy(raw.lat, raw.lon, out.lat, out.lon))
             cdf = lambda r, e=epsilon: 1.0 - (1.0 + e * r) * np.exp(-e * r)
             d_stat = stats.kstest(radii, cdf).statistic
             check(d_stat < 0.01, f"eps={epsilon}: KS statistic {d_stat:.4f} >= 0.01")
@@ -77,7 +80,7 @@ def test_criterion_2_promesse_geometry():
         for seed in range(50):
             gen = RandomStream(seed, "walk").generator()
             trace = random_walk_trace(gen, n=100, step_sd_m=50.0, base=BASE)
-            out = promesse_obfuscate(trace, alpha)
+            out = applied(LppmConfig("promesse", {"alpha": alpha}), trace, RandomStream(0))
             if len(out) < 2:
                 continue
             resampled += 1

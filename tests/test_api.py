@@ -152,20 +152,39 @@ def _unexported_top_level_names(tree: ast.Module) -> dict:
             if not name.startswith("__") and name not in alp.__all__}
 
 
-def test_every_private_top_level_name_is_read():
-    # A top-level name that neither the package's users (``alp.__all__``) nor
-    # any module of the package reads is dead code, typically left behind
-    # when its last caller is deleted.
-    root = Path(__file__).resolve().parents[1]
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(root.glob("src/alp/*.py"))}
-    assert len(trees) > 5
+def _read_names(trees) -> set:
+    """Every name that the trees load, as a ``Name`` or an ``Attribute``."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def _package_trees() -> dict:
+    root = Path(__file__).resolve().parents[1]
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(root.glob("src/alp/*.py"))}
+    assert len(trees) > 5
+    return trees
+
+
+def test_every_private_top_level_name_is_read():
+    # A top-level name that neither the package's users (``alp.__all__``) nor
+    # any module of the package reads is dead code, typically left behind
+    # when its last caller is deleted.
+    trees = _package_trees()
+    read = _read_names(trees.values())
     assert [f"{file}:{line}: {name}" for file, tree in trees.items()
             for name, line in _unexported_top_level_names(tree).items() if name not in read] == []
+
+
+def test_every_exported_name_is_read_by_the_package():
+    # An export that no module of the package reads serves only its tests: a
+    # second way to do what ``alp`` does, which ``alp`` itself never runs.
+    trees = _package_trees()
+    read = _read_names(tree for file, tree in trees.items() if file != "__init__.py")
+    assert sorted(name for name in alp.__all__ if name not in read) == []

@@ -15,7 +15,6 @@ from alp.geo import (
     _wrap_degrees,
     chord_m,
     coordinate_problems,
-    distance_meters,
     haversine_m,
     latlon_from_local,
     local_xy,
@@ -48,25 +47,25 @@ class TestGeoPoint:
 class TestDistance:
     def test_identity(self):
         p = GeoPoint(48.1, 11.5)
-        assert distance_meters(p, p) == 0.0
+        assert haversine_m(p.lat, p.lon, p.lat, p.lon) == 0.0
 
     def test_small_longitude_offset(self):
-        d = distance_meters(GeoPoint(0, 0), GeoPoint(0, 0.001))
+        d = haversine_m(0, 0, 0, 0.001)
         assert d == pytest.approx(111.19, abs=0.1)
 
     def test_small_latitude_offset(self):
-        d = distance_meters(GeoPoint(0, 0), GeoPoint(0.001, 0))
+        d = haversine_m(0, 0, 0.001, 0)
         assert d == pytest.approx(111.19, abs=0.1)
 
     def test_symmetry_and_triangle_inequality(self, gen):
         for _ in range(300):
-            pts = [GeoPoint(float(gen.uniform(-60, 60)), float(gen.uniform(-170, 170)))
-                   for _ in range(3)]
-            dab = distance_meters(pts[0], pts[1])
-            dba = distance_meters(pts[1], pts[0])
+            a, b, c = [GeoPoint(float(gen.uniform(-60, 60)), float(gen.uniform(-170, 170)))
+                       for _ in range(3)]
+            dab = haversine_m(a.lat, a.lon, b.lat, b.lon)
+            dba = haversine_m(b.lat, b.lon, a.lat, a.lon)
             assert dab == dba
-            dbc = distance_meters(pts[1], pts[2])
-            dac = distance_meters(pts[0], pts[2])
+            dbc = haversine_m(b.lat, b.lon, c.lat, c.lon)
+            dac = haversine_m(a.lat, a.lon, c.lat, c.lon)
             assert dac <= dab + dbc + 1e-6 * (dab + dbc)
 
     def test_chord_of_a_great_circle_distance(self):

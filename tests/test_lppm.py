@@ -14,9 +14,6 @@ from alp.lppm import (
     ParameterDomain,
     _inverse_radial_cdf,
     checked,
-    geo_i_obfuscate,
-    geo_i_sample_radius,
-    promesse_obfuscate,
 )
 from alp.metrics import EVALUATORS
 from alp.optimizer import parse_objectives
@@ -24,7 +21,7 @@ from alp.pipeline import RunConfig
 from alp.rng import RandomStream
 
 from conftest import applied, random_walk_trace
-from oracles import decimal_radial_quantile, monotone_arc_positions
+from oracles import decimal_radial_quantile, monotone_arc_positions, one_shot_promesse
 
 ORIGIN = GeoPoint(45.0, 5.0)
 
@@ -46,19 +43,13 @@ def stationary_trace(point, n, step_ms=1):
 
 class TestRadialSampling:
     def test_radius_vanishes_with_p(self):
-        assert geo_i_sample_radius(0.01, 1e-12) < 1e-2
+        assert _inverse_radial_cdf(np.array(1e-12)) / 0.01 < 1e-2
 
     def test_median_radius(self):
-        assert geo_i_sample_radius(0.01, 0.5) == pytest.approx(167.83, abs=0.01)
+        assert _inverse_radial_cdf(np.array(0.5)) / 0.01 == pytest.approx(167.83, abs=0.01)
 
     def test_scale_invariance(self):
-        assert geo_i_sample_radius(0.1, 0.5) == pytest.approx(16.783, abs=0.001)
-
-    @pytest.mark.parametrize("epsilon,p", [(0, 0.5), (-1, 0.5), (0.01, 0.0),
-                                           (0.01, 1.0), (0.01, -0.2), (0.01, 1.5)])
-    def test_rejects_bad_arguments(self, epsilon, p):
-        with pytest.raises(ValueError):
-            geo_i_sample_radius(epsilon, p)
+        assert _inverse_radial_cdf(np.array(0.5)) / 0.1 == pytest.approx(16.783, abs=0.001)
 
     @pytest.mark.parametrize("epsilon", [0.001, 0.01, 1.0])
     def test_matches_a_high_precision_root(self, epsilon):
@@ -80,7 +71,7 @@ class TestRadialSampling:
     def test_radii_follow_radial_cdf(self):
         epsilon = 0.01
         p = RandomStream(11, "ks").generator().uniform(size=20_000)
-        radii = geo_i_sample_radius(epsilon, p)
+        radii = _inverse_radial_cdf(p) / epsilon
         cdf = lambda r: 1.0 - (1.0 + epsilon * r) * np.exp(-epsilon * r)
         d_stat = stats.kstest(radii, cdf).statistic
         assert d_stat < 0.015
@@ -90,19 +81,19 @@ class TestRadialSampling:
 class TestGeoIObfuscate:
     def test_empty_trace_passthrough(self):
         empty = Trace("u")
-        assert geo_i_obfuscate(empty, 0.01, RandomStream(0)) == empty
+        assert applied(LppmConfig("geo-i", {"epsilon": 0.01}), empty, RandomStream(0)) == empty
 
     def test_metadata_preserved(self, gen):
         trace = random_walk_trace(gen, n=50)
-        out = geo_i_obfuscate(trace, 0.01, RandomStream(1))
+        out = applied(LppmConfig("geo-i", {"epsilon": 0.01}), trace, RandomStream(1))
         assert out.user == trace.user
         assert len(out) == len(trace)
         assert list(out.time_ms) == list(trace.time_ms)
 
     def test_deterministic_given_stream(self, gen):
         trace = random_walk_trace(gen, n=30)
-        a = geo_i_obfuscate(trace, 0.01, RandomStream(9, "s"))
-        b = geo_i_obfuscate(trace, 0.01, RandomStream(9, "s"))
+        a = applied(LppmConfig("geo-i", {"epsilon": 0.01}), trace, RandomStream(9, "s"))
+        b = applied(LppmConfig("geo-i", {"epsilon": 0.01}), trace, RandomStream(9, "s"))
         assert a == b
 
     @pytest.mark.parametrize("lat, lon", [(45.0, 5.0), (0.0, 5.0), (80.0, 5.0), (-80.0, 5.0), (89.9, 5.0),
@@ -116,14 +107,14 @@ class TestGeoIObfuscate:
         about 155 m (the open pole defect); that latitude is left out."""
         epsilon = 0.01
         trace = stationary_trace(GeoPoint(lat, lon), 20_000)
-        out = geo_i_obfuscate(trace, epsilon, RandomStream(3, "disp"))
+        out = applied(LppmConfig("geo-i", {"epsilon": epsilon}), trace, RandomStream(3, "disp"))
         d = haversine_m(lat, lon, out.lat, out.lon)
         assert np.mean(d) == pytest.approx(2.0 / epsilon, rel=0.02)
 
     def test_angles_uniform(self):
         point = GeoPoint(0.0, 0.0)
         trace = stationary_trace(point, 10_000)
-        out = geo_i_obfuscate(trace, 0.001, RandomStream(4, "ang"))
+        out = applied(LppmConfig("geo-i", {"epsilon": 0.001}), trace, RandomStream(4, "ang"))
         xy = np.column_stack(local_xy(point.lat, point.lon, out.lat, out.lon))
         angles = np.arctan2(xy[:, 1], xy[:, 0]) % (2 * np.pi)
         counts, _ = np.histogram(angles, bins=36, range=(0, 2 * np.pi))
@@ -132,13 +123,13 @@ class TestGeoIObfuscate:
     def test_rejects_non_positive_epsilon(self, gen):
         trace = random_walk_trace(gen, n=5)
         with pytest.raises(ValueError):
-            geo_i_obfuscate(trace, 0.0, RandomStream(0))
+            applied(LppmConfig("geo-i", {"epsilon": 0.0}), trace, RandomStream(0))
 
 
 class TestPromesse:
     def test_straight_path_resampling(self):
         trace = straight_line_trace([0, 250, 500, 750, 1000], t0=0, t1=500_000)
-        out = promesse_obfuscate(trace, 200.0)
+        out = applied(LppmConfig("promesse", {"alpha": 200.0}), trace, RandomStream(0))
         assert len(out) == 6
         xs = local_xy(ORIGIN.lat, ORIGIN.lon, out.lat, out.lon)[0].tolist()
         assert xs == pytest.approx([0, 200, 400, 600, 800, 1000], abs=1e-6)
@@ -148,29 +139,27 @@ class TestPromesse:
     def test_stationary_trace_suppressed(self):
         point = GeoPoint(45.0, 5.0)
         trace = stationary_trace(point, 10, step_ms=1000)
-        assert len(promesse_obfuscate(trace, 200.0)) == 0
+        assert len(applied(LppmConfig("promesse", {"alpha": 200.0}), trace, RandomStream(0))) == 0
 
     def test_short_path_suppressed(self):
         trace = straight_line_trace([0, 100])
-        assert len(promesse_obfuscate(trace, 500.0)) == 0
+        assert len(applied(LppmConfig("promesse", {"alpha": 500.0}), trace, RandomStream(0))) == 0
 
     def test_empty_trace(self):
-        assert len(promesse_obfuscate(Trace("u"), 200.0)) == 0
+        assert len(applied(LppmConfig("promesse", {"alpha": 200.0}), Trace("u"), RandomStream(0))) == 0
 
     def test_rejects_non_positive_alpha(self):
         trace = straight_line_trace([0, 100])
         with pytest.raises(ValueError):
-            promesse_obfuscate(trace, 0.0)
+            applied(LppmConfig("promesse", {"alpha": 0.0}), trace, RandomStream(0))
 
     def test_spacing_and_time_invariants_on_random_walks(self, gen):
         alpha = 150.0
         for _ in range(10):
             trace = random_walk_trace(gen, n=80, step_sd_m=60.0)
-            out = promesse_obfuscate(trace, alpha)
+            out = applied(LppmConfig("promesse", {"alpha": alpha}), trace, RandomStream(0))
             if len(out) < 2:
                 continue
-            from alp.geo import local_xy
-
             # Along-path distance is defined in the plane anchored at the
             # trace's first point; measure in that same frame.
             anchor = GeoPoint(float(trace.lat[0]), float(trace.lon[0]))
@@ -187,25 +176,11 @@ class TestPromesse:
             assert out.time_ms[-1] == trace.time_ms[-1]
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
-def test_free_functions_reject_non_finite_parameters(value, gen):
-    # at epsilon = inf geo-i would publish the raw trace, and at alpha = inf
-    # promesse would suppress every trace
-    trace = random_walk_trace(gen, n=5)
-    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-        geo_i_sample_radius(value, 0.5)
-    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
-        geo_i_obfuscate(trace, value, RandomStream(0))
-    with pytest.raises(ValueError, match="alpha must be positive and finite"):
-        promesse_obfuscate(trace, value)
-
-
 class TestApplyAndRegistry:
     def test_dispatch_to_promesse(self):
         trace = straight_line_trace([0, 250, 500, 750, 1000])
         config = LppmConfig("promesse", {"alpha": 200.0})
-        direct = promesse_obfuscate(trace, 200.0)
-        assert applied(config, trace, RandomStream(0)) == direct
+        assert applied(config, trace, RandomStream(0)) == one_shot_promesse(trace, 200.0)
 
     def test_empty_trace_through_geo_i(self):
         config = LppmConfig("geo-i", {"epsilon": 0.01})
@@ -231,13 +206,14 @@ class TestApplyAndRegistry:
             out = applied(config, trace, RandomStream(2))
             assert out.user == "alice"
 
-    def test_get_set_params(self, gen):
-        # epsilon = inf would draw zero noise and publish the raw trace
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name, param", [("geo-i", "epsilon"), ("promesse", "alpha")], ids=["geo-i", "promesse"])
+    def test_rejects_parameters_that_are_not_positive_and_finite(self, name, param, value, gen):
+        # epsilon = inf would draw zero noise and publish the raw trace, and
+        # alpha = inf would suppress every trace
         trace = random_walk_trace(gen, n=5)
-        for name, param in (("geo-i", "epsilon"), ("promesse", "alpha")):
-            for value in (-1.0, 0.0, math.inf, -math.inf, math.nan):
-                with pytest.raises(ConfigurationError, match=f"{param} must be positive and finite"):
-                    applied(LppmConfig(name, {param: value}), trace, RandomStream(0))
+        with pytest.raises(ConfigurationError, match=f"{param} must be positive and finite"):
+            applied(LppmConfig(name, {param: value}), trace, RandomStream(0))
 
 
 @pytest.mark.parametrize("name", sorted(MECHANISMS))

@@ -7,13 +7,12 @@ from alp.geo import (
     CellGrid,
     GeoPoint,
     Trace,
-    distance_meters,
     haversine_m,
     latlon_from_local,
     local_xy,
     sphere_xyz,
 )
-from alp.lppm import LppmConfig, geo_i_obfuscate
+from alp.lppm import LppmConfig
 from alp.metrics import (
     _SCAN_MAX_RAW_POINTS,
     EVALUATORS,
@@ -30,7 +29,7 @@ from alp.metrics import (
 from alp.rng import RandomStream
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
-from conftest import make_trace, plane_points, points_of, pois_of, spans, trace_of
+from conftest import applied, make_trace, plane_points, points_of, pois_of, spans, trace_of
 from oracles import (
     brute_area_coverage,
     brute_poi_retrieval,
@@ -94,7 +93,7 @@ class TestExtractPois:
                 members = points[first:first + size]
                 assert times[first + size - 1] == end_ms
                 diameter = max(
-                    (distance_meters(a, b)
+                    (haversine_m(a.lat, a.lon, b.lat, b.lon)
                      for i, a in enumerate(members) for b in members[i + 1:]),
                     default=0.0,
                 )
@@ -127,7 +126,8 @@ class TestExtractPois:
         # records a trace.
         spec = SynthSpec(users=2, pois_per_user=3, sample_period_s=sample_period_s, seed=3)
         for raw in generate_synthetic_dataset(spec).dataset:
-            traces = [raw] + [geo_i_obfuscate(raw, epsilon, RandomStream(5).child(raw.user, i))
+            traces = [raw] + [applied(LppmConfig("geo-i", {"epsilon": epsilon}), raw,
+                                      RandomStream(5).child(raw.user, i))
                               for i, epsilon in enumerate(np.logspace(-3, -1, 13))]
             for trace in traces:
                 assert extract_pois(trace, PARAMS) == scan_extract_pois(trace, PARAMS)
@@ -405,7 +405,7 @@ class TestSpatialDistortion:
             walk = [(300.0 * k, 100.0 * k) for k in range(1, 4)]
             offsets = [stops[0]] * 60 + walk + [stops[1]] * 50 + [stops[2]] * 40 + [stops[0]] * 20
         raw = make_trace([(p.lat, p.lon) for p in points_at(offsets)])
-        protected = geo_i_obfuscate(raw, 0.01, RandomStream(5))
+        protected = applied(LppmConfig("geo-i", {"epsilon": 0.01}), raw, RandomStream(5))
         got = EVALUATORS["distortion"].bind(raw, PARAMS, CellGrid())(protected)
         want = brute_spatial_distortion(points_of(raw), points_of(protected))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -438,7 +438,8 @@ class TestNearestRawPointIsExact:
             raw = points_at([(float(gen.uniform(-3000, 3000)), float(gen.uniform(-3000, 3000)))
                              for _ in range(m)])
             raw_trace = trace_of(raw)
-            protected = geo_i_obfuscate(trace_of(raw * 20), 0.005, RandomStream(int(gen.integers(1 << 30))))
+            protected = applied(LppmConfig("geo-i", {"epsilon": 0.005}), trace_of(raw * 20),
+                                RandomStream(int(gen.integers(1 << 30))))
             assert len(np.unique(np.column_stack((raw_trace.lat, raw_trace.lon)), axis=0)) == m
             got = EVALUATORS["distortion"].bind(raw_trace, PARAMS, CellGrid())(protected)
             assert got == kd_tree_distortion(raw_trace, protected)
@@ -577,7 +578,7 @@ class TestRegistry:
         grid = CellGrid(250, BASE.lat)
         for seed in range(5):
             trace = random_walk_trace(gen, n=80, step_sd_m=30.0)
-            protected = geo_i_obfuscate(trace, 0.01, RandomStream(seed))
+            protected = applied(LppmConfig("geo-i", {"epsilon": 0.01}), trace, RandomStream(seed))
             pois = EVALUATORS["pois"].bind(trace, PARAMS, CellGrid())(protected)
             coverage = EVALUATORS["coverage"].bind(trace, PARAMS, grid)(protected)
             distortion = EVALUATORS["distortion"].bind(trace, PARAMS, CellGrid())(protected)

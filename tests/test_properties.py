@@ -1,6 +1,6 @@
 """Property tests: the bound evaluators and POI extraction against oracles,
 the invariants of geo-i's and promesse's output, and each mechanism's
-prepared replicate against its one-shot transform over the whole domain.
+prepared replicate against its one-shot reference over the whole domain.
 
 Hypothesis draws degenerate traces (all-duplicate points, single records,
 equal timestamps, empty protected traces, short geo-i output) in four
@@ -19,12 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alp.geo import CellGrid, GeoPoint, Trace, latlon_from_local, local_xy
-from alp.lppm import MECHANISMS, LppmConfig, apply_lppm, geo_i_obfuscate, prepare_lppm, promesse_obfuscate
+from alp.lppm import MECHANISMS, LppmConfig, apply_lppm, prepare_lppm
 from alp.metrics import EVALUATORS, PoiClusteringParams, extract_pois
 from alp.rng import RandomStream
 
-from conftest import spans, trace_of
-from oracles import brute_area_coverage, brute_spatial_distortion, scan_extract_pois, window_extract_pois
+from conftest import applied, spans, trace_of
+from oracles import (
+    brute_area_coverage,
+    brute_spatial_distortion,
+    one_shot_geo_i,
+    one_shot_promesse,
+    scan_extract_pois,
+    window_extract_pois,
+)
 
 REGIONS = {
     "city": (st.floats(44.99, 45.01), st.floats(4.99, 5.01)),
@@ -108,7 +115,8 @@ def poi_traces(draw):
     trace = Trace("u", [p.lat for p in points], [p.lon for p in points], times)
     if shape == "geo-i":
         epsilon = 10.0 ** draw(st.floats(-3.0, -0.5))
-        trace = geo_i_obfuscate(trace, epsilon, RandomStream(draw(st.integers(0, 2**32 - 1))))
+        trace = applied(LppmConfig("geo-i", {"epsilon": epsilon}), trace,
+                        RandomStream(draw(st.integers(0, 2**32 - 1))))
     return trace
 
 
@@ -148,17 +156,18 @@ def shaped_traces(draw):
 @given(shaped_traces(), st.floats(0.001, 0.1), st.integers(0, 2**32 - 1))
 def test_geo_i_keeps_user_length_and_times(case, epsilon, seed):
     _, trace = case
-    out = geo_i_obfuscate(trace, epsilon, RandomStream(seed))
+    config = LppmConfig("geo-i", {"epsilon": epsilon})
+    out = applied(config, trace, RandomStream(seed))
     assert (out.user, len(out)) == (trace.user, len(trace))
     assert out.time_ms.dtype == trace.time_ms.dtype and np.array_equal(out.time_ms, trace.time_ms)
-    assert geo_i_obfuscate(trace, epsilon, RandomStream(seed)) == out
+    assert applied(config, trace, RandomStream(seed)) == out
 
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(shaped_traces(), st.floats(5.0, 500.0))
 def test_promesse_resamples_at_the_spacing(case, alpha):
     shape, trace = case
-    out = promesse_obfuscate(trace, alpha)
+    out = applied(LppmConfig("promesse", {"alpha": alpha}), trace, RandomStream(0))
     assert out.user == trace.user
     if shape in ("all-duplicate", "single"):
         assert len(out) == 0
@@ -178,9 +187,9 @@ def test_promesse_resamples_at_the_spacing(case, alpha):
 @pytest.mark.parametrize("region", sorted(REGIONS))
 @settings(max_examples=10, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
-def test_a_prepared_geo_i_replicate_is_geo_i_obfuscate(region, seed, data):
+def test_a_prepared_geo_i_replicate_is_one_shot_geo_i(region, seed, data):
     # One replicate, prepared once, transformed at every epsilon of the grid,
-    # against a fresh draw and transform at each.
+    # against the one-pass reference on the same stream at each.
     lat, lon = REGIONS[region]
     trace = trace_of(data.draw(st.lists(st.builds(GeoPoint, lat, lon), max_size=20)))
     rng = RandomStream(seed)
@@ -188,7 +197,7 @@ def test_a_prepared_geo_i_replicate_is_geo_i_obfuscate(region, seed, data):
     (domain,) = MECHANISMS["geo-i"].domains
     for epsilon in domain.values:
         got = apply_lppm(LppmConfig("geo-i", {"epsilon": epsilon}), prepared)
-        want = geo_i_obfuscate(trace, epsilon, rng)
+        want = one_shot_geo_i(trace, epsilon, rng)
         assert got.user == want.user
         assert np.array_equal(got.lat, want.lat) and np.array_equal(got.lon, want.lon)
         assert np.array_equal(got.time_ms, want.time_ms)
@@ -196,14 +205,14 @@ def test_a_prepared_geo_i_replicate_is_geo_i_obfuscate(region, seed, data):
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(shaped_traces())
-def test_a_prepared_promesse_replicate_is_promesse_obfuscate(case):
+def test_a_prepared_promesse_replicate_is_one_shot_promesse(case):
     # Over every alpha of the grid; the all-duplicate and single-record shapes,
     # and walks shorter than alpha, give the empty output.
     _, trace = case
     prepared = prepare_lppm("promesse", trace, RandomStream(0))
     (domain,) = MECHANISMS["promesse"].domains
     for alpha in domain.values:
-        assert apply_lppm(LppmConfig("promesse", {"alpha": alpha}), prepared) == promesse_obfuscate(trace, alpha)
+        assert apply_lppm(LppmConfig("promesse", {"alpha": alpha}), prepared) == one_shot_promesse(trace, alpha)
 
 
 @pytest.mark.parametrize("name", sorted(MECHANISMS))

@@ -4,7 +4,7 @@ from datetime import date
 import pytest
 
 from alp.errors import ConfigurationError
-from alp.geo import GeoPoint, distance_meters, utc_day
+from alp.geo import haversine_m, utc_day
 from alp.metrics import PoiClusteringParams, extract_pois
 from alp.synth import SynthSpec, generate_synthetic_dataset
 
@@ -18,7 +18,7 @@ class TestGenerator:
         assert len(pois) == 2
         planted = syn.true_pois[trace.user]
         for poi in zip(pois.lat.tolist(), pois.lon.tolist()):
-            assert min(distance_meters(GeoPoint(*poi), p) for p in planted) < 50.0
+            assert min(haversine_m(*poi, p.lat, p.lon) for p in planted) < 50.0
 
     def test_full_day_record_count(self):
         syn = generate_synthetic_dataset(SynthSpec(users=1, days=1, pois_per_user=2,
@@ -57,7 +57,7 @@ class TestGenerator:
         for points in syn.true_pois.values():
             for i, a in enumerate(points):
                 for b in points[i + 1:]:
-                    assert distance_meters(a, b) >= 1000.0 - 1e-6
+                    assert haversine_m(a.lat, a.lon, b.lat, b.lon) >= 1000.0 - 1e-6
 
     @pytest.mark.parametrize("kwargs", [
         {"users": 0}, {"days": 0}, {"pois_per_user": 0},
