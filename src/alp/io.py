@@ -2,9 +2,19 @@
 
 Input traces arrive as UTF-8 CSV with header ``user,timestamp,lat,lon``.
 Timestamps are ISO-8601 (assumed UTC when naive) or integer epoch values,
-read as seconds below 1e11 and as milliseconds above. All writes go to a
-temporary file first and are renamed into place, so failed runs never
-leave partial output behind.
+read as seconds below 1e11 in magnitude and as milliseconds otherwise.
+
+Two readers give one result. numpy's C reader (``np.loadtxt``) takes a
+plain regular file: the exact header, ASCII bytes without quotes or
+``\\x1c``-``\\x1f``, lines no longer than csv's field limit, integer epochs
+and valid values. Where it cannot give exactly what the row loop gives, the
+row loop (``csv.reader``, :func:`parse_timestamp_ms`, ``float``) reads the
+file from the start, or a stream such as a pipe in its one pass, and it
+alone numbers problems by line. Both feed one assembly step that groups rows
+by user.
+
+All writes go to a temporary file first and are renamed into place, so
+failed runs never leave partial output behind.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import itertools
 import json
 import os
 import tempfile
-from collections import defaultdict
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,6 +37,24 @@ from .geo import TIME_RANGE_MS, Dataset, Trace, coordinate_problems
 
 CSV_HEADER = ["user", "timestamp", "lat", "lon"]
 _CHUNK_ROWS = 4096  # rows of text formatted per write
+_SECONDS_BELOW = 10**11  # epoch integers of a smaller magnitude count seconds
+# One row as numpy's C reader parses it: each field straight into its column.
+_ROW_DTYPE = np.dtype([("user", object), ("t", np.int64), ("lat", np.float64), ("lon", np.float64)])
+_HEADER_LINES = tuple(",".join(CSV_HEADER).encode() + end for end in (b"\n", b"\r\n"))
+# numpy's number parsers skip these bytes as white space, and float() does not.
+_INFORMATION_SEPARATORS = tuple(bytes([b]) for b in range(0x1C, 0x20))
+
+
+def _epoch_ms(value):
+    """Milliseconds of an epoch integer (an ``int`` or an int64 array): above
+    -1e11 and below 1e11 it counts seconds, otherwise milliseconds."""
+    seconds = (value > -_SECONDS_BELOW) & (value < _SECONDS_BELOW)
+    return value * (1 + 999 * seconds)
+
+
+def _in_time_range(time_ms):
+    """Whether epoch milliseconds (an ``int`` or an array) lie in ``TIME_RANGE_MS``."""
+    return (time_ms >= TIME_RANGE_MS[0]) & (time_ms <= TIME_RANGE_MS[1])
 
 
 def parse_timestamp_ms(text: str) -> int:
@@ -41,17 +69,66 @@ def parse_timestamp_ms(text: str) -> int:
             dt = dt.replace(tzinfo=timezone.utc)
         value = int(round(dt.timestamp() * 1000))
     else:
-        value = value * 1000 if abs(value) < 10**11 else value
-    if not TIME_RANGE_MS[0] <= value <= TIME_RANGE_MS[1]:
+        value = _epoch_ms(value)
+    if not _in_time_range(value):
         raise ValueError(f"timestamp {text!r} out of range")
     return value
 
 
 def load_dataset(path) -> Dataset:
-    """Read a trace CSV into a :class:`Dataset`, each user's rows sorted by time."""
+    """Read a trace CSV into a :class:`Dataset`, each user's rows sorted by time.
+
+    numpy's C reader reads the file when it gives exactly the row loop's
+    result; otherwise the row loop reads it and numbers each problem by line.
+    """
     path = Path(path)
+    columns = _read_columns(path)
+    return _assemble(*(columns if columns is not None else _read_rows(path)))
+
+
+def _read_columns(path: Path):
+    """``(users, code, time_ms, lat, lon)`` by numpy's C reader, or None where
+    it might not give the row loop's result: a stream (it can be read only
+    once), a header that is not the plain one, bytes that numpy and ``float``
+    read differently, a quote, a line that could be longer than csv's field
+    limit, a row numpy cannot parse or warns on (none at all, for one), or a
+    value the row loop rejects. Blank lines are skipped by both."""
+    if not path.is_file():  # e.g. a pipe, which the row loop reads in one pass
+        return None
+    raw = path.read_bytes()
+    header = next((h for h in _HEADER_LINES if raw.startswith(h)), None)
+    if (header is None or not raw.isascii() or b'"' in raw
+            or any(sep in raw for sep in _INFORMATION_SEPARATORS)):
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    # csv ends a line at \n or \r, so cutting at \n alone can only overstate the longest.
+    if np.diff(np.flatnonzero(chars == 10), prepend=-1, append=len(chars)).max() > csv.field_size_limit():
+        return None
+    del raw, chars  # before numpy builds the columns, for a lower peak of memory
+    with path.open(newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        fh.readline()
+        # A warning may mark a row the row loop rejects: numpy 1.23 to 1.26 only
+        # warns when it reads an int64 field such as 1.5 or 1e3 through float.
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):  # e.g. an ISO timestamp, a wrong field count or no rows
+            return None
+    time_ms = _epoch_ms(rows["t"])
+    if not _in_time_range(time_ms).all() or coordinate_problems(rows["lat"], rows["lon"]):
+        return None
+    users, code = _user_codes(rows["user"])
+    if "" in users:
+        return None
+    return users, code, time_ms, rows["lat"], rows["lon"]
+
+
+def _read_rows(path: Path):
+    """``(users, code, time_ms, lat, lon)`` by ``csv.reader``, row by row;
+    every problem found raises one :class:`DatasetLoadError` that lists them
+    by line."""
     problems = []
-    columns: dict = defaultdict(lambda: ([], [], [], []))
+    line_nos, users, times, lats, lons = [], [], [], [], []
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -74,8 +151,8 @@ def load_dataset(path) -> Dataset:
                 except ValueError as exc:
                     problems.append((line_no, str(exc)))
                     continue
-                line_nos, times, lats, lons = columns[user]
                 line_nos.append(line_no)
+                users.append(user)
                 times.append(time_ms)
                 lats.append(lat)
                 lons.append(lon)
@@ -90,18 +167,35 @@ def load_dataset(path) -> Dataset:
             problems.append((raw.count(b"\n", 0, exc.start) + 1, str(exc)))
         else:
             raise
-    traces = []
-    for user, (line_nos, times, lats, lons) in columns.items():
-        lat, lon = np.array(lats), np.array(lons)
-        problems += [(line_nos[i], message) for i, message in coordinate_problems(lat, lon)]
-        if problems:  # the error below lists them; a Trace would reject them unnumbered
-            continue
-        time_ms = np.array(times, dtype=np.int64)
-        order = np.argsort(time_ms, kind="stable")  # equal times keep file order
-        traces.append(Trace(user, lat[order], lon[order], time_ms[order]))
+    lat, lon = np.array(lats, dtype=np.float64), np.array(lons, dtype=np.float64)
+    problems += [(line_nos[i], message) for i, message in coordinate_problems(lat, lon)]
     if problems:
         problems.sort()
         raise DatasetLoadError(f"{path}: {len(problems)} malformed row(s)", problems)
+    return (*_user_codes(users), np.array(times, dtype=np.int64), lat, lon)
+
+
+def _user_codes(ids):
+    """The distinct user ids of file-order rows, stripped of white space, in
+    order of first row, and each row's index into them."""
+    ids = np.asarray(ids, dtype=object)
+    first = np.ones(len(ids), dtype=bool)  # the first row of each run of one id
+    first[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(first)
+    codes: dict = {}
+    run_codes = [codes.setdefault(user.strip(), len(codes)) for user in ids[starts].tolist()]
+    return list(codes), np.repeat(np.array(run_codes, dtype=np.intp), np.diff(starts, append=len(ids)))
+
+
+def _assemble(users, code, time_ms, lat, lon) -> Dataset:
+    """The dataset of file-order columns: one trace per user, its rows in a
+    stable time sort (equal times keep file order)."""
+    by_user = np.argsort(code, kind="stable")  # each user's rows in file order
+    bounds = np.cumsum(np.bincount(code, minlength=len(users)))[:-1]
+    traces = []
+    for user, rows in zip(users, np.split(by_user, bounds)):
+        rows = rows[np.argsort(time_ms[rows], kind="stable")]
+        traces.append(Trace(user, lat[rows], lon[rows], time_ms[rows]))
     return Dataset(traces)
 
 

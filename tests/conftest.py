@@ -6,6 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from alp import io as alp_io
+from alp.errors import DatasetLoadError
 from alp.geo import GeoPoint, Trace, latlon_from_local
 from alp.lppm import apply_lppm, prepare_lppm
 from alp.metrics import Pois
@@ -26,6 +28,22 @@ def trace_of(points, user="u", step_ms=30_000):
 def points_of(trace):
     """The trace's positions as GeoPoints, for per-point assertions."""
     return [GeoPoint(la, lo) for la, lo in zip(trace.lat.tolist(), trace.lon.tolist())]
+
+
+def row_loaded(path):
+    """``path`` read by the row loop alone (``csv.reader``, ``parse_timestamp_ms``
+    and ``float``), the reference that numpy's C reader must match."""
+    return alp_io._assemble(*alp_io._read_rows(Path(path)))
+
+
+def load_outcome(load, path):
+    """What ``load(path)`` gives, comparable bit for bit: each trace's user and
+    column bytes, or the DatasetLoadError's message and line-numbered problems."""
+    try:
+        dataset = load(path)
+    except DatasetLoadError as err:
+        return str(err), err.problems
+    return [(t.user, t.time_ms.tobytes(), t.lat.tobytes(), t.lon.tobytes()) for t in dataset]
 
 
 def applied(config, trace, rng):

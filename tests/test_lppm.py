@@ -120,11 +120,6 @@ class TestGeoIObfuscate:
         counts, _ = np.histogram(angles, bins=36, range=(0, 2 * np.pi))
         assert stats.chisquare(counts).pvalue > 0.001
 
-    def test_rejects_non_positive_epsilon(self, gen):
-        trace = random_walk_trace(gen, n=5)
-        with pytest.raises(ValueError):
-            applied(LppmConfig("geo-i", {"epsilon": 0.0}), trace, RandomStream(0))
-
 
 class TestPromesse:
     def test_straight_path_resampling(self):
@@ -147,11 +142,6 @@ class TestPromesse:
 
     def test_empty_trace(self):
         assert len(applied(LppmConfig("promesse", {"alpha": 200.0}), Trace("u"), RandomStream(0))) == 0
-
-    def test_rejects_non_positive_alpha(self):
-        trace = straight_line_trace([0, 100])
-        with pytest.raises(ValueError):
-            applied(LppmConfig("promesse", {"alpha": 0.0}), trace, RandomStream(0))
 
     def test_spacing_and_time_invariants_on_random_walks(self, gen):
         alpha = 150.0

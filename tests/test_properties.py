@@ -1,6 +1,7 @@
 """Property tests: the bound evaluators and POI extraction against oracles,
-the invariants of geo-i's and promesse's output, and each mechanism's
-prepared replicate against its one-shot reference over the whole domain.
+the invariants of geo-i's and promesse's output, each mechanism's prepared
+replicate against its one-shot reference over the whole domain, and the CSV
+loader against its row loop on generated texts.
 
 Hypothesis draws degenerate traces (all-duplicate points, single records,
 equal timestamps, empty protected traces, short geo-i output) in four
@@ -9,6 +10,8 @@ degrees of either pole. Tolerances are those of acceptance criterion 3.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +21,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alp.geo import CellGrid, GeoPoint, Trace, latlon_from_local, local_xy
+from alp.geo import TIME_RANGE_MS, CellGrid, GeoPoint, Trace, latlon_from_local, local_xy
+from alp.io import load_dataset
 from alp.lppm import MECHANISMS, LppmConfig, apply_lppm, prepare_lppm
 from alp.metrics import EVALUATORS, PoiClusteringParams, extract_pois
 from alp.rng import RandomStream
 
-from conftest import applied, spans, trace_of
+from conftest import applied, load_outcome, row_loaded, spans, trace_of
 from oracles import (
     brute_area_coverage,
     brute_spatial_distortion,
@@ -221,3 +225,89 @@ def test_a_prepared_empty_trace_stays_empty(name):
     (domain,) = MECHANISMS[name].domains
     for value in domain.values:
         assert apply_lppm(LppmConfig(name, {domain.name: value}), prepared) == Trace("u")
+
+
+# What csv, float() and numpy's C reader may each read differently: characters
+# spliced anywhere, and odd values for each column.
+NOISE = ['"', ",", "\r", "\n", "\r\n", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+         "\x85", "\xa0", " ", "\U00010112", "_", "e", ".", "+", "-", "nan", "inf",
+         "1970-01-02T00:00:00Z", "\ufeff"]
+EPOCHS = [0, 1, -1, 10**11 - 1, 10**11, -(10**11 - 1), -(10**11), *TIME_RANGE_MS,
+          TIME_RANGE_MS[0] - 1, TIME_RANGE_MS[1] + 1, TIME_RANGE_MS[0] // 1000,
+          TIME_RANGE_MS[0] // 1000 - 1, -(2**63), 2**63 - 1, 2**63]
+ODD_DEGREES = ["-0", ".5", "5.", "1_0", "nan", "-inf", "infinity", "2\x1c", "\x1f2", "\xa045", "4\x85",
+               "95", "-90.0001", "-180", "180", "0x10", "", "1e500", "4\U00010112"]
+ODD_VALUES = (
+    ["", " ", "\x0b", "\xa0a", "a\x85", "\U00010112", "a\x1c", "\x1fa", "two\nlines", "cr\rlf", "\ufeffa",
+     "a,b", 'say "hi"', '""'],
+    [str(t) for t in EPOCHS] + ["5\U00010112", "\U00010112", "1\U000101120"] * 3  # digits to numpy
+    + ["1.0", "1e3", "nan", "+5", "1_000", "0x10", "", "5\x1c", "\xa05", "1970-01-02T00:00:00Z",
+       "9999-12-31T23:59:59-01:00"],
+    ODD_DEGREES,
+    ODD_DEGREES,
+)
+HEADERS = ["\ufeffuser,timestamp,lat,lon", "User,Timestamp,Lat,Lon", " user,timestamp,lat,lon ",
+           "user,timestamp,lat", "user,timestamp,lat,lon,x", '"user",timestamp,lat,lon', "u,1,2,3"]
+
+
+def _field(draw, text, quote):
+    """``text``, sometimes padded with ASCII white space, and quoted the way
+    csv quotes where it must be, or where it need not be if ``quote``."""
+    if draw(st.integers(0, 3)) == 0:
+        text = draw(st.text(st.sampled_from(" \t\x0b\x0c"), min_size=1, max_size=2)) + text
+    if quote or any(c in text for c in '",\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_texts(draw):
+    """A trace CSV of plain rows with up to two odd things in it (a value, a
+    field count, a line end, the header, a quoted field or a character) that
+    one reader might take and the other reject."""
+    plain = (st.sampled_from(["a", "b", " a", "a ", "\ta"]),
+             st.integers(-10**14, 10**14).map(str),
+             st.one_of(st.floats(-90, 90).map(repr), st.integers(-90, 90).map(str),
+                       st.floats(-90, 90).map("{:.3e}".format)),
+             st.floats(-179.99, 180).map(repr))
+    rows = draw(st.lists(st.tuples(*plain).map(list), min_size=1, max_size=6))
+    header = "user,timestamp,lat,lon"
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in range(len(rows) + 1)]
+    spliced, quoted = [], set()
+    for kind in draw(st.lists(st.sampled_from(["value", "count", "end", "header", "quote", "char"]),
+                              max_size=2)):
+        if kind == "value":
+            column = draw(st.integers(0, 3))
+            draw(st.sampled_from(rows))[column] = draw(st.sampled_from(ODD_VALUES[column]))
+        elif kind == "count":
+            row = draw(st.sampled_from(rows))
+            if draw(st.booleans()):
+                row.append("")
+            else:
+                row.pop()
+        elif kind == "end":
+            odd_end = draw(st.sampled_from(["\r", "", "\n\n", "\n \n", "\r\r\n"]))
+            ends[draw(st.integers(0, len(rows)))] = odd_end
+        elif kind == "header":
+            header = draw(st.sampled_from(HEADERS))
+        elif kind == "quote":
+            quoted.add((draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 3))))
+        else:
+            spliced.append((draw(st.floats(0, 1)), draw(st.sampled_from(NOISE))))
+    lines = [header] + [",".join(_field(draw, value, (i, j) in quoted) for j, value in enumerate(row))
+                        for i, row in enumerate(rows)]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    for where, noise in spliced:
+        at = round(where * len(text))
+        text = text[:at] + noise + text[at:]
+    return text
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(csv_texts())
+def test_the_loader_agrees_with_its_row_loop(text):
+    # Equal traces bit for bit, or the same message and line-numbered problems.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_outcome(load_dataset, path) == load_outcome(row_loaded, path)
