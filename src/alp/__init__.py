@@ -55,26 +55,17 @@ __all__ = [
 ]
 
 
-# Public name -> the module that defines it.
-_MODULE_OF = {
-    **dict.fromkeys(["CellGrid", "Dataset", "GeoPoint", "Trace"], "geo"),
-    **dict.fromkeys(["LppmConfig", "ParameterDomain", "apply_lppm", "prepare_lppm"], "lppm"),
-    **dict.fromkeys(["PoiClusteringParams", "Pois", "bind_evaluators", "extract_pois",
-                     "median_of_k", "poi_retrieval", "prepare_replicates"], "metrics"),
-    **dict.fromkeys(["AnnealingSchedule", "AnnealResult", "Objective", "acceptance_probability",
-                     "anneal", "initial_state", "neighbour", "parse_objective",
-                     "parse_objectives", "restrict_by_half"], "optimizer"),
-    **dict.fromkeys(["Report", "ReportRow", "RunConfig", "cdf_points", "evaluate", "protect",
-                     "run_offline", "run_online", "split_daily_batches"], "pipeline"),
-    "RandomStream": "rng",
-    **dict.fromkeys(["SynthSpec", "SyntheticDataset", "generate_synthetic_dataset"], "synth"),
-}
+# The modules that define public names, each after every module it imports
+# from, so the first that holds a name is the one that defines it.
+_MODULES = ("geo", "rng", "synth", "lppm", "metrics", "optimizer", "pipeline")
 
 
 def __getattr__(name):
     # Python calls this only for a name missing from the module, and the
     # name is stored there once found, so each module is looked up once.
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    return value
+    if name in __all__:
+        for module in (import_module(f"{__name__}.{m}") for m in _MODULES):
+            if hasattr(module, name):
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,6 +11,8 @@ for all points, or one per point.
 A :class:`Trace` holds one user's positions as columns; its constructor is
 the only way to build one. :class:`GeoPoint` is the single-point type, and
 both accept exactly the positions that :func:`coordinate_problems` passes.
+:meth:`Dataset.from_rows` is the one place that orders a user's rows: the
+loader's rows and the constructor's merged traces both go through it.
 """
 
 from __future__ import annotations
@@ -95,9 +97,9 @@ class Trace:
 
 @dataclass(frozen=True)
 class Dataset:
-    """One time-ordered trace per user, in user order: the constructor, the one
-    place that groups traces by user, merges a user's traces with a stable time
-    sort (equal times keep their given order) and keeps a single one as is."""
+    """One time-ordered trace per user, in user order. The constructor merges
+    a user's several traces, their rows in the given order, by :meth:`from_rows`
+    and keeps a single one as is."""
 
     traces: tuple = ()
 
@@ -108,12 +110,23 @@ class Dataset:
         merged = []
         for user, traces in sorted(grouped.items()):
             if len(traces) > 1:
-                time_ms = np.concatenate([t.time_ms for t in traces])
-                order = np.argsort(time_ms, kind="stable")
-                traces = [Trace(user, np.concatenate([t.lat for t in traces])[order],
-                                np.concatenate([t.lon for t in traces])[order], time_ms[order])]
+                lat, lon, time_ms = map(np.concatenate, zip(*[(t.lat, t.lon, t.time_ms) for t in traces]))
+                traces = Dataset.from_rows([user], np.zeros(len(time_ms), dtype=np.intp), lat, lon, time_ms).traces
             merged.append(traces[0])
         object.__setattr__(self, "traces", tuple(merged))
+
+    @classmethod
+    def from_rows(cls, users, code, lat, lon, time_ms) -> Dataset:
+        """The one grouping rule. Row ``i`` of the columns is user
+        ``users[code[i]]``'s (the ids are distinct); each user's rows, in their
+        given order, take a stable time sort. Traces are built a user at a time."""
+        by_user = np.argsort(code, kind="stable")  # each user's rows in their given order
+        bounds = np.cumsum(np.bincount(code, minlength=len(users)))[:-1]
+        traces = []
+        for user, rows in zip(users, np.split(by_user, bounds)):
+            rows = rows[np.argsort(time_ms[rows], kind="stable")]
+            traces.append(Trace(user, lat[rows], lon[rows], time_ms[rows]))
+        return cls(traces)
 
     def __len__(self) -> int:
         return len(self.traces)

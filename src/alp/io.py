@@ -7,11 +7,11 @@ read as seconds below 1e11 in magnitude and as milliseconds otherwise.
 Two readers give one result. numpy's C reader (``np.loadtxt``) takes a
 plain regular file: the exact header, ASCII bytes without quotes or
 ``\\x1c``-``\\x1f``, lines no longer than csv's field limit, integer epochs
-and valid values. Where it cannot give exactly what the row loop gives, the
-row loop (``csv.reader``, :func:`parse_timestamp_ms`, ``float``) reads the
-file from the start, or a stream such as a pipe in its one pass, and it
-alone numbers problems by line. Both feed one assembly step that groups rows
-by user.
+and valid values. Where it cannot give exactly what the row loop gives, or
+the input is a stream such as a pipe, the row loop (``csv.reader``,
+:func:`parse_timestamp_ms`, ``float``) reads the input's bytes once, from
+the start, and it alone numbers problems by line. Both give file-order
+columns, which :meth:`Dataset.from_rows` groups by user.
 
 All writes go to a temporary file first and are renamed into place, so
 failed runs never leave partial output behind.
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetLoadError
-from .geo import TIME_RANGE_MS, Dataset, Trace, coordinate_problems
+from .geo import TIME_RANGE_MS, Dataset, coordinate_problems
 
 CSV_HEADER = ["user", "timestamp", "lat", "lon"]
 _CHUNK_ROWS = 4096  # rows of text formatted per write
@@ -83,11 +83,11 @@ def load_dataset(path) -> Dataset:
     """
     path = Path(path)
     columns = _read_columns(path)
-    return _assemble(*(columns if columns is not None else _read_rows(path)))
+    return Dataset.from_rows(*(columns if columns is not None else _read_rows(path)))
 
 
 def _read_columns(path: Path):
-    """``(users, code, time_ms, lat, lon)`` by numpy's C reader, or None where
+    """``(users, code, lat, lon, time_ms)`` by numpy's C reader, or None where
     it might not give the row loop's result: a stream (it can be read only
     once), a header that is not the plain one, bytes that numpy and ``float``
     read differently, a quote, a line that could be longer than csv's field
@@ -120,17 +120,20 @@ def _read_columns(path: Path):
     users, code = _user_codes(rows["user"])
     if "" in users:
         return None
-    return users, code, time_ms, rows["lat"], rows["lon"]
+    return users, code, rows["lat"], rows["lon"], time_ms
 
 
 def _read_rows(path: Path):
-    """``(users, code, time_ms, lat, lon)`` by ``csv.reader``, row by row;
-    every problem found raises one :class:`DatasetLoadError` that lists them
-    by line."""
+    """``(users, code, lat, lon, time_ms)`` by ``csv.reader``, row by row, from
+    the input's bytes read once; every problem found raises one
+    :class:`DatasetLoadError` that lists them by line."""
     problems = []
     line_nos, users, times, lats, lons = [], [], [], [], []
+    raw = path.read_bytes()  # once, for a pipe can be read only once
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
+        # Decoded in the 8 KiB blocks that reading the file as text uses, so a
+        # bad byte ends the read after the same rows.
+        with io.TextIOWrapper(io.BytesIO(raw), newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [c.strip().lower() for c in header] != CSV_HEADER:
@@ -160,19 +163,16 @@ def _read_rows(path: Path):
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         problems.append((reader.line_num, str(exc)))
     except UnicodeDecodeError:  # the reader decodes ahead in blocks: find the bad byte's line
-        raw = path.read_bytes()  # a BOM is valid UTF-8, so offsets count from the file start
         try:
-            raw.decode("utf-8")
+            raw.decode("utf-8")  # a BOM is valid UTF-8, so offsets count from the input's start
         except UnicodeDecodeError as exc:
             problems.append((raw.count(b"\n", 0, exc.start) + 1, str(exc)))
-        else:
-            raise
     lat, lon = np.array(lats, dtype=np.float64), np.array(lons, dtype=np.float64)
     problems += [(line_nos[i], message) for i, message in coordinate_problems(lat, lon)]
     if problems:
         problems.sort()
         raise DatasetLoadError(f"{path}: {len(problems)} malformed row(s)", problems)
-    return (*_user_codes(users), np.array(times, dtype=np.int64), lat, lon)
+    return (*_user_codes(users), lat, lon, np.array(times, dtype=np.int64))
 
 
 def _user_codes(ids):
@@ -185,18 +185,6 @@ def _user_codes(ids):
     codes: dict = {}
     run_codes = [codes.setdefault(user.strip(), len(codes)) for user in ids[starts].tolist()]
     return list(codes), np.repeat(np.array(run_codes, dtype=np.intp), np.diff(starts, append=len(ids)))
-
-
-def _assemble(users, code, time_ms, lat, lon) -> Dataset:
-    """The dataset of file-order columns: one trace per user, its rows in a
-    stable time sort (equal times keep file order)."""
-    by_user = np.argsort(code, kind="stable")  # each user's rows in file order
-    bounds = np.cumsum(np.bincount(code, minlength=len(users)))[:-1]
-    traces = []
-    for user, rows in zip(users, np.split(by_user, bounds)):
-        rows = rows[np.argsort(time_ms[rows], kind="stable")]
-        traces.append(Trace(user, lat[rows], lon[rows], time_ms[rows]))
-    return Dataset(traces)
 
 
 def _atomic_write(path: Path, write_fn):

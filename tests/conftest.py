@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from alp import io as alp_io
 from alp.errors import DatasetLoadError
-from alp.geo import GeoPoint, Trace, latlon_from_local
+from alp.geo import Dataset, GeoPoint, Trace, latlon_from_local
 from alp.lppm import apply_lppm, prepare_lppm
 from alp.metrics import Pois
 
@@ -33,7 +33,7 @@ def points_of(trace):
 def row_loaded(path):
     """``path`` read by the row loop alone (``csv.reader``, ``parse_timestamp_ms``
     and ``float``), the reference that numpy's C reader must match."""
-    return alp_io._assemble(*alp_io._read_rows(Path(path)))
+    return Dataset.from_rows(*alp_io._read_rows(Path(path)))
 
 
 def load_outcome(load, path):

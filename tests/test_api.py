@@ -36,6 +36,11 @@ def test_import_alp_loads_no_module_and_no_numpy():
     assert _child(script) == "[]"
 
 
+def test_alp_trace_loads_alp_geo_alone():
+    script = "import sys, alp; alp.Trace; print(sorted(m for m in sys.modules if m.startswith('alp.')))"
+    assert _child(script) == "['alp.geo']"
+
+
 # A finder placed first on sys.meta_path records the BLAS thread setting at
 # the moment numpy is first looked up, then lets the normal finders load it.
 _BLAS_THREADS_AT_NUMPY = """
@@ -131,6 +136,14 @@ def test_only_geo_reads_the_earth_radius_or_converts_angles():
             if name in geometry:
                 reads.append(f"{path.name}:{node.lineno}: {name}")
     assert reads == []
+
+
+def test_only_geo_orders_rows():
+    # Dataset.from_rows is the one rule for ordering a user's rows: a module
+    # that sorts indices itself groups or orders rows by a rule of its own.
+    trees = _package_trees()
+    assert [file for file, tree in trees.items()
+            if file != "geo.py" and {"argsort", "lexsort"} & _read_names([tree])] == []
 
 
 def _top_level_names(tree: ast.Module) -> dict:

@@ -108,19 +108,27 @@ class TestFastPath:
         assert load_dataset(path) == syn.dataset
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd paths for pipes")
-    @pytest.mark.parametrize("text", [
-        HEADER + "u,1000,45,5\nv,2000,45.5,5.5\nu,500,44,4\n",
-        HEADER + "u,1970-01-02T00:00:00Z,45,5\n",
-    ], ids=["c-reader-text", "row-loop-text"])
-    def test_a_pipe_reads_as_a_file_does(self, tmp_path, text):
+    @pytest.mark.parametrize("data", [
+        (HEADER + "u,1000,45,5\nv,2000,45.5,5.5\nu,500,44,4\n").encode(),
+        (HEADER + "u,1970-01-02T00:00:00Z,45,5\n").encode(),
+        HEADER.encode() + b"u\xff,1000,45,5\n",
+    ], ids=["c-reader-text", "row-loop-text", "bad-utf-8"])
+    def test_a_pipe_reads_as_a_file_does(self, tmp_path, data):
         # A pipe can be read only once, as with --input <(zcat traces.csv.gz).
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
         read_fd, write_fd = os.pipe()
         try:
-            os.write(write_fd, text.encode())  # smaller than any pipe buffer
+            os.write(write_fd, data)  # smaller than any pipe buffer
             os.close(write_fd)
-            assert load_dataset(f"/dev/fd/{read_fd}") == load_dataset(_write(tmp_path, text))
+            pipe = f"/dev/fd/{read_fd}"
+            from_pipe = load_outcome(load_dataset, pipe)
         finally:
             os.close(read_fd)
+        from_file = load_outcome(load_dataset, path)
+        if isinstance(from_file, tuple):  # an error's message, which names the input, and problems
+            from_pipe = (from_pipe[0].replace(pipe, str(path), 1), from_pipe[1])
+        assert from_pipe == from_file
 
     def test_protect_imports_no_module_the_row_loop_did_not(self, tmp_path):
         # np.loadtxt given a path imports gzip; the loader hands it an open file.

@@ -201,6 +201,9 @@ class TestLoadDataset:
         assert traces[0].lat.tolist() == [5.0, 2.0]
         assert traces[1].time_ms.tolist() == [1_000_000, 2_000_000, 2_000_000]
         assert traces[1].lat.tolist() == [3.0, 1.0, 4.0]
+        # the loader and the constructor's merge apply one rule
+        rows = [("b", 2000, 1), ("a", 3000, 2), ("b", 1000, 3), ("b", 2000, 4), ("a", 1000, 5)]
+        assert load_dataset(path) == Dataset([Trace(u, [x], [x], [t * 1000]) for u, t, x in rows])
 
     def test_synth_write_load_write_is_byte_identical(self, tmp_path):
         syn = generate_synthetic_dataset(SynthSpec(users=3, days=2, seed=11,
