@@ -88,7 +88,7 @@ def _add_metric_flags(p: argparse.ArgumentParser):
     p.add_argument("--poi-diameter", type=_finite_float, help="max POI cluster diameter in meters (default 200)")
     p.add_argument("--poi-stay-minutes", type=_finite_float, help="min POI stay time in minutes (default 15)")
     p.add_argument("--match-threshold", type=_finite_float, help="POI match threshold in meters (default 100)")
-    p.add_argument("--robust-k", type=int, help="median-of-k evaluations (default 3, 1 if deterministic)")
+    p.add_argument("--robust-k", type=int, help="median of k replicates per state; the first is published (default 1)")
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser):

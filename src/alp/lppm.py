@@ -7,10 +7,10 @@ promesse's path in the plane. ``transform(prepared, assignment)`` finishes
 the trace for one assignment. The tuner scores many assignments on the same
 replicates, so it prepares each (unit, replicate) once and transforms it
 once per state. ``MECHANISMS`` holds one entry per mechanism (``geo-i`` and
-``promesse``): its two steps, its parameter domains, its default
-median-of-k and its default objectives. An :class:`LppmConfig` names the
-mechanism and its values, so evaluators and the tuner stay
-mechanism-agnostic; :func:`checked` is the one place that validates it.
+``promesse``): its two steps, its parameter domains and its default
+objectives. An :class:`LppmConfig` names the mechanism and its values, so
+evaluators and the tuner stay mechanism-agnostic; :func:`checked` is the one
+place that validates it.
 """
 
 from __future__ import annotations
@@ -177,16 +177,13 @@ class Mechanism:
     ``prepare(trace, rng)`` does the parameter-free work of protecting a
     trace on one stream, and ``transform(prepared, assignment)`` finishes it
     for one assignment. The parameter names are the names of ``domains``,
-    the grids the tuner searches.
-    ``robust_k`` is the default number of replicates a metric is the median
-    of (1 when ``prepare`` draws no randomness), and ``objectives`` the
-    default objective spec.
+    the grids the tuner searches, and ``objectives`` is the default
+    objective spec.
     """
 
     prepare: Callable
     transform: Callable
     domains: tuple
-    robust_k: int
     objectives: str
 
 
@@ -197,7 +194,6 @@ MECHANISMS = {
         prepare=_geo_i_prepare,
         transform=_geo_i_transform,
         domains=(ParameterDomain.log_spaced("epsilon", 0.001, 0.1, 101),),
-        robust_k=3,
         objectives="min:pois,min:distortion:scale=500",
     ),
     # Speed smoothing at spacing alpha (meters); it obfuscates time rather
@@ -206,7 +202,6 @@ MECHANISMS = {
         prepare=_promesse_prepare,
         transform=_promesse_transform,
         domains=(ParameterDomain.linear("alpha", 5.0, 500.0, 101),),
-        robust_k=1,
         objectives="min:pois,max:coverage",
     ),
 }

@@ -185,7 +185,9 @@ class ObjectiveCost:
     replicate). A state's cost sums the normalized median-of-k values of the
     objectives' evaluators, all scored on those replicates, which every state
     shares. So a state has one cost, and it is scored once: a repeated state
-    returns the cost kept from its first call.
+    returns the cost kept from its first call. The unit is published as
+    replicate 0, so at k = 1 a state's cost is the cost of the trace that
+    publishing it writes.
     """
 
     def __init__(self, objectives: Sequence[Objective], bound: dict, replicates: tuple):

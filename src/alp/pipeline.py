@@ -6,8 +6,10 @@ on the calling thread; it names the user (and day) of a unit that fails. Its
 callers are the code paths of the four input commands: :func:`evaluate`,
 :func:`protect`, :func:`run_offline` and :func:`run_online`. It alone lays out the
 streams: a unit's root ``(seed, user, day or "offline")`` has the children ``cost``
-(replicate i of every state scored on ``cost/rep/i``), ``anneal`` (the search chain)
-and ``protect``, so every result is a deterministic function of (dataset, config).
+(replicate i of every state scored on ``cost/rep/i``) and ``anneal`` (the search
+chain), so every result is a deterministic function of (dataset, config). The
+trace a job publishes is replicate 0 under the chosen configuration: the very
+draw its row's cost and metrics score (:func:`_replicates`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import AlpError, ConfigurationError
 from .geo import MS_PER_DAY, CellGrid, Dataset, Trace, utc_day
-from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism, prepare_lppm
+from .lppm import MECHANISMS, LppmConfig, apply_lppm, checked, mechanism
 from .metrics import (EVALUATORS, PoiClusteringParams, bind_evaluators, checked_robust_k, evaluator,
                       median_of_k, prepare_replicates)
 from .optimizer import AnnealingSchedule, ObjectiveCost, anneal, parse_objectives
@@ -50,8 +52,10 @@ class RunConfig:
     A ``static_assignment`` fixes the configuration of every unit instead of
     tuning it: :func:`evaluate` and :func:`protect` need one, :func:`run_online`
     then runs the static baseline, and :func:`run_offline` rejects one.
-    ``objectives`` and ``robust_k`` left at None take the mechanism's
-    defaults from ``MECHANISMS``, and every setting is checked here.
+    ``objectives`` left at None takes the mechanism's default from
+    ``MECHANISMS``, and every setting is checked here. ``robust_k`` is the
+    number of replicates a state's metrics are the median of; replicate 0
+    is the one published whatever k is.
     """
 
     lppm_name: str
@@ -61,7 +65,7 @@ class RunConfig:
     poi_params: PoiClusteringParams = field(default_factory=PoiClusteringParams)
     cell_size_m: float = CellGrid.cell_size_m
     seed: int = 42
-    robust_k: int | None = None
+    robust_k: int = 1
     use_best: bool = True
 
     def __post_init__(self):
@@ -77,8 +81,7 @@ class RunConfig:
             if name in names[:i]:
                 raise ConfigurationError(f"objectives name evaluator {name!r} twice")
         object.__setattr__(self, "objectives", tuple(objectives))
-        k = entry.robust_k if self.robust_k is None else self.robust_k
-        object.__setattr__(self, "robust_k", checked_robust_k(k))
+        checked_robust_k(self.robust_k)
         CellGrid(self.cell_size_m)  # raises on a cell size that is not positive
 
     @property
@@ -151,14 +154,23 @@ class Report:
         }
 
 
+def _replicates(lppm_name: str, raw: Trace, k: int, rng: RandomStream) -> tuple:
+    """The k replicates a unit is scored on, from its root stream ``rng``:
+    replicate i is drawn from ``cost/rep/i``. Every job publishes replicate 0."""
+    return prepare_replicates(lppm_name, raw, k, rng.child("cost"))
+
+
 def _process_unit(user: str, day: date | None, raw: Trace, rng: RandomStream, config: RunConfig, grid: CellGrid):
     """Tune (or fix) a configuration for one unit, protect it, measure it.
 
     Each entry of ``EVALUATORS`` is bound to the raw trace once; the search,
-    whose objectives name only these, and the row's metrics share them.
+    whose objectives name only these, and the row's metrics share them. The
+    unit is published as replicate 0 under the chosen configuration, so at
+    k = 1 the row's cost is the cost of the trace written; at a larger k it
+    is the median over the k replicates that replicate 0 is one of.
     """
     bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
-    replicates = prepare_replicates(config.lppm_name, raw, config.robust_k, rng.child("cost"))
+    replicates = _replicates(config.lppm_name, raw, config.robust_k, rng)
     cost_fn = ObjectiveCost(config.objectives, bound, replicates)
     if config.static_assignment is not None:
         chosen = config.static_config
@@ -168,7 +180,7 @@ def _process_unit(user: str, day: date | None, raw: Trace, rng: RandomStream, co
                         config.schedule, rng.child("anneal"), n_objectives=len(config.objectives))
         chosen, cost = result.chosen(config.use_best)
 
-    protected = apply_lppm(chosen, prepare_lppm(config.lppm_name, raw, rng.child("protect")))
+    protected = apply_lppm(chosen, replicates[0])
     metrics = {name: bound[name](protected) for name in EVALUATORS}
     return ReportRow(user, day, chosen, metrics, cost), protected
 
@@ -210,24 +222,27 @@ def run_online(dataset: Dataset, config: RunConfig) -> Report:
 
 def evaluate(dataset: Dataset, config: RunConfig) -> list:
     """``(user, {metric: median})`` per user: the static configuration scored on
-    the ``robust_k`` replicates that the offline search scores it on."""
+    the ``robust_k`` replicates that the offline search scores it on. At k = 1
+    these are the metrics of the trace :func:`protect` writes."""
     static = config.static_config
     grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
 
     def job(user, day, trace, rng):
         bound = bind_evaluators(EVALUATORS, trace, config.poi_params, grid)
-        replicates = prepare_replicates(static.lppm_name, trace, config.robust_k, rng.child("cost"))
+        replicates = _replicates(static.lppm_name, trace, config.robust_k, rng)
         return user, median_of_k(bound, static, replicates)
 
     return list(_run_units(dataset, config.seed, job))
 
 
 def protect(dataset: Dataset, config: RunConfig) -> Dataset:
-    """Each user's trace under the static configuration, drawn from the stream
-    the offline search publishes it on."""
+    """Each user's trace under the static configuration: replicate 0 of the
+    user's offline root, the trace the offline search publishes and the one
+    :func:`evaluate` scores at k = 1."""
     static = config.static_config
 
     def job(user, day, trace, rng):
-        return apply_lppm(static, prepare_lppm(static.lppm_name, trace, rng.child("protect")))
+        (replicate,) = _replicates(static.lppm_name, trace, 1, rng)
+        return apply_lppm(static, replicate)
 
     return Dataset(_run_units(dataset, config.seed, job))

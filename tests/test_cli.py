@@ -588,7 +588,7 @@ class TestSingleOwner:
             "match_threshold": poi.match_threshold_m, "cell_size": CellGrid().cell_size_m,
             "users": spec.users, "days": spec.days, "pois": spec.pois_per_user,
             "dwell_minutes": spec.dwell_minutes, "speed": spec.speed_mps,
-            "sample_period": spec.sample_period_s,
+            "sample_period": spec.sample_period_s, "robust_k": RunConfig("geo-i").robust_k,
         }
         (sub,) = (a for a in build_parser()._actions if a.dest == "command")
         stated = {action.dest: float(m.group(1))

@@ -216,8 +216,8 @@ def test_mechanism_table_is_consistent(name, gen):
     config = LppmConfig(name, {d.name: d.values[0] for d in entry.domains})
     protected = applied(config, trace, RandomStream(3))
     assert protected.user == "carol"
-    # a single replicate is enough exactly when the transform ignores its stream
-    assert (entry.robust_k == 1) == (protected == applied(config, trace, RandomStream(4)))
+    # geo-i draws its noise from the stream; promesse ignores it
+    assert (protected == applied(config, trace, RandomStream(4))) == (name == "promesse")
 
 
 class TestDomains:

@@ -377,7 +377,7 @@ class TestStaticJobs:
 
     def test_protect_draws_each_user_from_the_offline_protect_stream(self, two_users):
         static = LppmConfig("geo-i", {"epsilon": 0.01})
-        expected = Dataset(applied(static, t, RandomStream(4).child(t.user, "offline", "protect"))
+        expected = Dataset(applied(static, t, RandomStream(4).child(t.user, "offline", "cost", "rep", 0))
                            for t in two_users)
         protected = protect(two_users, RunConfig("geo-i", static_assignment=static.assignment, seed=4))
         assert [t.user for t in protected] == ["u000", "u001"]
@@ -404,9 +404,10 @@ class TestOneScorePerState:
 
     def test_each_replicate_is_drawn_once_per_unit(self, monkeypatch):
         # The benchmark's online-geoi input at seed 811: 4 units whose searches
-        # score 62 distinct states on k = 3 replicates (186 applies), then
-        # protect each unit once. Every state reuses the replicates prepared
-        # on rep/i, so each of the 12 rep/i streams is drawn from once.
+        # score 62 distinct states on k = 1 replicate (62 applies), then
+        # publish each unit's replicate once more. Every state reuses the
+        # replicate prepared on rep/0, and publishing draws no stream of its
+        # own, so each unit draws only cost/rep/0 and its chain, once each.
         import alp.metrics
         import alp.pipeline
 
@@ -425,9 +426,9 @@ class TestOneScorePerState:
         monkeypatch.setattr(alp.metrics, "apply_lppm", apply)
         monkeypatch.setattr(alp.pipeline, "apply_lppm", apply)
         run_online(dataset, RunConfig("geo-i", seed=811, schedule=AnnealingSchedule(t_min=0.2)))
-        replicates = {label: n for label, n in drawn.items() if "/cost/rep/" in label}
-        assert len(replicates) == 4 * 3 and set(replicates.values()) == {1}
-        assert calls == {"extract_pois": 194, "apply_lppm": 190}
+        assert drawn == {f"u00{i}/2024-01-01/{label}": 1 for i in range(4)
+                         for label in ("cost/rep/0", "anneal/chain")}
+        assert calls == {"extract_pois": 70, "apply_lppm": 66}
 
     @pytest.fixture(scope="class")
     def two_users(self):
@@ -487,6 +488,47 @@ class TestOneScorePerState:
         states = {state for state, _ in calls}
         assert len(states) < len(calls)  # some state is visited more than once
         assert len(set(calls)) == len(states)
+
+
+class TestPublishedTraceMeetsItsCost:
+    """At the default k, a unit publishes the replicate its search scored, so a row's cost is
+    the cost of the trace written, and ``evaluate`` scores the trace ``protect`` writes."""
+
+    @pytest.fixture(scope="class")
+    def two_users(self):
+        return generate_synthetic_dataset(SynthSpec(users=2, days=2, pois_per_user=3, seed=811)).dataset
+
+    @staticmethod
+    def objective_sum(objectives, metrics):
+        total = 0.0
+        for o in objectives:
+            n = min(metrics[o.evaluator_name], o.scale) / o.scale
+            total += n if o.minimise else 1.0 - n
+        return total
+
+    @pytest.mark.parametrize("job", [run_online, run_offline], ids=["online", "offline"])
+    def test_each_tuned_row_costs_what_its_metrics_cost(self, two_users, job):
+        config = RunConfig("geo-i", seed=811)
+        report = job(two_users, config)
+        assert len(report.rows) == (4 if job is run_online else 2)
+        for row in report.rows:
+            assert row.cost == self.objective_sum(config.objectives, row.metrics)
+
+    def test_offline_metrics_score_the_published_trace(self, two_users):
+        config = RunConfig("geo-i", seed=811)
+        report = run_offline(two_users, config)
+        grid = CellGrid(config.cell_size_m, two_users.mean_latitude())
+        for row, raw, published in zip(report.rows, two_users, report.protected, strict=True):
+            bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
+            assert {name: score(published) for name, score in bound.items()} == row.metrics
+
+    def test_evaluate_scores_the_trace_protect_writes(self, two_users):
+        config = RunConfig("geo-i", static_assignment={"epsilon": 0.005}, seed=811)
+        grid = CellGrid(config.cell_size_m, two_users.mean_latitude())
+        expected = [(raw.user, {name: score(published) for name, score in
+                                bind_evaluators(EVALUATORS, raw, config.poi_params, grid).items()})
+                    for raw, published in zip(two_users, protect(two_users, config), strict=True)]
+        assert evaluate(two_users, config) == expected
 
 
 class TestRunOffline:
@@ -589,7 +631,7 @@ class TestRunOnline:
         report = run_online(dataset, RunConfig(lppm, static_assignment=assignment, seed=5))
         assert [trace.user for trace in report.protected] == ["u000", "u001"]
         batches = [batch for trace in dataset for _, batch in split_daily_batches(trace)]
-        units = [applied(row.config, batch, RandomStream(5).child(row.user, row.day.isoformat(), "protect"))
+        units = [applied(row.config, batch, RandomStream(5).child(row.user, row.day.isoformat(), "cost", "rep", 0))
                  for row, batch in zip(report.rows, batches, strict=True)]
         assert len(units) == 4
         expected = io.StringIO(newline="")
