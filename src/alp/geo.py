@@ -137,15 +137,6 @@ class Dataset:
     def total_records(self) -> int:
         return sum(len(t) for t in self.traces)
 
-    def mean_latitude(self) -> float:
-        """Reference latitude for the cell grid, fixed per dataset."""
-        n = self.total_records()
-        if n == 0:
-            return 0.0
-        # cumsum adds strictly left to right, like a plain float sum; the
-        # pairwise order of np.sum could move the grid reference by an ulp.
-        return float(np.cumsum(np.concatenate([t.lat for t in self.traces]))[-1]) / n
-
 
 # ---------------------------------------------------------------------------
 # Coordinate checks, distance and projection math (vectorized)
@@ -228,14 +219,10 @@ def sphere_xyz(lat, lon):
 
 @dataclass(frozen=True)
 class CellGrid:
-    """Square grid in locally projected meters.
-
-    The reference latitude fixes the meters-per-degree-longitude scale for
-    the whole grid so cell areas stay near-uniform across one experiment.
-    """
+    """The coverage cell size: a square grid in locally projected meters, its
+    cells near-square at the reference latitude that each :meth:`cells_of` call names."""
 
     cell_size_m: float = 250.0
-    ref_lat_deg: float = 0.0
 
     def __post_init__(self):
         if not self.cell_size_m > 0:
@@ -244,9 +231,9 @@ class CellGrid:
         if not math.pi * EARTH_RADIUS_M / self.cell_size_m < 2.0**62:
             raise ValueError(f"cell size must exceed {math.pi * EARTH_RADIUS_M / 2.0**62:.3g} m")
 
-    def cells_of(self, lat, lon) -> set:
-        """The set of (ix, iy) cells touched by degree coordinate arrays."""
-        scale = EARTH_RADIUS_M * math.cos(math.radians(self.ref_lat_deg))
+    def cells_of(self, lat, lon, ref_lat_deg: float) -> set:
+        """The set of (ix, iy) cells touched by degree coordinate arrays, near-square at ``ref_lat_deg``."""
+        scale = EARTH_RADIUS_M * math.cos(math.radians(ref_lat_deg))
         ix = np.floor(np.radians(np.asarray(lon, dtype=float)) * scale / self.cell_size_m)
         iy = np.floor(np.radians(np.asarray(lat, dtype=float)) * EARTH_RADIUS_M / self.cell_size_m)
         return set(zip(ix.astype(np.int64).tolist(), iy.astype(np.int64).tolist()))

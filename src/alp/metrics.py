@@ -11,7 +11,8 @@ setting is passed explicitly. The three evaluators:
 * ``distortion`` - mean distance from each protected location to the nearest
                    raw location, in meters (utility, lower is better).
 * ``coverage``   - F-score over the sets of grid cells touched by the raw
-                   and protected traces (utility, higher is better).
+                   and protected traces, near-square at the raw trace's mean
+                   latitude (utility, higher is better).
 """
 
 from __future__ import annotations
@@ -309,10 +310,14 @@ def _nearest_finder(points_xyz: np.ndarray) -> Callable[[np.ndarray], np.ndarray
 
 
 def _bind_coverage(raw: Trace, poi_params: PoiClusteringParams, grid: CellGrid) -> Callable[[Trace], float]:
-    cells_raw = grid.cells_of(raw.lat, raw.lon)
+    """Coverage on cells near-square at the raw trace's mean latitude, so that no other
+    trace moves it. cumsum adds left to right, like a plain float sum (np.sum's pairwise
+    order could move the reference by an ulp). An empty raw trace scores 0."""
+    ref_lat = float(np.cumsum(raw.lat)[-1]) / len(raw) if len(raw) else 0.0
+    cells_raw = grid.cells_of(raw.lat, raw.lon, ref_lat)
 
     def evaluate(protected: Trace) -> float:
-        cells_obf = grid.cells_of(protected.lat, protected.lon)
+        cells_obf = grid.cells_of(protected.lat, protected.lon, ref_lat)
         return _f_score(len(cells_raw & cells_obf), len(cells_raw), len(cells_obf))
 
     return evaluate

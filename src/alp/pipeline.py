@@ -7,7 +7,8 @@ callers are the code paths of the four input commands: :func:`evaluate`,
 :func:`protect`, :func:`run_offline` and :func:`run_online`. It alone lays out the
 streams: a unit's root ``(seed, user, day or "offline")`` has the children ``cost``
 (replicate i of every state scored on ``cost/rep/i``) and ``anneal`` (the search
-chain), so every result is a deterministic function of (dataset, config). The
+chain), so a unit's row and trace are a function of its raw trace, its root
+stream and the config alone, never of the other days or users in the input. The
 trace a job publishes is replicate 0 under the chosen configuration: the very
 draw its row's cost and metrics score (:func:`_replicates`).
 """
@@ -160,7 +161,7 @@ def _replicates(lppm_name: str, raw: Trace, k: int, rng: RandomStream) -> tuple:
     return prepare_replicates(lppm_name, raw, k, rng.child("cost"))
 
 
-def _process_unit(user: str, day: date | None, raw: Trace, rng: RandomStream, config: RunConfig, grid: CellGrid):
+def _process_unit(user: str, day: date | None, raw: Trace, rng: RandomStream, config: RunConfig):
     """Tune (or fix) a configuration for one unit, protect it, measure it.
 
     Each entry of ``EVALUATORS`` is bound to the raw trace once; the search,
@@ -169,7 +170,7 @@ def _process_unit(user: str, day: date | None, raw: Trace, rng: RandomStream, co
     k = 1 the row's cost is the cost of the trace written; at a larger k it
     is the median over the k replicates that replicate 0 is one of.
     """
-    bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
+    bound = bind_evaluators(EVALUATORS, raw, config.poi_params, CellGrid(config.cell_size_m))
     replicates = _replicates(config.lppm_name, raw, config.robust_k, rng)
     cost_fn = ObjectiveCost(config.objectives, bound, replicates)
     if config.static_assignment is not None:
@@ -200,8 +201,7 @@ def _run_units(dataset: Dataset, seed: int, job, daily: bool = False):
 
 
 def _tuned_report(dataset: Dataset, config: RunConfig, mode: str, daily: bool) -> Report:
-    grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
-    outcomes = list(_run_units(dataset, config.seed, lambda *unit: _process_unit(*unit, config, grid), daily))
+    outcomes = list(_run_units(dataset, config.seed, lambda *unit: _process_unit(*unit, config), daily))
     return Report(tuple(row for row, _ in outcomes), config.describe(mode),
                   Dataset(trace for _, trace in outcomes))
 
@@ -225,10 +225,9 @@ def evaluate(dataset: Dataset, config: RunConfig) -> list:
     the ``robust_k`` replicates that the offline search scores it on. At k = 1
     these are the metrics of the trace :func:`protect` writes."""
     static = config.static_config
-    grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
 
     def job(user, day, trace, rng):
-        bound = bind_evaluators(EVALUATORS, trace, config.poi_params, grid)
+        bound = bind_evaluators(EVALUATORS, trace, config.poi_params, CellGrid(config.cell_size_m))
         replicates = _replicates(static.lppm_name, trace, config.robust_k, rng)
         return user, median_of_k(bound, static, replicates)
 

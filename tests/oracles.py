@@ -74,6 +74,15 @@ def brute_cell(point, cell_size_m, ref_lat_deg):
     return (ix, iy)
 
 
+def brute_mean_latitude(points):
+    """Mean latitude of the points, summed left to right in a plain loop (the
+    built-in ``sum`` compensates on Python 3.12 and later), 0.0 for none."""
+    total = 0.0
+    for p in points:
+        total += p.lat
+    return total / len(points) if points else 0.0
+
+
 def brute_area_coverage(raw_points, protected_points, cell_size_m, ref_lat_deg):
     """F-score over cell sets computed with :func:`brute_cell`."""
     cells_raw = {brute_cell(p, cell_size_m, ref_lat_deg) for p in raw_points}

@@ -27,6 +27,7 @@ from alp.synth import SynthSpec, generate_synthetic_dataset
 from conftest import applied, plane_points, pois_of, random_walk_trace, spans, trace_of
 from oracles import (
     brute_area_coverage,
+    brute_mean_latitude,
     brute_poi_retrieval,
     brute_spatial_distortion,
     monotone_arc_positions,
@@ -129,9 +130,9 @@ def test_criterion_3_metric_oracles():
 
             cell_size = float(gen.uniform(100, 500))
             raw, prot = points(int(gen.integers(1, 101))), points(int(gen.integers(1, 101)))
-            grid = CellGrid(cell_size, BASE.lat)
+            grid = CellGrid(cell_size)
             got = EVALUATORS["coverage"].bind(trace_of(raw), PoiClusteringParams(), grid)(trace_of(prot))
-            want = brute_area_coverage(raw, prot, cell_size, BASE.lat)
+            want = brute_area_coverage(raw, prot, cell_size, brute_mean_latitude(raw))
             check(got == want, f"coverage instance {i}: {got} != {want}")
 
         params = PoiClusteringParams()

@@ -146,6 +146,14 @@ def test_only_geo_orders_rows():
             if file != "geo.py" and {"argsort", "lexsort"} & _read_names([tree])] == []
 
 
+def test_only_metrics_places_cells():
+    # The coverage evaluator alone fixes a grid's reference latitude, from its
+    # raw trace; a module that places cells itself picks a reference of its own.
+    trees = _package_trees()
+    assert [file for file, tree in trees.items()
+            if file != "metrics.py" and "cells_of" in _read_names([tree])] == []
+
+
 def _top_level_names(tree: ast.Module) -> dict:
     """Name -> line of each module-level function, class or variable."""
     names = {}

@@ -218,7 +218,7 @@ class TestTraceInvariants:
     def test_empty_dataset(self):
         dataset = Dataset()
         assert dataset == Dataset([]) and list(dataset) == [] and len(dataset) == 0
-        assert dataset.total_records() == 0 and dataset.mean_latitude() == 0.0
+        assert dataset.total_records() == 0
 
 
 NAN, INF = float("nan"), float("inf")
@@ -276,19 +276,19 @@ class TestOneCoordinateRule:
             assert text.count(fragment) == 1, fragment
 
 
-def cell_at(grid, p):
+def cell_at(grid, p, ref_lat_deg):
     """The one (ix, iy) cell of a point, through the grid's vectorized path."""
-    (cell,) = grid.cells_of([p.lat], [p.lon])
+    (cell,) = grid.cells_of([p.lat], [p.lon], ref_lat_deg)
     return cell
 
 
 class TestCells:
     def test_origin_cell(self):
-        assert cell_at(CellGrid(250), GeoPoint(0, 0)) == (0, 0)
+        assert cell_at(CellGrid(250), GeoPoint(0, 0), 0.0) == (0, 0)
 
     def test_floor_arithmetic(self):
-        assert cell_at(CellGrid(250), GeoPoint(0, 0.001)) == (0, 0)   # 111.19 < 250
-        assert cell_at(CellGrid(250), GeoPoint(0, 0.003)) == (1, 0)   # 333.58 >= 250
+        assert cell_at(CellGrid(250), GeoPoint(0, 0.001), 0.0) == (0, 0)   # 111.19 < 250
+        assert cell_at(CellGrid(250), GeoPoint(0, 0.003), 0.0) == (1, 0)   # 333.58 >= 250
 
     def test_rejects_non_positive_size(self):
         with pytest.raises(ValueError):
@@ -304,7 +304,7 @@ class TestCells:
 
     def test_smallest_sizes_give_in_range_cells(self):
         # the extreme coordinates still land in int64 cells on the right side of 0
-        cells = CellGrid(4.4e-12).cells_of([90.0, -90.0], [180.0, -179.9])
+        cells = CellGrid(4.4e-12).cells_of([90.0, -90.0], [180.0, -179.9], 0.0)
         assert all(0 < abs(i) < 2**62 for cell in cells for i in cell)
         assert sorted((ix > 0, iy > 0) for ix, iy in cells) == [(False, False), (True, True)]
 
@@ -315,22 +315,22 @@ class TestCells:
 
         from alp.geo import EARTH_RADIUS_M
 
-        grid = CellGrid(250, ref_lat_deg=45.0)
+        grid = CellGrid(250)
         scale = EARTH_RADIUS_M * math.cos(math.radians(45.0))
         for _ in range(500):
             p = GeoPoint(45 + float(gen.uniform(-0.1, 0.1)), 5 + float(gen.uniform(-0.1, 0.1)))
-            ix, iy = cell_at(grid, p)
-            assert cell_at(grid, p) == (ix, iy)
+            ix, iy = cell_at(grid, p, 45.0)
+            assert cell_at(grid, p, 45.0) == (ix, iy)
             x = math.radians(p.lon) * scale
             y = math.radians(p.lat) * EARTH_RADIUS_M
             assert ix * 250 <= x < (ix + 1) * 250
             assert iy * 250 <= y < (iy + 1) * 250
 
     def test_nearby_points_share_cell_away_from_boundaries(self):
-        grid = CellGrid(250, ref_lat_deg=0.0)
+        grid = CellGrid(250)
         center = GeoPoint(0.0005618, 0.0005618)  # mid-cell at this size
         near = GeoPoint(center.lat, center.lon + 0.0001)  # ~11 m east
-        assert cell_at(grid, center) == cell_at(grid, near)
+        assert cell_at(grid, center, 0.0) == cell_at(grid, near, 0.0)
 
 
 class TestCalendar:

@@ -32,6 +32,7 @@ from alp.synth import SynthSpec, generate_synthetic_dataset
 from conftest import applied, make_trace, plane_points, points_of, pois_of, spans, trace_of
 from oracles import (
     brute_area_coverage,
+    brute_mean_latitude,
     brute_poi_retrieval,
     brute_spatial_distortion,
     scan_extract_pois,
@@ -476,37 +477,37 @@ class TestNearestRawPointIsExact:
 
 class TestAreaCoverage:
     def test_identical_sets(self):
-        grid = CellGrid(250, BASE.lat)
+        grid = CellGrid(250)
         pts = points_at([(0, 0), (600, 600), (-400, 100)])
         assert bound_coverage(pts, pts, grid) == 1.0
 
     def test_disjoint_sets(self):
-        grid = CellGrid(250, BASE.lat)
+        grid = CellGrid(250)
         raw = points_at([(0, 0)])
         prot = points_at([(50_000, 50_000)])
         assert bound_coverage(raw, prot, grid) == 0.0
 
     def test_half_overlap(self):
-        grid = CellGrid(250, BASE.lat)
+        grid = CellGrid(250)
         raw = points_at([(0, 0), (1000, 1000)])       # cells A, B
         prot = points_at([(0, 0), (-1000, -1000)])    # cells A, C
         assert bound_coverage(raw, prot, grid) == 0.5
 
     def test_empty_sets_score_zero(self):
-        grid = CellGrid(250, BASE.lat)
+        grid = CellGrid(250)
         assert bound_coverage(points_at([(0, 0)]), [], grid) == 0.0
         assert bound_coverage([], points_at([(0, 0)]), grid) == 0.0
 
     def test_matches_brute_force(self, gen):
         for _ in range(200):
             cell_size = float(gen.uniform(100, 500))
-            grid = CellGrid(cell_size, BASE.lat)
+            grid = CellGrid(cell_size)
             raw = points_at([(float(gen.uniform(-2000, 2000)), float(gen.uniform(-2000, 2000)))
                              for _ in range(int(gen.integers(1, 101)))])
             prot = points_at([(float(gen.uniform(-2000, 2000)), float(gen.uniform(-2000, 2000)))
                               for _ in range(int(gen.integers(1, 101)))])
             assert bound_coverage(raw, prot, grid) == \
-                brute_area_coverage(raw, prot, cell_size, BASE.lat)
+                brute_area_coverage(raw, prot, cell_size, brute_mean_latitude(raw))
 
 
 class _SequenceEvaluator:
@@ -575,7 +576,7 @@ class TestRegistry:
     def test_values_stay_in_range(self, gen):
         from conftest import random_walk_trace
 
-        grid = CellGrid(250, BASE.lat)
+        grid = CellGrid(250)
         for seed in range(5):
             trace = random_walk_trace(gen, n=80, step_sd_m=30.0)
             protected = applied(LppmConfig("geo-i", {"epsilon": 0.01}), trace, RandomStream(seed))

@@ -298,11 +298,10 @@ class TestAnneal:
         dataset = generate_synthetic_dataset(
             SynthSpec(users=4, days=1, pois_per_user=3, sample_period_s=240, seed=811)).dataset
         config = RunConfig("geo-i", seed=811)
-        grid = CellGrid(config.cell_size_m, dataset.mean_latitude())
         (domain,) = MECHANISMS[config.lppm_name].domains
 
         def gap(user, day, raw, rng):
-            bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
+            bound = bind_evaluators(EVALUATORS, raw, config.poi_params, CellGrid(config.cell_size_m))
             replicates = prepare_replicates(config.lppm_name, raw, config.robust_k, rng.child("cost"))
             cost_fn = ObjectiveCost(config.objectives, bound, replicates)
             result = anneal(config.lppm_name, (domain,), cost_fn, config.schedule, rng.child("anneal"),

@@ -388,7 +388,7 @@ class TestStaticJobs:
         poi_params = PoiClusteringParams(max_diameter_m=150.0)
         config = RunConfig("geo-i", static_assignment=static.assignment, seed=4, robust_k=5,
                            cell_size_m=100.0, poi_params=poi_params)
-        grid = CellGrid(100.0, two_users.mean_latitude())
+        grid = CellGrid(100.0)
 
         def medians(t):
             replicates = prepare_replicates("geo-i", t, 5, RandomStream(4).child(t.user, "offline", "cost"))
@@ -471,8 +471,7 @@ class TestOneScorePerState:
     def test_a_repeated_state_gets_the_identical_cost(self, two_users):
         day, raw = split_daily_batches(next(iter(two_users)))[0]
         config = RunConfig("geo-i", seed=7)
-        grid = CellGrid(config.cell_size_m, two_users.mean_latitude())
-        bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
+        bound = bind_evaluators(EVALUATORS, raw, config.poi_params, CellGrid(config.cell_size_m))
         root = RandomStream(7).child(raw.user, day)
         cost_fn = ObjectiveCost(config.objectives, bound,
                                 prepare_replicates("geo-i", raw, config.robust_k, root.child("cost")))
@@ -517,18 +516,47 @@ class TestPublishedTraceMeetsItsCost:
     def test_offline_metrics_score_the_published_trace(self, two_users):
         config = RunConfig("geo-i", seed=811)
         report = run_offline(two_users, config)
-        grid = CellGrid(config.cell_size_m, two_users.mean_latitude())
+        grid = CellGrid(config.cell_size_m)
         for row, raw, published in zip(report.rows, two_users, report.protected, strict=True):
             bound = bind_evaluators(EVALUATORS, raw, config.poi_params, grid)
             assert {name: score(published) for name, score in bound.items()} == row.metrics
 
     def test_evaluate_scores_the_trace_protect_writes(self, two_users):
         config = RunConfig("geo-i", static_assignment={"epsilon": 0.005}, seed=811)
-        grid = CellGrid(config.cell_size_m, two_users.mean_latitude())
+        grid = CellGrid(config.cell_size_m)
         expected = [(raw.user, {name: score(published) for name, score in
                                 bind_evaluators(EVALUATORS, raw, config.poi_params, grid).items()})
                     for raw, published in zip(two_users, protect(two_users, config), strict=True)]
         assert evaluate(two_users, config) == expected
+
+
+class TestUnitIndependence:
+    """A unit's row and trace depend on its own raw trace, root stream and config, never on
+    the other days or users of the input (the coverage grid's reference included)."""
+
+    def test_a_day_tunes_as_it_would_alone(self):
+        dataset = generate_synthetic_dataset(SynthSpec(users=1, days=7, pois_per_user=3, seed=1)).dataset
+        config = RunConfig("promesse", seed=1)
+        week = run_online(dataset, config)
+        assert len(week.rows) == 7
+        (_, first_day), *_ = split_daily_batches(next(iter(dataset)))
+        assert run_online(Dataset([first_day]), config).rows == week.rows[:1]
+
+    @pytest.mark.parametrize("job, assignment", [(run_online, {"epsilon": 0.01}), (run_offline, None),
+                                                 (evaluate, {"epsilon": 0.01})],
+                             ids=["online", "offline", "evaluate"])
+    def test_a_user_row_ignores_the_other_users(self, job, assignment):
+        dataset = generate_synthetic_dataset(SynthSpec(users=2, days=1, seed=2)).dataset
+        first, second = dataset
+        moved = Dataset([first, Trace(second.user, second.lat + 20.0, second.lon, second.time_ms)])
+        config = RunConfig("geo-i", static_assignment=assignment, seed=2)
+
+        def first_user(outcome):
+            if job is evaluate:
+                return outcome[0]
+            return outcome.rows[0], next(iter(outcome.protected))
+
+        assert first_user(job(moved, config)) == first_user(job(dataset, config))
 
 
 class TestRunOffline:
@@ -590,19 +618,19 @@ class TestRunOnline:
         assert len(report.rows) == len(keys)
         assert [(r.user, r.day) for r in report.rows] == keys
 
-    def test_round_trip_audit(self, three_day_dataset):
-        # every row's metrics must be re-derivable from its recorded config
-        config = RunConfig(lppm_name="promesse", seed=5)
+    @pytest.mark.parametrize("lppm", ["promesse", "geo-i"])
+    def test_round_trip_audit(self, three_day_dataset, lppm):
+        # every row's metrics must be re-derivable from its recorded config,
+        # its batch and the batch's cost/rep/0 stream
+        config = RunConfig(lppm_name=lppm, seed=5)
         report = run_online(three_day_dataset, config)
-        from alp.geo import CellGrid
-
-        grid = CellGrid(config.cell_size_m, three_day_dataset.mean_latitude())
+        grid = CellGrid(config.cell_size_m)
         batches = {(trace.user, day): batch
                    for trace in three_day_dataset
                    for day, batch in split_daily_batches(trace)}
         for row in report.rows:
             raw = batches[(row.user, row.day)]
-            rng = RandomStream(config.seed).child(row.user, row.day.isoformat(), "protect")
+            rng = RandomStream(config.seed).child(row.user, row.day.isoformat(), "cost", "rep", 0)
             protected = applied(row.config, raw, rng)
             for name in ("pois", "distortion", "coverage"):
                 bound = EVALUATORS[name].bind(raw, config.poi_params, grid)

@@ -30,6 +30,7 @@ from alp.rng import RandomStream
 from conftest import applied, load_outcome, row_loaded, spans, trace_of
 from oracles import (
     brute_area_coverage,
+    brute_mean_latitude,
     brute_spatial_distortion,
     one_shot_geo_i,
     one_shot_promesse,
@@ -50,7 +51,7 @@ SHAPES = ("all-duplicate", "single", "equal-times", "empty-protected")
 
 @st.composite
 def instances(draw):
-    """(raw points, protected points, sampling step, cell size, grid latitude)."""
+    """(raw points, protected points, sampling step, cell size)."""
     lat, lon = REGIONS[draw(st.sampled_from(sorted(REGIONS)))]
     point = st.builds(GeoPoint, lat, lon)
     shape = draw(st.sampled_from(SHAPES))
@@ -63,22 +64,21 @@ def instances(draw):
         raw = draw(st.lists(point, min_size=1, max_size=20))
         prot = [] if shape == "empty-protected" else draw(st.lists(point, max_size=20))
     step_ms = 0 if shape == "equal-times" else 30_000
-    return raw, prot, step_ms, draw(st.floats(50.0, 500.0)), raw[0].lat
+    return raw, prot, step_ms, draw(st.floats(50.0, 500.0))
 
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(instances())
 def test_bound_evaluators_match_oracles(case):
-    raw, prot, step_ms, cell_size, ref_lat = case
+    raw, prot, step_ms, cell_size = case
     raw_trace, prot_trace = trace_of(raw, step_ms=step_ms), trace_of(prot, step_ms=step_ms)
 
     got = EVALUATORS["distortion"].bind(raw_trace, PoiClusteringParams(), CellGrid())(prot_trace)
     want = brute_spatial_distortion(raw, prot)
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (got, want)
 
-    grid = CellGrid(cell_size, ref_lat)
-    got = EVALUATORS["coverage"].bind(raw_trace, PoiClusteringParams(), grid)(prot_trace)
-    assert got == brute_area_coverage(raw, prot, cell_size, ref_lat)
+    got = EVALUATORS["coverage"].bind(raw_trace, PoiClusteringParams(), CellGrid(cell_size))(prot_trace)
+    assert got == brute_area_coverage(raw, prot, cell_size, brute_mean_latitude(raw))
 
 
 POI_SHAPES = ("all-duplicate", "single", "equal-times", "geo-i", "ring")
